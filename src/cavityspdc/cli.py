@@ -232,11 +232,9 @@ def _cmd_chsh(cfg, args, out: Path, seed, seed_source):
         int(rng.poisson(n * measurement.coincidence_prob(state, s)))
         for s in projectors
     ]
-    values = np.empty(cfg.bootstrap_resamples)
-    children = np.random.SeedSequence(seed).spawn(cfg.bootstrap_resamples)
-    for i, child in enumerate(children):
-        r = np.random.default_rng(child)
-        values[i] = measurement.chsh_from_counts(r.poisson(counts))
+    boot = measurement._poisson_bootstrap(
+        counts, cfg.bootstrap_resamples, measurement.chsh_from_counts, seed
+    )
     payload = {
         "seed": seed,
         "seed_source": seed_source,
@@ -251,8 +249,8 @@ def _cmd_chsh(cfg, args, out: Path, seed, seed_source):
         "bootstrap": {
             "counts_per_setting": n,
             "resamples": cfg.bootstrap_resamples,
-            "s_mean": float(values.mean()),
-            "s_std": float(values.std(ddof=1)),
+            "s_mean": boot.mean,
+            "s_std": boot.std,
         },
     }
     _write_json(out / "chsh.json", payload)

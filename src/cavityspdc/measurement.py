@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .polarization import TwoPhotonState
 
@@ -194,62 +193,29 @@ def _linear_correlation_block(rho: np.ndarray) -> np.ndarray:
     return k
 
 
-def _grid_chsh(k_block: np.ndarray, step_deg: float):
-    """Exhaustive maximum of S over a uniform four-angle grid.
+def chsh_max(state) -> ChshResult:
+    """Maximize S over all four analyzer angles, in closed form.
 
-    The maximum over (a, a') factorizes at fixed (b, b'), so the full
-    grid^4 search reduces to two row maxima per (b, b') pair.
+    With E(a, b) = u(a)^T K u(b), the maximum over the analyzer plane is
+    S = 2 sqrt(s1^2 + s2^2) from the singular values of K (the Horodecki
+    criterion, Phys. Lett. A 200, 340 (1995), restricted to linear
+    analyzers).  With K = U diag(s) V^T, the
+    b, b' vectors are cos(t) v1 +- sin(t) v2 with tan(t) = s2 / s1; then
+    K(u_b - u_b') lies along u2 and K(u_b + u_b') along u1, which fixes
+    a and a'.
     """
-    angles = np.arange(0.0, 180.0, step_deg)
-    u = np.stack([np.cos(2 * np.radians(angles)), np.sin(2 * np.radians(angles))], 1)
-    e = u @ k_block @ u.T  # e[i, j] = E(a_i, b_j)
-    best = -np.inf
-    best_idx = (0, 0, 0, 0)
-    for jb in range(angles.size):
-        col = e[:, jb][:, None]
-        diff = col - e  # E(a, b) - E(a, b')
-        summ = col + e  # E(a', b) + E(a', b')
-        ia = diff.argmax(axis=0)
-        iap = summ.argmax(axis=0)
-        tot = diff[ia, np.arange(angles.size)] + summ[iap, np.arange(angles.size)]
-        jbp = int(tot.argmax())
-        if tot[jbp] > best:
-            best = float(tot[jbp])
-            best_idx = (int(ia[jbp]), int(iap[jbp]), jb, jbp)
-    ia, iap, jb, jbp = best_idx
-    return best, (angles[ia], angles[iap], angles[jb], angles[jbp])
+    k_u, (s1, s2), k_vt = np.linalg.svd(_linear_correlation_block(_as_rho(state)))
+    t = math.atan2(s2, s1)
+    u_b = math.cos(t) * k_vt[0] + math.sin(t) * k_vt[1]
+    u_bp = math.cos(t) * k_vt[0] - math.sin(t) * k_vt[1]
 
+    def angle_deg(u):
+        return 0.5 * math.degrees(math.atan2(u[1], u[0]))
 
-def chsh_max(state, grid_step_deg: float = 0.5, refine: bool = True) -> ChshResult:
-    """Maximize S over all four analyzer angles.
-
-    A 0.5 degree exhaustive grid search locates the global maximum; a local
-    simplex refinement then polishes the angles to 0.01 degree.
-    """
-    rho = _as_rho(state)
-    k_block = _linear_correlation_block(rho)
-    s_grid, angles = _grid_chsh(k_block, grid_step_deg)
-
-    def neg_s(x):
-        ua = np.array([math.cos(2 * math.radians(x[0])), math.sin(2 * math.radians(x[0]))])
-        uap = np.array([math.cos(2 * math.radians(x[1])), math.sin(2 * math.radians(x[1]))])
-        ub = np.array([math.cos(2 * math.radians(x[2])), math.sin(2 * math.radians(x[2]))])
-        ubp = np.array([math.cos(2 * math.radians(x[3])), math.sin(2 * math.radians(x[3]))])
-        return -abs(
-            ua @ k_block @ ub - ua @ k_block @ ubp + uap @ k_block @ ub + uap @ k_block @ ubp
-        )
-
-    best_s, best_angles = s_grid, angles
-    if refine:
-        res = minimize(
-            neg_s,
-            np.array(angles),
-            method="Nelder-Mead",
-            options={"xatol": 0.01, "fatol": 1e-12, "maxiter": 2000},
-        )
-        if -res.fun > best_s:
-            best_s, best_angles = -float(res.fun), tuple(res.x)
-    return ChshResult(best_s, BellSettings(*best_angles))
+    settings = BellSettings(
+        angle_deg(k_u[:, 1]), angle_deg(k_u[:, 0]), angle_deg(u_b), angle_deg(u_bp)
+    )
+    return ChshResult(2.0 * math.hypot(s1, s2), settings)
 
 
 def bell_projector_settings(settings: BellSettings) -> list[ProjectorSetting]:
@@ -309,10 +275,19 @@ class TomographyRecord:
         return np.array([e.counts for e in self.entries], dtype=float)
 
     def with_counts(self, counts) -> "TomographyRecord":
-        return TomographyRecord(
-            TomoEntry(e.setting, e.seconds, int(c))
-            for e, c in zip(self.entries, counts)
+        """The same settings and times with new counts.
+
+        The settings were checked for completeness when this record was
+        built, so only the new entries are validated.
+        """
+        counts = list(counts)
+        if len(counts) != 16:
+            raise ValueError(f"need exactly 16 counts, got {len(counts)}")
+        rec = object.__new__(TomographyRecord)
+        rec.entries = tuple(
+            TomoEntry(e.setting, e.seconds, int(c)) for e, c in zip(self.entries, counts)
         )
+        return rec
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -363,8 +338,7 @@ def tomo_linear(rec: TomographyRecord) -> np.ndarray:
     """Direct linear inversion of the measured frequencies.
 
     Returns a Hermitian unit-trace matrix that may have negative
-    eigenvalues; it seeds the likelihood maximization and demonstrates why
-    the constrained estimate is needed.
+    eigenvalues, which demonstrates why the constrained estimate is needed.
     """
     stack = _projector_stack([e.setting for e in rec.entries]).reshape(16, 16)
     counts = rec.counts()
@@ -386,87 +360,88 @@ def tomo_linear(rec: TomographyRecord) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-_TRIU = np.triu_indices(4, 1)
-
-
-def _triangular_from_params(x: np.ndarray) -> np.ndarray:
-    t = np.zeros((4, 4), dtype=complex)
-    t[np.diag_indices(4)] = x[:4]
-    t[_TRIU] = x[4::2] + 1j * x[5::2]
-    return t
-
-
-def _params_from_triangular(t: np.ndarray) -> np.ndarray:
-    x = np.empty(16)
-    x[:4] = np.real(np.diag(t))
-    x[4::2] = t[_TRIU].real
-    x[5::2] = t[_TRIU].imag
-    return x
+#: A likelihood drop this small is round-off in the 16-term sum, not a
+#: failed ascent step.
+_LL_ROUNDOFF = 1e-13
+#: Smallest dilution eps in (1 + eps R) tried before the ascent is declared
+#: stalled.
+_MIN_DILUTION = 1e-9
 
 
 def tomo_mle(
-    rec: TomographyRecord, max_iter: int = 10_000, grad_tol: float = 1e-8
+    rec: TomographyRecord, max_iter: int = 10_000, tol: float = 1e-10
 ) -> TwoPhotonState:
     """Maximum-likelihood reconstruction over physical density matrices.
 
-    The state is parameterized as rho = T^dag T / tr(T^dag T) with an
-    upper-triangular T (16 real parameters), which keeps every iterate
-    positive semidefinite.  The Poisson log-likelihood with the overall
-    flux profiled out analytically is maximized by quasi-Newton ascent;
-    convergence requires the projected gradient below grad_tol or an
-    optimizer-reported line-search success.
+    Normalised RrhoR iteration (Hradil, PRA 55 R1561 (1997); Rehacek, Hradil
+    & Jezek, PRA 63 040303(R) (2001)).  The 16 settings do not sum to the
+    identity, so with G = sum_k P_k the whitened projectors
+    G^{-1/2} P_k G^{-1/2} form a POVM, and the Poisson likelihood with the
+    flux profiled out becomes sum_k f_k log p_k, p_k = tr(P~_k sigma), over
+    density matrices sigma proportional to G^{1/2} rho G^{1/2}.  Each step
+    maps sigma -> R sigma R / tr with R = sum_k (f_k / p_k) P~_k; if that
+    would lower the likelihood, R is diluted to 1 + eps R with eps halved
+    until it does not (Rehacek et al., PRA 75 042108 (2007)).  Every
+    iterate stays positive semidefinite.
+
+    The log-likelihood is concave with gradient R and tr(R sigma) = 1, so
+    gap = lambda_max(R) - 1 bounds the distance of the per-count
+    log-likelihood from its maximum.  The iteration stops once gap <= tol
+    and raises TomographyError if max_iter steps do not get there.
     """
-    projectors = _projector_stack([e.setting for e in rec.entries])
-    proj_flat = projectors.transpose(0, 2, 1).reshape(16, 16)  # q = proj_flat @ vec(M)
     counts = rec.counts()
     total = counts.sum()
     if total <= 0:
         raise TomographyError("record contains no counts")
+    freqs = counts / total
+    seen = freqs > 0
 
-    rho0 = tomo_linear(rec)
-    eigval, eigvec = np.linalg.eigh(rho0)
-    eigval = np.clip(eigval, 1e-6, None)
-    rho0 = (eigvec * eigval) @ eigvec.conj().T
-    rho0 /= np.trace(rho0).real
-    x0 = _params_from_triangular(np.linalg.cholesky(rho0).conj().T)
+    projectors = _projector_stack([e.setting for e in rec.entries])
+    g_val, g_vec = np.linalg.eigh(projectors.sum(axis=0))
+    g_isqrt = (g_vec / np.sqrt(g_val)) @ g_vec.conj().T
+    whitened = (g_isqrt @ projectors @ g_isqrt).reshape(16, 16)
+    # p_k = tr(P~_k M) = conj(P~_k) . vec(M) for Hermitian P~_k and M; the
+    # P~_k sum to the identity, so the p_k of any M sum to tr(M)
+    whitened_conj = whitened.conj()
+    f_seen = freqs[seen]
     eye4 = np.eye(4)
 
-    def objective(x):
-        t = _triangular_from_params(x)
-        m = t.conj().T @ t
-        trace = np.trace(m).real
-        q = np.real(proj_flat @ m.ravel())
-        p = np.clip(q / trace, 1e-300, None)
-        p_sum = p.sum()
-        f = -(counts @ np.log(p)) / total + math.log(p_sum)
-        # d f / d p_k, then chain rule through p = q / tr(M)
-        u = -counts / p / total + 1.0 / p_sum
-        g_mat = (u @ proj_flat).reshape(4, 4).T - (u @ p) * eye4
-        tg = t @ (g_mat / trace)
-        grad = np.empty(16)
-        grad[:4] = 2.0 * np.real(np.diag(tg))
-        grad[4::2] = 2.0 * tg[_TRIU].real
-        grad[5::2] = 2.0 * tg[_TRIU].imag
-        return f, grad
+    sigma = eye4 / 4.0 + 0j
+    p = np.real(whitened_conj @ sigma.ravel())
+    ll = f_seen @ np.log(p[seen])
+    iterations = 0
+    # p_k = 0 where f_k > 0 gives ll = -inf, a step that is then diluted
+    with np.errstate(divide="ignore"):
+        while True:
+            r = (np.divide(freqs, p, out=np.zeros(16), where=seen) @ whitened).reshape(4, 4)
+            gap = np.linalg.eigvalsh(r)[-1] - 1.0
+            if gap <= tol:
+                break
+            if iterations >= max_iter:
+                raise TomographyError(
+                    f"RrhoR iteration did not converge: {iterations} iterations, "
+                    f"gap {gap:.3e} > tol {tol:.1e}"
+                )
+            step, eps = r, 1.0
+            while True:
+                new = step @ sigma @ step
+                p_new = np.real(whitened_conj @ new.ravel())
+                trace = p_new.sum()
+                ll_new = f_seen @ np.log(p_new[seen] / trace)
+                if ll_new >= ll - _LL_ROUNDOFF:
+                    break
+                if eps < _MIN_DILUTION:
+                    raise TomographyError(
+                        f"RrhoR iteration stalled: {iterations} iterations, "
+                        f"gap {gap:.3e} > tol {tol:.1e}"
+                    )
+                step, eps = eye4 + eps * r, eps / 2.0
+            sigma, p, ll = new / trace, p_new / trace, ll_new
+            iterations += 1
 
-    res = minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "ftol": 1e-15, "gtol": grad_tol},
-    )
-    grad_norm = float(np.max(np.abs(res.jac)))
-    if not res.success and grad_norm > 1e-5:
-        raise TomographyError(
-            f"likelihood maximization did not converge: {res.message} "
-            f"(iterations={res.nit}, |grad|={grad_norm:.3e})"
-        )
-    t = _triangular_from_params(res.x)
-    m = t.conj().T @ t
-    rho = m / np.trace(m).real
-    rho = 0.5 * (rho + rho.conj().T)
-    return TwoPhotonState(rho)
+    rho = g_isqrt @ sigma @ g_isqrt
+    rho /= np.trace(rho).real
+    return TwoPhotonState(0.5 * (rho + rho.conj().T))
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +476,20 @@ class BootstrapResult:
     resamples: int
 
 
+def _poisson_bootstrap(observed, resamples: int, statistic, seed) -> BootstrapResult:
+    """Mean and standard deviation of statistic(counts ~ Poisson(observed)).
+
+    Resample i draws from its own child of SeedSequence(seed), so each
+    resample is reproducible on its own.
+    """
+    observed = np.asarray(observed, dtype=float)
+    children = np.random.SeedSequence(seed).spawn(resamples)
+    values = np.array(
+        [statistic(np.random.default_rng(child).poisson(observed)) for child in children]
+    )
+    return BootstrapResult(float(values.mean()), float(values.std(ddof=1)), resamples)
+
+
 def bootstrap_errors(
     rec: TomographyRecord, resamples: int, statistic, seed=None
 ) -> BootstrapResult:
@@ -511,13 +500,9 @@ def bootstrap_errors(
     """
     if resamples < 100:
         raise ValueError("need at least 100 resamples")
-    observed = rec.counts()
-    values = np.empty(resamples)
-    children = np.random.SeedSequence(seed).spawn(resamples)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        values[i] = statistic(rec.with_counts(rng.poisson(observed)))
-    return BootstrapResult(float(values.mean()), float(values.std(ddof=1)), resamples)
+    return _poisson_bootstrap(
+        rec.counts(), resamples, lambda counts: statistic(rec.with_counts(counts)), seed
+    )
 
 
 def rho_to_json_payload(state) -> dict:

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavityspdc import default_config, load_config, save_config
+import cavityspdc
+from cavityspdc import default_config, load_config, measurement, save_config
 from cavityspdc.cli import main
 from cavityspdc.config import ConfigError, config_from_dict, config_to_dict
 from cavityspdc.polarization import BD, HWP, CrystalSource
@@ -174,6 +179,27 @@ class TestCli:
         assert payload["s_max"] == pytest.approx(2.6521, abs=1e-3)
         assert payload["bootstrap"]["s_std"] > 0.0
 
+    def test_chsh_bootstrap_stream_is_unchanged(self, tmp_path, monkeypatch):
+        # settings and bootstrap block written for --seed 5 by the
+        # hand-rolled resampling loop this command used before it shared
+        # measurement._poisson_bootstrap; at the same settings the shared
+        # path must reproduce them bit for bit
+        settings = measurement.BellSettings(
+            20.526211948981327, 159.4736227840125, 9.442528986434254e-05, 45.000083449841306
+        )
+        monkeypatch.setattr(
+            measurement, "chsh_max",
+            lambda state: measurement.ChshResult(2.6521438950397105, settings),
+        )
+        assert main(["--seed", "5", "--out", str(tmp_path), "chsh"]) == 0
+        payload = json.loads((tmp_path / "chsh.json").read_text())
+        assert payload["bootstrap"] == {
+            "counts_per_setting": 10000,
+            "resamples": 200,
+            "s_mean": 2.6576163670180835,
+            "s_std": 0.014736735928125114,
+        }
+
     def test_tomo_outputs(self, tmp_path):
         assert main(["--seed", "5", "--out", str(tmp_path), "tomo"]) == 0
         payload = json.loads((tmp_path / "tomo_summary.json").read_text())
@@ -206,3 +232,18 @@ class TestCli:
         payload = json.loads((fit_out / "car_fit.json").read_text())
         assert payload["converged"] is True
         assert payload["derived"]["peak_car"] == pytest.approx(97656.25, rel=1e-3)
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, cavityspdc, cavityspdc.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(cavityspdc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -44,6 +44,35 @@ def random_pure_state(seed):
     return TwoPhotonState.from_pure(ket)
 
 
+def grid_oracle_chsh(state) -> float:
+    """Exhaustive 0.5-degree maximum of S through Born-rule probabilities,
+    independent of the correlation-matrix shortcut."""
+    grid = np.arange(0.0, 180.0, 0.5)
+    rho_t = state.rho.reshape(2, 2, 2, 2)
+
+    def prob_matrix(shift_a, shift_b):
+        rad_a = np.radians(grid + shift_a)
+        rad_b = np.radians(grid + shift_b)
+        a = np.stack([np.cos(rad_a), np.sin(rad_a)], axis=1)
+        b = np.stack([np.cos(rad_b), np.sin(rad_b)], axis=1)
+        return np.real(
+            np.einsum("ai,bj,ijkl,ak,bl->ab", a.conj(), b.conj(), rho_t, a, b)
+        )
+
+    e_grid = (
+        prob_matrix(0, 0)
+        + prob_matrix(90, 90)
+        - prob_matrix(0, 90)
+        - prob_matrix(90, 0)
+    )
+    best = -np.inf
+    for jb in range(grid.size):
+        col = e_grid[:, jb][:, None]
+        tot = (col - e_grid).max(axis=0) + (col + e_grid).max(axis=0)
+        best = max(best, float(tot.max()))
+    return best
+
+
 class TestCoincidenceProb:
     def test_phi_minus_hh(self):
         assert coincidence_prob(
@@ -183,47 +212,31 @@ class TestChsh:
     @given(c=st.floats(0.0, 1.0))
     @settings(max_examples=15, deadline=None)
     def test_max_follows_closed_form_in_coherence(self, c):
-        result = chsh_max(degraded_state(math.pi, c), grid_step_deg=1.0)
+        result = chsh_max(degraded_state(math.pi, c))
         assert result.s_value == pytest.approx(
             2.0 * math.sqrt(1.0 + c * c), abs=2e-4
         )
 
     def test_grid_oracle_agreement(self):
-        # exhaustive 0.5-degree grid evaluated through the Born-rule
-        # probability path, independent of the correlation-matrix shortcut
         state = degraded_state(math.pi, 0.8709)
-        rho4 = state.rho.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-
-        grid = np.arange(0.0, 180.0, 0.5)
-        rad = np.radians(grid)
-        kets = np.stack([np.cos(rad), np.sin(rad)], axis=1)
-
-        def prob_matrix(shift_a, shift_b):
-            rad_a = np.radians(grid + shift_a)
-            rad_b = np.radians(grid + shift_b)
-            a = np.stack([np.cos(rad_a), np.sin(rad_a)], axis=1)
-            b = np.stack([np.cos(rad_b), np.sin(rad_b)], axis=1)
-            rho_t = state.rho.reshape(2, 2, 2, 2)
-            return np.real(
-                np.einsum(
-                    "ai,bj,ijkl,ak,bl->ab", a.conj(), b.conj(), rho_t, a, b
-                )
-            )
-
-        e_grid = (
-            prob_matrix(0, 0)
-            + prob_matrix(90, 90)
-            - prob_matrix(0, 90)
-            - prob_matrix(90, 0)
-        )
-        best = -np.inf
-        n = grid.size
-        for jb in range(n):
-            col = e_grid[:, jb][:, None]
-            tot = (col - e_grid).max(axis=0) + (col + e_grid).max(axis=0)
-            best = max(best, float(tot.max()))
         result = chsh_max(state)
-        assert abs(result.s_value - best) < 1e-3
+        assert abs(result.s_value - grid_oracle_chsh(state)) < 1e-3
+
+    def test_grid_oracle_random_mixtures(self):
+        rng = np.random.default_rng(2024)
+        for k in range(30):
+            weights = rng.dirichlet(np.ones(3))
+            rho = sum(
+                w * random_pure_state(100 * k + i).rho for i, w in enumerate(weights)
+            )
+            state = TwoPhotonState(0.5 * (rho + rho.conj().T))
+            result = chsh_max(state)
+            best = grid_oracle_chsh(state)
+            assert result.s_value >= best - 1e-12
+            assert result.s_value - best < 1e-3
+            assert chsh_S(state, result.settings) == pytest.approx(
+                result.s_value, abs=1e-9
+            )
 
 
 class TestBellCounts:
@@ -280,6 +293,14 @@ class TestTomographySimulation:
         with pytest.raises(ValueError):
             TomographyRecord(rec.entries[:15])
 
+    def test_with_counts_validates_counts(self):
+        rec = tomo_simulate_counts(degraded_state(math.pi, 0.9), 100, seed=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            rec.with_counts([-1] + [5] * 15)
+        with pytest.raises(ValueError, match="16"):
+            rec.with_counts([5] * 15)
+        np.testing.assert_array_equal(rec.with_counts(range(16)).counts(), np.arange(16))
+
     def test_non_ic_settings_rejected(self):
         setting = ProjectorSetting.from_labels("H", "H")
         entries = [TomoEntry(setting, 1.0, 5)] * 16
@@ -327,6 +348,39 @@ class TestTomoMle:
         a = tomo_mle(rec)
         b = tomo_mle(shuffled)
         assert np.linalg.norm(a.rho - b.rho) < 1e-6
+
+    @pytest.mark.parametrize("n", [10_000, 500])
+    def test_kkt_certificate(self, n):
+        # the observed records of scripts/entanglement_run.py (seed 0)
+        truth = degraded_state(math.pi, 0.8709)
+        rec = tomo_simulate_counts(truth, n, seed=0)
+        rho = tomo_mle(rec).rho
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+        # whitened POVM G^{-1/2} P_k G^{-1/2}, state sigma ~ G^{1/2} rho G^{1/2}
+        kets = np.stack([e.setting.product_ket() for e in rec.entries])
+        g_val, g_vec = np.linalg.eigh(kets.T @ kets.conj())
+        g_sqrt = (g_vec * np.sqrt(g_val)) @ g_vec.conj().T
+        g_isqrt = (g_vec / np.sqrt(g_val)) @ g_vec.conj().T
+        phi = kets @ g_isqrt.T
+        sigma = g_sqrt @ rho @ g_sqrt
+        sigma /= np.trace(sigma).real
+        probs = np.real(np.einsum("ki,ij,kj->k", phi.conj(), sigma, phi))
+        freqs = rec.counts() / rec.counts().sum()
+        weights = np.divide(freqs, probs, out=np.zeros(16), where=freqs > 0)
+        r = np.einsum("k,ki,kj->ij", weights, phi, phi.conj())
+        assert np.linalg.eigvalsh(r).max() <= 1.0 + 1e-10
+
+        perm = np.random.default_rng(0).permutation(16)
+        shuffled = tomo_mle(TomographyRecord([rec.entries[i] for i in perm]))
+        assert np.linalg.norm(shuffled.rho - rho) < 1e-6
+
+    def test_iteration_cap_raises(self):
+        rec = tomo_simulate_counts(degraded_state(math.pi, 0.8709), 10_000, seed=0)
+        with pytest.raises(TomographyError, match="5 iterations, gap"):
+            tomo_mle(rec, max_iter=5)
 
     def test_empty_record_rejected(self):
         rec = tomo_simulate_counts(PHI_MINUS, 100, seed=0)
