@@ -44,6 +44,30 @@ def random_pure_state(seed):
     return TwoPhotonState.from_pure(ket)
 
 
+def assert_density_matrix(rho):
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+def certificate_gap(rec, rho) -> float:
+    """lambda_max(R) - 1 for the whitened likelihood gradient R at rho, an
+    upper bound on how far the per-count log-likelihood is from its maximum."""
+    # whitened POVM G^{-1/2} P_k G^{-1/2}, state sigma ~ G^{1/2} rho G^{1/2}
+    kets = np.stack([e.setting.product_ket() for e in rec.entries])
+    g_val, g_vec = np.linalg.eigh(kets.T @ kets.conj())
+    g_sqrt = (g_vec * np.sqrt(g_val)) @ g_vec.conj().T
+    g_isqrt = (g_vec / np.sqrt(g_val)) @ g_vec.conj().T
+    phi = kets @ g_isqrt.T
+    sigma = g_sqrt @ rho @ g_sqrt
+    sigma /= np.trace(sigma).real
+    probs = np.real(np.einsum("ki,ij,kj->k", phi.conj(), sigma, phi))
+    freqs = rec.counts() / rec.counts().sum()
+    weights = np.divide(freqs, probs, out=np.zeros(16), where=freqs > 0)
+    r = np.einsum("k,ki,kj->ij", weights, phi, phi.conj())
+    return float(np.linalg.eigvalsh(r).max() - 1.0)
+
+
 def grid_oracle_chsh(state) -> float:
     """Exhaustive 0.5-degree maximum of S through Born-rule probabilities,
     independent of the correlation-matrix shortcut."""
@@ -355,27 +379,21 @@ class TestTomoMle:
         truth = degraded_state(math.pi, 0.8709)
         rec = tomo_simulate_counts(truth, n, seed=0)
         rho = tomo_mle(rec).rho
-        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh(rho).min() >= -1e-12
-
-        # whitened POVM G^{-1/2} P_k G^{-1/2}, state sigma ~ G^{1/2} rho G^{1/2}
-        kets = np.stack([e.setting.product_ket() for e in rec.entries])
-        g_val, g_vec = np.linalg.eigh(kets.T @ kets.conj())
-        g_sqrt = (g_vec * np.sqrt(g_val)) @ g_vec.conj().T
-        g_isqrt = (g_vec / np.sqrt(g_val)) @ g_vec.conj().T
-        phi = kets @ g_isqrt.T
-        sigma = g_sqrt @ rho @ g_sqrt
-        sigma /= np.trace(sigma).real
-        probs = np.real(np.einsum("ki,ij,kj->k", phi.conj(), sigma, phi))
-        freqs = rec.counts() / rec.counts().sum()
-        weights = np.divide(freqs, probs, out=np.zeros(16), where=freqs > 0)
-        r = np.einsum("k,ki,kj->ij", weights, phi, phi.conj())
-        assert np.linalg.eigvalsh(r).max() <= 1.0 + 1e-10
+        assert_density_matrix(rho)
+        assert certificate_gap(rec, rho) <= 1e-10
 
         perm = np.random.default_rng(0).permutation(16)
         shuffled = tomo_mle(TomographyRecord([rec.entries[i] for i in perm]))
         assert np.linalg.norm(shuffled.rho - rho) < 1e-6
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_pure_states_converge(self, seed):
+        # generic pure states put the optimum on the boundary of the state
+        # space; the fit must still certify within a few tens of steps
+        rec = tomo_simulate_counts(random_pure_state(seed), 10_000, seed=seed)
+        rho = tomo_mle(rec, max_iter=60).rho
+        assert_density_matrix(rho)
+        assert certificate_gap(rec, rho) <= 1e-10
 
     def test_iteration_cap_raises(self):
         rec = tomo_simulate_counts(degraded_state(math.pi, 0.8709), 10_000, seed=0)
@@ -442,6 +460,16 @@ class TestBootstrap:
             rec, 100, lambda r: fidelity(tomo_mle(r), PHI_MINUS_KET), seed=1
         )
         assert result.std < 1e-3
+
+    def test_pure_state_bootstrap_completes(self):
+        # every resampled fit must converge, or the whole error bar is lost
+        truth = random_pure_state(7)
+        rec = tomo_simulate_counts(truth, 10_000, seed=7)
+        result = bootstrap_errors(
+            rec, 100, lambda r: state_fidelity(tomo_mle(r), truth), seed=0
+        )
+        assert result.mean > 0.98
+        assert result.std < 0.01
 
     def test_reproducible_given_seed(self):
         rec = tomo_simulate_counts(degraded_state(math.pi, 0.9), 1_000, seed=2)
