@@ -21,6 +21,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+EXIT_REPORT_FAIL = 3
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -409,6 +410,7 @@ def _report_rows(cfg: ExperimentConfig):
 
 def _cmd_report(cfg, args, out: Path, seed, seed_source):
     rows = _report_rows(cfg)
+    passed = all(r["passed"] for r in rows)
     if args.format == "csv":
         # the JSON summary below already carries every row
         _write_table(
@@ -428,7 +430,7 @@ def _cmd_report(cfg, args, out: Path, seed, seed_source):
         )
     _write_json(
         out / "report.json",
-        {"rows": rows, "all_passed": all(r["passed"] for r in rows)},
+        {"rows": rows, "all_passed": passed},
     )
     width = max(len(r["quantity"]) for r in rows)
     for r in rows:
@@ -437,8 +439,8 @@ def _cmd_report(cfg, args, out: Path, seed, seed_source):
             f"{r['quantity']:<{width}}  {r['computed']:>14.6g}  "
             f"ref {r['reference']:>10.6g}  [{status}]"
         )
-    print("overall:", "PASS" if all(r["passed"] for r in rows) else "FAIL")
-    return EXIT_OK
+    print("overall:", "PASS" if passed else "FAIL")
+    return EXIT_OK if passed else EXIT_REPORT_FAIL
 
 
 _COMMANDS = {
@@ -490,10 +492,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = default_config() if args.config is None else load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -502,7 +501,7 @@ def main(argv=None) -> int:
     seed, seed_source = _resolve_seed(args, cfg)
     try:
         code = _COMMANDS[args.command](cfg, args, out, seed, seed_source)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     _write_json(

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cavity import CavitySpec
-from .photostats import DetectionChain, SourceRate
+from .photostats import DetectionChain, SourceRate, histogram_k_max
 from .polarization import BD, HWP, QWP, CrystalSource, ElementNet, Mirror
 
 
@@ -68,6 +68,7 @@ class ExperimentConfig:
             raise ConfigError("accidental_offset_ns must far exceed the window")
         if self.histogram_range_ns <= 0.0:
             raise ConfigError("histogram_range_ns must be > 0")
+        histogram_k_max(self.histogram_range_ns, self.chain.bin_ps)
 
 
 def default_config() -> ExperimentConfig:
@@ -153,103 +154,70 @@ def _element_from_dict(payload: dict, path: str):
         if not (isinstance(rail, (list, tuple)) and len(rail) == 2):
             raise ConfigError(f"{path}.rail must be a two-element list")
         kwargs["rail"] = (int(rail[0]), int(rail[1]))
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _build(cls, kwargs, path)
 
 
-def _build(cls, payload: dict, path: str):
+def _build(base, payload: dict, path: str):
+    """Dataclass ``base`` with the fields given in ``payload``.
+
+    ``base`` is an instance whose values stand in for omitted fields, or a
+    dataclass type built from ``payload`` alone.  Unknown keys and invalid
+    values raise ConfigError naming ``path``.
+    """
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected an object")
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - fields
+    unknown = set(payload) - {f.name for f in dataclasses.fields(base)}
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
     try:
-        return cls(**payload)
+        if isinstance(base, type):
+            return base(**payload)
+        return dataclasses.replace(base, **payload)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-_TOP_LEVEL_KEYS = {
-    "ppktp0", "ppktp1", "source", "chain", "dwdm", "pump_phase_rad",
-    "coherence", "seed", "tomo_counts_per_setting", "bootstrap_resamples",
-    "accidental_offset_ns", "histogram_range_ns", "network", "tolerances",
-}
-
-
 def config_from_dict(payload: dict) -> ExperimentConfig:
+    """Overlay a JSON payload onto ``default_config()``.
+
+    Dataclass-valued sections merge key by key onto their defaults,
+    ``tolerances`` merges onto the reference tolerances, ``network``
+    replaces the built-in displacer network, and any other field is taken
+    as given.
+    """
     if not isinstance(payload, dict):
         raise ConfigError("config: expected a JSON object")
-    unknown = set(payload) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"config.{sorted(unknown)[0]}: unknown key")
     base = default_config()
-    kwargs = {}
-    for key in ("ppktp0", "ppktp1"):
-        if key in payload:
-            kwargs[key] = _build(CavitySpec, payload[key], f"config.{key}")
-    if "source" in payload:
-        kwargs["source"] = _build(SourceRate, payload["source"], "config.source")
-    if "chain" in payload:
-        kwargs["chain"] = _build(DetectionChain, payload["chain"], "config.chain")
-    if "dwdm" in payload:
-        kwargs["dwdm"] = _build(DwdmFilter, payload["dwdm"], "config.dwdm")
-    if "network" in payload and payload["network"] is not None:
-        elements = payload["network"]
-        if not isinstance(elements, list):
-            raise ConfigError("config.network: expected a list of elements")
-        kwargs["network"] = ElementNet(
-            tuple(
-                _element_from_dict(e, f"config.network[{i}]")
-                for i, e in enumerate(elements)
+    kwargs = dict(payload)  # keys that name no field are rejected by _build
+    for field in dataclasses.fields(base):
+        key = field.name
+        if key not in payload:
+            continue
+        default, value, path = getattr(base, key), payload[key], f"config.{key}"
+        if dataclasses.is_dataclass(default):
+            kwargs[key] = _build(default, value, path)
+        elif key == "tolerances":
+            kwargs[key] = dict(default)
+            for name, tol in value.items():
+                if name not in default:
+                    raise ConfigError(f"{path}.{name}: unknown key")
+                kwargs[key][name] = float(tol)
+        elif key == "network" and value is not None:
+            if not isinstance(value, list):
+                raise ConfigError(f"{path}: expected a list of elements")
+            elements = tuple(
+                _element_from_dict(e, f"{path}[{i}]") for i, e in enumerate(value)
             )
-        )
-    if "tolerances" in payload:
-        tol = dict(DEFAULT_TOLERANCES)
-        for key, value in payload["tolerances"].items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"config.tolerances.{key}: unknown key")
-            tol[key] = float(value)
-        kwargs["tolerances"] = tol
-    for key in (
-        "pump_phase_rad", "coherence", "seed", "tomo_counts_per_setting",
-        "bootstrap_resamples", "accidental_offset_ns", "histogram_range_ns",
-    ):
-        if key in payload:
-            kwargs[key] = payload[key]
-    try:
-        return dataclasses.replace(base, **kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: {exc}") from exc
+            kwargs[key] = _build(ElementNet, {"elements": elements}, path)
+    return _build(base, kwargs, "config")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    payload = {
-        "ppktp0": dataclasses.asdict(cfg.ppktp0),
-        "ppktp1": dataclasses.asdict(cfg.ppktp1),
-        "source": dataclasses.asdict(cfg.source),
-        "chain": dataclasses.asdict(cfg.chain),
-        "dwdm": dataclasses.asdict(cfg.dwdm),
-        "pump_phase_rad": cfg.pump_phase_rad,
-        "coherence": cfg.coherence,
-        "seed": cfg.seed,
-        "tomo_counts_per_setting": cfg.tomo_counts_per_setting,
-        "bootstrap_resamples": cfg.bootstrap_resamples,
-        "accidental_offset_ns": cfg.accidental_offset_ns,
-        "histogram_range_ns": cfg.histogram_range_ns,
-        "network": (
-            None
-            if cfg.network is None
-            else [_element_to_dict(e) for e in cfg.network.elements]
-        ),
-        "tolerances": dict(cfg.tolerances),
-    }
+    payload = dataclasses.asdict(cfg)
+    if cfg.network is not None:
+        payload["network"] = [_element_to_dict(e) for e in cfg.network.elements]
     return payload
 
 

@@ -150,27 +150,20 @@ def damped_least_squares(
     return params, covariance, cost, converged, iteration, message
 
 
-def _finalize(names, params, covariance, cost, converged, iterations, message,
-              transform=None):
-    """Package engine output; transform maps internal params to reported ones."""
-    values = params if transform is None else transform(params)
+def _finalize(names, params, covariance, cost, converged, iterations, message):
+    """Package engine output as a FitResult."""
     if covariance is None:
-        cov = np.full((len(names), len(names)), np.nan)
+        covariance = np.full((len(names), len(names)), np.nan)
         errors = {name: math.nan for name in names}
     else:
-        if transform is None:
-            cov = covariance
-        else:
-            # delta method for element-wise reparameterizations
-            jac_diag = np.array(transform(params, jacobian=True))
-            cov = covariance * np.outer(jac_diag, jac_diag)
         errors = {
-            name: math.sqrt(max(cov[i, i], 0.0)) for i, name in enumerate(names)
+            name: math.sqrt(max(covariance[i, i], 0.0))
+            for i, name in enumerate(names)
         }
     return FitResult(
-        parameters=dict(zip(names, map(float, values))),
+        parameters=dict(zip(names, map(float, params))),
         errors=errors,
-        covariance=cov,
+        covariance=covariance,
         residual_norm=math.sqrt(2.0 * cost),
         converged=converged,
         iterations=iterations,
@@ -185,18 +178,6 @@ def _finalize(names, params, covariance, cost, converged, iterations, message,
 def lorentzian(x, center: float, fwhm: float, amplitude: float, offset: float):
     half_sq = (0.5 * abs(fwhm)) ** 2
     return amplitude * half_sq / ((np.asarray(x, dtype=float) - center) ** 2 + half_sq) + offset
-
-
-def lorentzian_gradient(x, center: float, fwhm: float, amplitude: float, offset: float):
-    """Analytic partials (d/dcenter, d/dfwhm, d/damplitude, d/doffset)."""
-    x = np.asarray(x, dtype=float)
-    half = 0.5 * abs(fwhm)
-    denom = (x - center) ** 2 + half**2
-    d_center = amplitude * half**2 * 2.0 * (x - center) / denom**2
-    d_fwhm = amplitude * (half * denom - half**3) / denom**2 * np.sign(fwhm)
-    d_amp = half**2 / denom
-    d_off = np.ones_like(x)
-    return np.stack([d_center, d_fwhm, d_amp, d_off], axis=1)
 
 
 def _half_max_width(x, y, offset, peak_idx) -> float:
@@ -361,14 +342,6 @@ def fit_car_curve(powers_mw, cars) -> FitResult:
         return powers / (c2 * powers**2 + c1 * powers + c0) / cars - 1.0
 
     q, cov, cost, ok, iters, msg = damped_least_squares(residual, q0)
-    c0, c1, c2 = np.exp(q)
-
-    disc = c1 * c1 - 4.0 * c0 * c2
-    root = math.sqrt(max(disc, 0.0))
-    knee_s = (c1 - root) / (2.0 * c2)
-    knee_i = (c1 + root) / (2.0 * c2)
-    peak_power = math.sqrt(c0 / c2)
-    peak_car = 1.0 / (c1 + 2.0 * math.sqrt(c0 * c2))
 
     def derived_values(qv):
         d0, d1, d2 = np.exp(qv)
@@ -397,14 +370,16 @@ def fit_car_curve(powers_mw, cars) -> FitResult:
         sigmas = np.sqrt(np.clip(np.diag(dcov), 0.0, None))
     else:
         sigmas = np.full(5, math.nan)
-    if disc <= 1e-9 * c1 * c1:
+    c0, c1, c2 = np.exp(q)
+    if c1 * c1 - 4.0 * c0 * c2 <= 1e-9 * c1 * c1:
         sigmas[1] = sigmas[2] = math.nan
 
+    norm, knee_s, knee_i, peak_power, peak_car = map(float, values)
     result = FitResult(
         parameters={
-            "norm_per_mw": float(c2),
-            "knee_s_mw": float(knee_s),
-            "knee_i_mw": float(knee_i),
+            "norm_per_mw": norm,
+            "knee_s_mw": knee_s,
+            "knee_i_mw": knee_i,
         },
         errors={
             "norm_per_mw": float(sigmas[0]),
@@ -417,9 +392,9 @@ def fit_car_curve(powers_mw, cars) -> FitResult:
         iterations=iters,
         message=msg,
         derived={
-            "peak_power_mw": float(peak_power),
+            "peak_power_mw": peak_power,
             "peak_power_err_mw": float(sigmas[3]),
-            "peak_car": float(peak_car),
+            "peak_car": peak_car,
             "peak_car_err": float(sigmas[4]),
         },
     )

@@ -235,11 +235,11 @@ def _cross_deltas(t0: np.ndarray, t1: np.ndarray, limit_ps: float) -> np.ndarray
     return t1[idx] - np.repeat(t0, counts)
 
 
-def coincidence_histogram(stream: TimeTagStream, range_ns: float, bin_ps: float) -> Histogram:
-    """Histogram of cross-channel delays (t_ch1 - t_ch0) over +-range/2.
+def histogram_k_max(range_ns: float, bin_ps: float) -> int:
+    """Bins on each side of the central one in a +-range/2 delay histogram.
 
-    Bin centers sit at integer multiples of bin_ps so a zero-delay pair
-    lands in the central bin; bin_ps must divide the range evenly.
+    Raises ValueError unless bin_ps is a whole number of picoseconds that
+    divides the range evenly.
     """
     if range_ns <= 0.0 or bin_ps <= 0.0:
         raise ValueError("range and bin must be > 0")
@@ -250,7 +250,16 @@ def coincidence_histogram(stream: TimeTagStream, range_ns: float, bin_ps: float)
     n_bins_f = range_ps / bin_ps
     if abs(n_bins_f - round(n_bins_f)) > 1e-9:
         raise ValueError("bin_ps must divide range_ns evenly")
-    k_max = int(round(range_ps / (2.0 * bin_ps)))
+    return int(round(range_ps / (2.0 * bin_ps)))
+
+
+def coincidence_histogram(stream: TimeTagStream, range_ns: float, bin_ps: float) -> Histogram:
+    """Histogram of cross-channel delays (t_ch1 - t_ch0) over +-range/2.
+
+    Bin centers sit at integer multiples of bin_ps so a zero-delay pair
+    lands in the central bin; bin_ps must divide the range evenly.
+    """
+    k_max = histogram_k_max(range_ns, bin_ps)
 
     t0 = stream.channel_times(0)
     t1 = stream.channel_times(1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,9 +11,22 @@ import pytest
 
 import cavityspdc
 from cavityspdc import default_config, load_config, measurement, save_config
-from cavityspdc.cli import main
-from cavityspdc.config import ConfigError, config_from_dict, config_to_dict
-from cavityspdc.polarization import BD, HWP, CrystalSource
+from cavityspdc.cli import EXIT_CONFIG, EXIT_REPORT_FAIL, EXIT_RUNTIME, main
+from cavityspdc.config import (
+    ConfigError,
+    ExperimentConfig,
+    config_from_dict,
+    config_to_dict,
+)
+from cavityspdc.polarization import BD, HWP, CrystalSource, displacer_network
+
+DEFAULT = default_config()
+SECTION_FIELDS = [
+    (section.name, field.name)
+    for section in dataclasses.fields(ExperimentConfig)
+    if dataclasses.is_dataclass(getattr(DEFAULT, section.name))
+    for field in dataclasses.fields(getattr(DEFAULT, section.name))
+]
 
 
 class TestConfig:
@@ -75,6 +89,33 @@ class TestConfig:
         state = propagate_network(cfg.network, math.pi)
         expected = degraded_state(math.pi, 1.0)
         assert np.linalg.norm(state.rho - expected.rho) < 1e-12
+
+    def test_sections_are_walked(self):
+        assert {section for section, _ in SECTION_FIELDS} == {
+            "ppktp0", "ppktp1", "source", "chain", "dwdm"
+        }
+
+    @pytest.mark.parametrize("section,name", SECTION_FIELDS)
+    def test_single_field_overlays_defaults(self, section, name):
+        value = getattr(getattr(DEFAULT, section), name)
+        assert config_from_dict({section: {name: value}}) == DEFAULT
+        if isinstance(value, str):
+            changed = value + "_b"
+        else:
+            changed = 0.8 * value if value else 1.0
+        cfg = config_from_dict({section: {name: changed}})
+        assert getattr(getattr(cfg, section), name) == changed
+        restored = dataclasses.replace(getattr(cfg, section), **{name: value})
+        assert dataclasses.replace(cfg, **{section: restored}) == DEFAULT
+
+    def test_round_trip_with_network_and_tolerances(self):
+        cfg = dataclasses.replace(
+            DEFAULT,
+            network=displacer_network(),
+            tolerances={**DEFAULT.tolerances, "chsh_abs": 2e-3},
+        )
+        payload = json.loads(json.dumps(config_to_dict(cfg)))
+        assert config_from_dict(payload) == cfg
 
     def test_bad_network_element_rejected(self):
         with pytest.raises(ConfigError, match="network"):
@@ -140,6 +181,34 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"mystery": True}))
         assert main(["--config", str(path), "--out", str(tmp_path), "report"]) == 2
+
+    def test_bin_not_dividing_range_rejected_before_simulate(self, tmp_path):
+        payload = config_to_dict(DEFAULT)
+        payload["chain"]["bin_ps"] = 7.0  # whole ps, but does not divide 20 ns
+        path = tmp_path / "bin.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        code = main(["--config", str(path), "--out", str(out), "simulate",
+                     "--duration", "0.1"])
+        assert code == EXIT_CONFIG
+        assert not (out / "timetags.ttag").exists()
+
+    def test_failed_report_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "fsr.json"
+        path.write_text(json.dumps({"ppktp0": {"fsr_h_ghz": 58.5}}))
+        code = main(["--config", str(path), "--out", str(tmp_path), "report"])
+        assert code == EXIT_REPORT_FAIL
+        assert "overall: FAIL" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["all_passed"] is False
+
+    def test_missing_fit_csv_is_one_line_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = main(["--out", str(tmp_path), "car", "--fit-csv", str(missing)])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.csv" in err
 
     def test_simulate_deterministic_bytes(self, tmp_path):
         out_a = tmp_path / "a"

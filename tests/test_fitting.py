@@ -20,11 +20,22 @@ from cavityspdc.fitting import (
     damped_least_squares,
     exp_decay,
     lorentzian,
-    lorentzian_gradient,
 )
 
 X_MHZ = np.linspace(-2000.0, 2000.0, 201)
 CENTERS_PS = np.arange(-200, 201) * 25
+
+
+def lorentzian_gradient(x, center: float, fwhm: float, amplitude: float, offset: float):
+    """Analytic partials (d/dcenter, d/dfwhm, d/damplitude, d/doffset)."""
+    x = np.asarray(x, dtype=float)
+    half = 0.5 * abs(fwhm)
+    denom = (x - center) ** 2 + half**2
+    d_center = amplitude * half**2 * 2.0 * (x - center) / denom**2
+    d_fwhm = amplitude * (half * denom - half**3) / denom**2 * np.sign(fwhm)
+    d_amp = half**2 / denom
+    d_off = np.ones_like(x)
+    return np.stack([d_center, d_fwhm, d_amp, d_off], axis=1)
 
 
 def lorentzian_samples(center=0.0, fwhm=454.0, amplitude=1.0, offset=0.0):
