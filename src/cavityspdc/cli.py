@@ -23,6 +23,11 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_REPORT_FAIL = 3
 
+#: Report columns.  A row passes when ``computed`` lies within ``tolerance`` of
+#: ``reference``, relatively ("rel") or absolutely ("abs"), or, by ``kind``,
+#: strictly above ("bound") or below ("upper") it.
+REPORT_COLUMNS = ("quantity", "computed", "reference", "tolerance", "kind", "passed", "source")
+
 
 def _write_json(path: Path, payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
@@ -53,10 +58,10 @@ def _write_table(path: Path, header, rows, fmt: str = "csv") -> None:
 
 
 def _resolve_seed(args, cfg: ExperimentConfig):
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed), "cli"
+    if args.seed is not None:
+        return args.seed, "cli"
     if cfg.seed is not None:
-        return int(cfg.seed), "config"
+        return cfg.seed, "config"
     return secrets.randbits(32), "generated"
 
 
@@ -289,149 +294,70 @@ def _cmd_tomo(cfg, args, out: Path, seed, seed_source):
     return EXIT_OK
 
 
+def _passes(computed, reference, tolerance, kind) -> bool:
+    deviation = abs(computed - reference)
+    rules = {"rel": deviation <= tolerance * abs(reference), "abs": deviation <= tolerance,
+             "bound": computed > reference, "upper": computed < reference}
+    return bool(rules[kind])
+
+
 def _report_rows(cfg: ExperimentConfig):
+    """``(quantity, computed, reference, tolerance, kind, source)`` per row; ``source``
+    is "paper" for a published figure and "model" for a closed form of the same
+    config, which checks only self-consistency."""
     tol = cfg.tolerances
     bp0, bp1 = _biphoton_params(cfg)
     state = _state_from_config(cfg)
     c = cfg.coherence
     target = polarization.entangled_ket(cfg.pump_phase_rad)
-
-    rows = []
-
-    def add(name, computed, reference, tolerance, kind):
-        if kind == "rel":
-            ok = abs(computed - reference) <= tolerance * abs(reference)
-        elif kind == "abs":
-            ok = abs(computed - reference) <= tolerance
-        else:  # lower bound
-            ok = computed > reference
-        rows.append(
-            {
-                "quantity": name,
-                "computed": computed,
-                "reference": reference,
-                "tolerance": tolerance,
-                "kind": kind,
-                "passed": bool(ok),
-            }
-        )
-
-    add(
-        "cluster_spacing_ppktp0_ghz",
-        cavity.cluster_spacing(cfg.ppktp0.fsr_h_ghz, cfg.ppktp0.fsr_v_ghz),
-        1060.0,
-        tol["cluster_spacing_rel"],
-        "rel",
-    )
-    add(
-        "cluster_spacing_ppktp1_ghz",
-        cavity.cluster_spacing(cfg.ppktp1.fsr_h_ghz, cfg.ppktp1.fsr_v_ghz),
-        1260.0,
-        tol["cluster_spacing_rel"],
-        "rel",
-    )
-    add("t_fwhm_ppktp0_ns", biphoton.t_fwhm_ns(bp0), 0.483, tol["t_fwhm_rel"], "rel")
-    add("t_fwhm_ppktp1_ns", biphoton.t_fwhm_ns(bp1), 0.550, tol["t_fwhm_rel"], "rel")
-    add(
-        "spectral_overlap",
-        biphoton.spectral_overlap(bp0, bp1),
-        0.879,
-        tol["overlap_abs"],
-        "abs",
-    )
-    add(
-        "single_mode_margin_ppktp0_ghz",
-        cavity.single_mode_margin(cfg.ppktp0),
-        0.0,
-        0.0,
-        "bound",
-    )
-    add(
-        "single_mode_margin_ppktp1_ghz",
-        cavity.single_mode_margin(cfg.ppktp1),
-        0.0,
-        0.0,
-        "bound",
-    )
-
-    v0 = measurement.interference_curve(state, 0.0, np.arange(0.0, 361.0, 15.0))
-    v45 = measurement.interference_curve(state, 45.0, np.arange(0.0, 361.0, 15.0))
-    add("visibility_0deg", v0.visibility, 1.0, tol["visibility_abs"], "abs")
-    add("visibility_45deg", v45.visibility, c, tol["visibility_abs"], "abs")
-
-    add(
-        "chsh_s_at_phi_settings",
-        measurement.chsh_S(state, measurement.PHI_SETTINGS),
-        math.sqrt(2.0) * (1.0 + c),
-        tol["chsh_abs"],
-        "abs",
-    )
-    add(
-        "chsh_s_max",
-        measurement.chsh_max(state).s_value,
-        2.0 * math.sqrt(1.0 + c * c),
-        tol["chsh_abs"],
-        "abs",
-    )
-    add(
-        "fidelity_to_target",
-        measurement.fidelity(state, target),
-        (1.0 + c) / 2.0,
-        tol["fidelity_abs"],
-        "abs",
-    )
-    add(
-        "car_model_at_config_power",
-        photostats.car_model(photostats.pair_rate(cfg.source), cfg.chain),
-        6000.0,
-        0.0,
-        "bound",
-    )
-
+    beta = np.arange(0.0, 361.0, 15.0)
     net = cfg.network if cfg.network is not None else polarization.displacer_network()
-    ideal = polarization.propagate_network(net, cfg.pump_phase_rad)
-    frob = float(
-        np.linalg.norm(
-            ideal.rho - polarization.degraded_state(cfg.pump_phase_rad, 1.0).rho
-        )
+    ideal = polarization.propagate_network(net, cfg.pump_phase_rad).rho
+    pure = polarization.degraded_state(cfg.pump_phase_rad, 1.0).rho
+    return (
+        ("cluster_spacing_ppktp0_ghz",
+         cavity.cluster_spacing(cfg.ppktp0.fsr_h_ghz, cfg.ppktp0.fsr_v_ghz),
+         1060.0, tol["cluster_spacing_rel"], "rel", "paper"),
+        ("cluster_spacing_ppktp1_ghz",
+         cavity.cluster_spacing(cfg.ppktp1.fsr_h_ghz, cfg.ppktp1.fsr_v_ghz),
+         1260.0, tol["cluster_spacing_rel"], "rel", "paper"),
+        ("t_fwhm_ppktp0_ns", biphoton.t_fwhm_ns(bp0), 0.483, tol["t_fwhm_rel"], "rel", "paper"),
+        ("t_fwhm_ppktp1_ns", biphoton.t_fwhm_ns(bp1), 0.550, tol["t_fwhm_rel"], "rel", "paper"),
+        ("spectral_overlap", biphoton.spectral_overlap(bp0, bp1), 0.879,
+         tol["overlap_abs"], "abs", "paper"),
+        ("single_mode_margin_ppktp0_ghz", cavity.single_mode_margin(cfg.ppktp0),
+         0.0, 0.0, "bound", "paper"),
+        ("single_mode_margin_ppktp1_ghz", cavity.single_mode_margin(cfg.ppktp1),
+         0.0, 0.0, "bound", "paper"),
+        ("visibility_0deg", measurement.interference_curve(state, 0.0, beta).visibility,
+         1.0, tol["visibility_abs"], "abs", "model"),
+        ("visibility_45deg", measurement.interference_curve(state, 45.0, beta).visibility,
+         c, tol["visibility_abs"], "abs", "model"),
+        ("chsh_s_at_phi_settings", measurement.chsh_S(state, measurement.PHI_SETTINGS),
+         math.sqrt(2.0) * (1.0 + c), tol["chsh_abs"], "abs", "model"),
+        ("chsh_s_max", measurement.chsh_max(state).s_value,
+         2.0 * math.sqrt(1.0 + c * c), tol["chsh_abs"], "abs", "model"),
+        ("fidelity_to_target", measurement.fidelity(state, target),
+         (1.0 + c) / 2.0, tol["fidelity_abs"], "abs", "model"),
+        ("car_model_at_config_power",
+         photostats.car_model(photostats.pair_rate(cfg.source), cfg.chain),
+         6000.0, 0.0, "bound", "paper"),
+        ("network_vs_ideal_frobenius", float(np.linalg.norm(ideal - pure)),
+         1e-10, 0.0, "upper", "model"),
     )
-    rows.append(
-        {
-            "quantity": "network_vs_ideal_frobenius",
-            "computed": frob,
-            "reference": 1e-10,
-            "tolerance": 0.0,
-            "kind": "upper",
-            "passed": bool(frob < 1e-10),
-        }
-    )
-    return rows
 
 
 def _cmd_report(cfg, args, out: Path, seed, seed_source):
-    rows = _report_rows(cfg)
+    table = [
+        (name, computed, ref, tol, kind, _passes(computed, ref, tol, kind), source)
+        for name, computed, ref, tol, kind, source in _report_rows(cfg)
+    ]
+    rows = [dict(zip(REPORT_COLUMNS, row)) for row in table]
     passed = all(r["passed"] for r in rows)
     if args.format == "csv":
         # the JSON summary below already carries every row
-        _write_table(
-            out / "report.csv",
-            ("quantity", "computed", "reference", "tolerance", "kind", "passed"),
-            [
-                (
-                    r["quantity"],
-                    r["computed"],
-                    r["reference"],
-                    r["tolerance"],
-                    r["kind"],
-                    r["passed"],
-                )
-                for r in rows
-            ],
-        )
-    _write_json(
-        out / "report.json",
-        {"rows": rows, "all_passed": passed},
-    )
+        _write_table(out / "report.csv", REPORT_COLUMNS, table)
+    _write_json(out / "report.json", {"rows": rows, "all_passed": passed})
     width = max(len(r["quantity"]) for r in rows)
     for r in rows:
         status = "PASS" if r["passed"] else "FAIL"
@@ -497,9 +423,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     seed, seed_source = _resolve_seed(args, cfg)
     try:
+        out.mkdir(parents=True, exist_ok=True)
         code = _COMMANDS[args.command](cfg, args, out, seed, seed_source)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,10 @@ class ConfigError(ValueError):
     """Invalid configuration; the message carries the offending field path."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DwdmFilter:
     center_offset_ghz: float = 0.0
@@ -56,6 +60,8 @@ class ExperimentConfig:
     tolerances: dict
 
     def __post_init__(self):
+        if self.seed is not None and not _is_int(self.seed):
+            raise ConfigError("seed must be an integer or null")
         if not math.isfinite(self.pump_phase_rad):
             raise ConfigError("pump_phase_rad must be finite")
         if not 0.0 <= self.coherence <= 1.0:
@@ -151,9 +157,10 @@ def _element_from_dict(payload: dict, path: str):
     kwargs = {k: v for k, v in payload.items() if k != "type"}
     if kwargs.get("rail") is not None:
         rail = kwargs["rail"]
-        if not (isinstance(rail, (list, tuple)) and len(rail) == 2):
-            raise ConfigError(f"{path}.rail must be a two-element list")
-        kwargs["rail"] = (int(rail[0]), int(rail[1]))
+        if not (isinstance(rail, (list, tuple)) and len(rail) == 2
+                and all(map(_is_int, rail))):
+            raise ConfigError(f"{path}.rail: expected two integers")
+        kwargs["rail"] = tuple(rail)
     return _build(cls, kwargs, path)
 
 
@@ -199,10 +206,14 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         if dataclasses.is_dataclass(default):
             kwargs[key] = _build(default, value, path)
         elif key == "tolerances":
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path}: expected an object")
             kwargs[key] = dict(default)
             for name, tol in value.items():
                 if name not in default:
                     raise ConfigError(f"{path}.{name}: unknown key")
+                if not (_is_int(tol) or isinstance(tol, float)):
+                    raise ConfigError(f"{path}.{name}: expected a number")
                 kwargs[key][name] = float(tol)
         elif key == "network" and value is not None:
             if not isinstance(value, list):

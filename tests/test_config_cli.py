@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -11,7 +12,15 @@ import pytest
 
 import cavityspdc
 from cavityspdc import default_config, load_config, measurement, save_config
-from cavityspdc.cli import EXIT_CONFIG, EXIT_REPORT_FAIL, EXIT_RUNTIME, main
+from cavityspdc.cli import (
+    EXIT_CONFIG,
+    EXIT_REPORT_FAIL,
+    EXIT_RUNTIME,
+    REPORT_COLUMNS,
+    _passes,
+    _report_rows,
+    main,
+)
 from cavityspdc.config import (
     ConfigError,
     ExperimentConfig,
@@ -210,6 +219,46 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "missing.csv" in err
 
+    @pytest.mark.parametrize(
+        "payload, names",
+        [
+            ({"seed": "x"}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"tolerances": {"chsh_abs": "x"}}, "config.tolerances.chsh_abs"),
+            ({"tolerances": {"chsh_abs": True}}, "config.tolerances.chsh_abs"),
+            ({"tolerances": []}, "config.tolerances"),
+            ({"network": [{"type": "crystal", "label": "c", "rail": ["a", 0]}]},
+             "config.network[0].rail"),
+            ({"network": [{"type": "crystal", "label": "c", "rail": [0.5, 0]}]},
+             "config.network[0].rail"),
+        ],
+    )
+    def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code = main(["--config", str(path), "--out", str(tmp_path / "out"), "biphoton"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert names in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_seed_is_used(self, tmp_path):
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps({"seed": 11}))
+        assert main(["--config", str(path), "--out", str(tmp_path), "biphoton"]) == 0
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert (meta["seed"], meta["seed_source"]) == (11, "config")
+
+    def test_out_naming_a_file_is_one_line_error(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert main(["--out", str(afile), "biphoton"]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert afile.read_text() == "kept\n"
+
     def test_simulate_deterministic_bytes(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -301,6 +350,62 @@ class TestCli:
         payload = json.loads((fit_out / "car_fit.json").read_text())
         assert payload["converged"] is True
         assert payload["derived"]["peak_car"] == pytest.approx(97656.25, rel=1e-3)
+
+
+PAPER_ROWS = {
+    "cluster_spacing_ppktp0_ghz",
+    "cluster_spacing_ppktp1_ghz",
+    "t_fwhm_ppktp0_ns",
+    "t_fwhm_ppktp1_ns",
+    "spectral_overlap",
+    "single_mode_margin_ppktp0_ghz",
+    "single_mode_margin_ppktp1_ghz",
+    "car_model_at_config_power",
+}
+
+
+class TestReport:
+    @pytest.mark.parametrize(
+        "computed, reference, tolerance, kind, expected",
+        [
+            (1.5, 2.0, 0.25, "rel", True),
+            (-1.5, -2.0, 0.25, "rel", True),
+            (1.4999999, 2.0, 0.25, "rel", False),
+            (2.5, 2.0, 0.5, "abs", True),
+            (1.5, 2.0, 0.5, "abs", True),
+            (2.5000001, 2.0, 0.5, "abs", False),
+            (0.0, 0.0, 0.0, "bound", False),
+            (1e-12, 0.0, 0.0, "bound", True),
+            (1e-10, 1e-10, 0.0, "upper", False),
+            (0.99e-10, 1e-10, 0.0, "upper", True),
+            (math.nan, 1.0, 0.5, "abs", False),
+        ],
+    )
+    def test_pass_rule_edges(self, computed, reference, tolerance, kind, expected):
+        assert _passes(computed, reference, tolerance, kind) is expected
+
+    def test_csv_matches_json(self, tmp_path):
+        assert main(["--out", str(tmp_path), "report"]) == 0
+        with open(tmp_path / "report.csv", newline="") as fh:
+            header, *body = list(csv.reader(fh))
+        assert header == list(REPORT_COLUMNS)
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert [list(r) for r in rows] == [list(REPORT_COLUMNS)] * len(rows)
+        assert body == [[str(r[c]) for c in REPORT_COLUMNS] for r in rows]
+
+    def test_row_sources(self, tmp_path):
+        main(["--out", str(tmp_path), "report"])
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert {r["source"] for r in rows} <= {"paper", "model"}
+        assert {r["quantity"] for r in rows if r["source"] == "paper"} == PAPER_ROWS
+
+    @pytest.mark.parametrize("coherence", [0.0, 0.25, 0.5, 0.8709, 1.0])
+    def test_model_rows_hold_at_any_coherence(self, coherence):
+        cfg = config_from_dict({"coherence": coherence})
+        model = [row for row in _report_rows(cfg) if row[-1] == "model"]
+        assert len(model) == 6
+        for name, computed, reference, tolerance, kind, _ in model:
+            assert _passes(computed, reference, tolerance, kind), name
 
 
 def test_import_loads_no_scipy():
