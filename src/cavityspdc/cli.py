@@ -200,6 +200,8 @@ def _cmd_simulate(cfg, args, out: Path, seed, seed_source):
             "t_fwhm_ns": fit.derived.get("t_fwhm_ns"),
             "t_fwhm_err_ns": fit.derived.get("t_fwhm_err_ns"),
         }
+    else:
+        summary["g2_fit_error"] = fit.message
     _write_json(out / "simulate_summary.json", summary)
     return EXIT_OK
 
@@ -420,6 +422,10 @@ def main(argv=None) -> int:
         cfg = default_config() if args.config is None else load_config(args.config)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+    if args.command == "simulate" and not (math.isfinite(args.duration) and args.duration > 0.0):
+        print(f"error: --duration must be finite and > 0, got {args.duration!r}", file=sys.stderr)
         return EXIT_CONFIG
 
     out = args.out

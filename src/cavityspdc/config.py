@@ -214,6 +214,8 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
                     raise ConfigError(f"{path}.{name}: unknown key")
                 if not (_is_int(tol) or isinstance(tol, float)):
                     raise ConfigError(f"{path}.{name}: expected a number")
+                if not (math.isfinite(tol) and tol >= 0):
+                    raise ConfigError(f"{path}.{name}: must be finite and >= 0, got {tol!r}")
                 kwargs[key][name] = float(tol)
         elif key == "network" and value is not None:
             if not isinstance(value, list):

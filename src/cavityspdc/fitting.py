@@ -245,6 +245,11 @@ def fit_exp_g2(hist) -> FitResult:
     the exponential wings, which detector jitter leaves untouched, instead
     of the convolution-rounded core.  Reports gamma in GHz plus the implied
     correlation FWHM t_fwhm = 1.39 / (2*pi*gamma) in the derived values.
+
+    Gamma starts from the peak area, which is amplitude / (pi * gamma).  A
+    histogram without a significant peak, i.e. whose summed excess over the
+    floor is at most 5 * sqrt(total counts), is not fitted and returns
+    converged=False with the message "no significant peak".
     """
     centers_ps = np.asarray(hist.bin_centers_ps, dtype=float)
     counts = np.asarray(hist.counts, dtype=float)
@@ -253,14 +258,15 @@ def fit_exp_g2(hist) -> FitResult:
     if abs(centers_ps[0] + centers_ps[-1]) > 0.51 * abs(centers_ps[1] - centers_ps[0]):
         raise ValueError("histogram range must be symmetric about zero delay")
     t_ns = centers_ps * 1e-3
+    names = ("gamma_ghz", "amplitude", "floor")
 
     floor0 = float(np.median(np.concatenate([counts[:3], counts[-3:]])))
     amp0 = float(np.max(counts) - floor0)
-    decayed = np.nonzero(counts - floor0 <= 0.5 * amp0)[0]
-    right = decayed[decayed > np.argmax(counts)]
-    t_half = abs(t_ns[right[0]]) if right.size else max(abs(t_ns[-1]) / 4.0, 1e-3)
-    gamma0 = math.log(2.0) / (2.0 * math.pi * max(t_half, 1e-6))
-    p0 = np.array([gamma0, max(amp0, 1e-12), floor0])
+    excess = float(np.sum(counts - floor0))
+    if not excess > 5.0 * math.sqrt(max(float(np.sum(counts)), 0.0)):
+        return _finalize(names, np.array([math.nan, amp0, floor0]), None, math.nan,
+                         False, 0, f"no significant peak: excess {excess:.4g} over the floor")
+    p0 = np.array([amp0 / (math.pi * excess * abs(t_ns[1] - t_ns[0])), amp0, floor0])
 
     def residual_plain(p):
         return exp_decay(t_ns, *p) - counts
@@ -273,8 +279,7 @@ def fit_exp_g2(hist) -> FitResult:
 
     params, cov, cost, ok, iters, msg = damped_least_squares(residual, p1)
     params[0] = abs(params[0])
-    result = _finalize(("gamma_ghz", "amplitude", "floor"),
-                       params, cov, cost, ok, iters, msg)
+    result = _finalize(names, params, cov, cost, ok, iters, msg)
     gamma = result.parameters["gamma_ghz"]
     if gamma > 0.0 and ok:
         t_fwhm = FWHM_FACTOR / (2.0 * math.pi * gamma)

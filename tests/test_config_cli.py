@@ -232,6 +232,9 @@ class TestCli:
              "config.network[0].rail"),
             ({"network": [{"type": "crystal", "label": "c", "rail": [0.5, 0]}]},
              "config.network[0].rail"),
+            ({"tolerances": {"chsh_abs": -1}}, "config.tolerances.chsh_abs"),
+            ({"tolerances": {"chsh_abs": math.nan}}, "config.tolerances.chsh_abs"),
+            ({"tolerances": {"fidelity_abs": math.inf}}, "config.tolerances.fidelity_abs"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
@@ -272,6 +275,26 @@ class TestCli:
         ).read_bytes()
         meta = json.loads((out_a / "metadata.json").read_text())
         assert meta["seed"] == 7 and meta["seed_source"] == "cli"
+
+    @pytest.mark.parametrize("duration", ["-1", "0", "nan", "inf"])
+    def test_simulate_bad_duration_is_one_line_error(self, tmp_path, capsys, duration):
+        out = tmp_path / "out"
+        code = main(["--out", str(out), "simulate", "--duration", duration])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: --duration") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_simulate_records_failed_g2_fit(self, tmp_path):
+        path = tmp_path / "dark.json"
+        path.write_text(json.dumps({"chain": {"eta_s": 0.0}}))
+        out = tmp_path / "out"
+        code = main(["--config", str(path), "--seed", "1", "--out", str(out),
+                     "simulate", "--duration", "0.2"])
+        assert code == 0
+        summary = json.loads((out / "simulate_summary.json").read_text())
+        assert "g2_fit" not in summary
+        assert summary["g2_fit_error"].startswith("no significant peak")
 
     def test_simulate_records_generated_seed(self, tmp_path):
         assert main(["--out", str(tmp_path), "simulate", "--duration", "0.1"]) == 0

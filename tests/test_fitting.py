@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityspdc import (
+    BiphotonParams,
     Histogram,
     airy_transmission,
+    coincidence_histogram,
     default_config,
     fit_car_curve,
     fit_exp_g2,
     fit_lorentzian,
+    simulate_timetags,
 )
 from cavityspdc.fitting import (
     _fd_jacobian,
@@ -154,6 +157,29 @@ class TestFitExpG2:
         )
         fit = fit_exp_g2(hist)
         assert not fit.converged
+
+    def test_insignificant_excess_is_not_fitted(self):
+        # a bump of 300 counts over a floor of 50 per bin is less than
+        # 5 * sqrt(total) = 5 * sqrt(20350) ~ 713
+        counts = np.full(CENTERS_PS.size, 50.0)
+        counts[CENTERS_PS.size // 2] += 300.0
+        fit = fit_exp_g2(Histogram(CENTERS_PS, counts))
+        assert not fit.converged
+        assert fit.message.startswith("no significant peak")
+        assert fit.iterations == 0
+
+    @pytest.mark.parametrize("seed", [9, 31, 38])
+    def test_peak_on_a_negative_delay_bin_converges(self, seed):
+        # at 150 mW x 1 s these records put their noisy maximum left of zero
+        # delay, where a half-maximum start value used to collapse the fit
+        cfg = default_config()
+        stream = simulate_timetags(cfg.source, BiphotonParams.from_cavity(cfg.ppktp0),
+                                   cfg.chain, 1.0, seed)
+        hist = coincidence_histogram(stream, cfg.histogram_range_ns, cfg.chain.bin_ps)
+        assert hist.bin_centers_ps[np.argmax(hist.counts)] < 0
+        fit = fit_exp_g2(hist)
+        assert fit.converged, fit.message
+        assert 0.4 < fit.derived["t_fwhm_ns"] < 0.6
 
     def test_needs_enough_bins(self):
         centers = np.arange(-5, 6) * 25

@@ -80,7 +80,8 @@ def grid_oracle_chsh(state) -> float:
         a = np.stack([np.cos(rad_a), np.sin(rad_a)], axis=1)
         b = np.stack([np.cos(rad_b), np.sin(rad_b)], axis=1)
         return np.real(
-            np.einsum("ai,bj,ijkl,ak,bl->ab", a.conj(), b.conj(), rho_t, a, b)
+            np.einsum("ai,bj,ijkl,ak,bl->ab", a.conj(), b.conj(), rho_t, a, b,
+                      optimize=True)
         )
 
     e_grid = (
