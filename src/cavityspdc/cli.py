@@ -143,8 +143,6 @@ def _cmd_car(cfg, args, out: Path, seed, seed_source):
     powers = np.logspace(math.log10(0.5), math.log10(250.0), args.points)
     k = cfg.source.brightness_per_s_mw_mhz * cfg.source.bandwidth_mhz
     cars = [photostats.car_model(k * p, cfg.chain) for p in powers]
-    _write_table(out / "car_curve.csv", ("power_mw", "car"), zip(powers, cars), args.format)
-
     summary = {
         "car_at_config_power": photostats.car_model(
             photostats.pair_rate(cfg.source), cfg.chain
@@ -159,10 +157,14 @@ def _cmd_car(cfg, args, out: Path, seed, seed_source):
         # without dark counts CAR decreases monotonically with rate
         summary["optimal_rate_pairs_per_s"] = None
     if args.fit_csv is not None:
-        data = np.loadtxt(args.fit_csv, delimiter=",", skiprows=1)
+        data = np.loadtxt(args.fit_csv, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] < 2:
+            raise ValueError(f"{args.fit_csv}: need two columns, power_mw and car")
         fit = fitting.fit_car_curve(data[:, 0], data[:, 1])
         _write_json(out / "car_fit.json", fit.to_json_payload())
         summary["fit"] = fit.to_json_payload()
+    # written after the fit, so that a bad fit CSV leaves no output behind
+    _write_table(out / "car_curve.csv", ("power_mw", "car"), zip(powers, cars), args.format)
     _write_json(out / "car_summary.json", summary)
     return EXIT_OK
 

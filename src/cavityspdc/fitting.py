@@ -246,9 +246,11 @@ def fit_exp_g2(hist) -> FitResult:
     of the convolution-rounded core.  Reports gamma in GHz plus the implied
     correlation FWHM t_fwhm = 1.39 / (2*pi*gamma) in the derived values.
 
-    Gamma starts from the peak area, which is amplitude / (pi * gamma).  A
-    histogram without a significant peak, i.e. whose summed excess over the
-    floor is at most 5 * sqrt(total counts), is not fitted and returns
+    The floor starts as the mean of the outer quarter of bins on each side,
+    gamma from the peak area, which is amplitude / (pi * gamma).  A
+    histogram whose excess sum(counts - floor) over N bins is at most
+    5 sqrt(sum(counts) + N^2 floor / n_outer), the last term the Poisson
+    error of the floor taken N times, is not fitted and returns
     converged=False with the message "no significant peak".
     """
     centers_ps = np.asarray(hist.bin_centers_ps, dtype=float)
@@ -260,10 +262,13 @@ def fit_exp_g2(hist) -> FitResult:
     t_ns = centers_ps * 1e-3
     names = ("gamma_ghz", "amplitude", "floor")
 
-    floor0 = float(np.median(np.concatenate([counts[:3], counts[-3:]])))
+    quarter = counts.size // 4
+    outer = np.concatenate([counts[:quarter], counts[-quarter:]])
+    floor0 = float(np.mean(outer))
     amp0 = float(np.max(counts) - floor0)
     excess = float(np.sum(counts - floor0))
-    if not excess > 5.0 * math.sqrt(max(float(np.sum(counts)), 0.0)):
+    variance = float(np.sum(counts)) + counts.size**2 * floor0 / outer.size
+    if not excess > 5.0 * math.sqrt(max(variance, 0.0)):
         return _finalize(names, np.array([math.nan, amp0, floor0]), None, math.nan,
                          False, 0, f"no significant peak: excess {excess:.4g} over the floor")
     p0 = np.array([amp0 / (math.pi * excess * abs(t_ns[1] - t_ns[0])), amp0, floor0])

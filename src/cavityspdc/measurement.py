@@ -24,6 +24,16 @@ KETS = {
     "L": np.array([1.0, 1.0j], dtype=complex) / _SQ2,
 }
 
+#: Single-qubit Pauli matrices (I, X, Y, Z).
+_PAULI = (
+    np.eye(2),
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    np.diag([1.0, -1.0]),
+)
+#: The 16 two-qubit products sigma_m x sigma_n, index 4 m + n.
+_PAULI_PRODUCTS = np.array([np.kron(a, b).ravel() for a in _PAULI for b in _PAULI])
+
 #: Canonical informationally complete tomography set, 16 product settings.
 TOMOGRAPHY_LABELS = tuple(
     (a, b) for a in ("H", "V", "D", "R") for b in ("H", "V", "D", "R")
@@ -84,10 +94,27 @@ def _as_rho(state) -> np.ndarray:
     return rho
 
 
+def _pauli_table(state) -> np.ndarray:
+    """T[m, n] = tr(rho sigma_m x sigma_n) over (I, X, Y, Z) (James et al., PRA
+    64, 052312 (2001)).  Analyzer kets with Bloch 4-vectors n_m =
+    <ket|sigma_m|ket> coincide with probability (1/4) n_a^T T n_b."""
+    # tr(rho P) = sum_ij rho_ij P_ji, and P^T = conj(P) for Hermitian P
+    return np.real(_PAULI_PRODUCTS.conj() @ _as_rho(state).ravel()).reshape(4, 4)
+
+
+def _bloch(ket) -> np.ndarray:
+    return np.array([np.real(ket.conj() @ s @ ket) for s in _PAULI])
+
+
+def _linear_bloch(angle_deg: float) -> np.ndarray:
+    """Bloch 4-vector (1, sin 2a, 0, cos 2a) of a linear analyzer at angle a."""
+    two_a = 2.0 * math.radians(angle_deg)
+    return np.array([1.0, math.sin(two_a), 0.0, math.cos(two_a)])
+
+
 def coincidence_prob(state, setting: ProjectorSetting) -> float:
     """Born-rule coincidence probability <ab|rho|ab>, clipped to [0, 1]."""
-    ket = setting.product_ket()
-    p = float(np.real(ket.conj() @ _as_rho(state) @ ket))
+    p = float(_bloch(setting.ket0) @ _pauli_table(state) @ _bloch(setting.ket1)) / 4.0
     return min(max(p, 0.0), 1.0)
 
 
@@ -109,19 +136,17 @@ class InterferenceCurve:
 def interference_curve(state, alpha_deg: float, beta_grid_deg) -> InterferenceCurve:
     """Coincidence probabilities over a grid of second-arm analyzer angles.
 
-    Visibility comes from a fitted sinusoid p = O + A cos 2b + B sin 2b,
-    which is exact for any density matrix, rather than from raw extrema.
+    The curve is exactly p(b) = O + S sin 2b + C cos 2b with (O, S, ., C) =
+    (1/4) n(alpha)^T T, so the visibility is the closed form hypot(S, C) / O,
+    not one read from the raw extrema of the sampled grid.
     """
     beta = np.asarray(beta_grid_deg, dtype=float)
     if beta.size < 8 or np.ptp(beta) < 180.0 - 1e-9:
         raise ValueError("need >= 8 analyzer angles covering >= 180 degrees")
-    probs = np.array(
-        [coincidence_prob(state, ProjectorSetting.linear(alpha_deg, b)) for b in beta]
-    )
+    offset, s_sin, _, c_cos = (_linear_bloch(alpha_deg) @ _pauli_table(state) / 4.0).tolist()
     two_b = 2.0 * np.radians(beta)
-    design = np.column_stack([np.ones_like(two_b), np.cos(two_b), np.sin(two_b)])
-    (offset, a_cos, b_sin), *_ = np.linalg.lstsq(design, probs, rcond=None)
-    amplitude = math.hypot(a_cos, b_sin)
+    probs = np.clip(offset + s_sin * np.sin(two_b) + c_cos * np.cos(two_b), 0.0, 1.0)
+    amplitude = math.hypot(s_sin, c_cos)
     if offset <= 0.0 or amplitude / max(offset, 1e-300) < 1e-9:
         return InterferenceCurve(alpha_deg, beta, probs, 0.0, True, offset, amplitude)
     return InterferenceCurve(
@@ -148,26 +173,28 @@ class BellSettings:
 PHI_SETTINGS = BellSettings(0.0, -45.0, 22.5, 67.5)
 
 
-def correlation_E(state, a_deg: float, b_deg: float) -> float:
-    """Polarization correlation from the four projector combinations."""
-    probs = [
-        coincidence_prob(state, ProjectorSetting.linear(a_deg + da, b_deg + db))
-        for da, db in ((0, 0), (90, 90), (0, 90), (90, 0))
-    ]
-    total = sum(probs)
-    if total <= 0.0:
+def _correlation(table: np.ndarray, a_deg: float, b_deg: float) -> float:
+    if table[0, 0] <= 0.0:
         raise ValueError("projector probabilities sum to zero")
-    return (probs[0] + probs[1] - probs[2] - probs[3]) / total
+    u_a, u_b = _linear_bloch(a_deg)[1:], _linear_bloch(b_deg)[1:]
+    return float(u_a @ table[1:, 1:] @ u_b) / table[0, 0]
+
+
+def correlation_E(state, a_deg: float, b_deg: float) -> float:
+    """Polarization correlation u(a)^T T[1:, 1:] u(b) / T[0, 0] of two linear
+    analyzers, u(a) = (sin 2a, 0, cos 2a) over (X, Y, Z)."""
+    return _correlation(_pauli_table(state), a_deg, b_deg)
 
 
 def chsh_S(state, settings: BellSettings) -> float:
     """S = |E(a,b) - E(a,b') + E(a',b) + E(a',b')|."""
+    table = _pauli_table(state)
     a, ap, b, bp = settings.as_tuple()
     return abs(
-        correlation_E(state, a, b)
-        - correlation_E(state, a, bp)
-        + correlation_E(state, ap, b)
-        + correlation_E(state, ap, bp)
+        _correlation(table, a, b)
+        - _correlation(table, a, bp)
+        + _correlation(table, ap, b)
+        + _correlation(table, ap, bp)
     )
 
 
@@ -177,26 +204,11 @@ class ChshResult:
     settings: BellSettings
 
 
-def _linear_correlation_block(rho: np.ndarray) -> np.ndarray:
-    """2x2 correlation block over the (z, x) Pauli components.
-
-    Linear analyzers at angle a measure cos(2a) sz + sin(2a) sx, so
-    E(a, b) = u(a)^T K u(b) with u = (cos 2a, sin 2a).
-    """
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    ops = (sz, sx)
-    k = np.empty((2, 2))
-    for i, si in enumerate(ops):
-        for j, sj in enumerate(ops):
-            k[i, j] = float(np.real(np.trace(rho @ np.kron(si, sj))))
-    return k
-
-
 def chsh_max(state) -> ChshResult:
     """Maximize S over all four analyzer angles, in closed form.
 
-    With E(a, b) = u(a)^T K u(b), the maximum over the analyzer plane is
+    With K the (z, x) block of the Pauli table and u(a) = (cos 2a, sin 2a),
+    E(a, b) = u(a)^T K u(b), and the maximum over the analyzer plane is
     S = 2 sqrt(s1^2 + s2^2) from the singular values of K (the Horodecki
     criterion, Phys. Lett. A 200, 340 (1995), restricted to linear
     analyzers).  With K = U diag(s) V^T, the
@@ -204,7 +216,8 @@ def chsh_max(state) -> ChshResult:
     K(u_b - u_b') lies along u2 and K(u_b + u_b') along u1, which fixes
     a and a'.
     """
-    k_u, (s1, s2), k_vt = np.linalg.svd(_linear_correlation_block(_as_rho(state)))
+    zx = [3, 1]
+    k_u, (s1, s2), k_vt = np.linalg.svd(_pauli_table(state)[np.ix_(zx, zx)])
     t = math.atan2(s2, s1)
     u_b = math.cos(t) * k_vt[0] + math.sin(t) * k_vt[1]
     u_bp = math.cos(t) * k_vt[0] - math.sin(t) * k_vt[1]
@@ -354,23 +367,15 @@ def tomo_linear(rec: TomographyRecord) -> np.ndarray:
     if scale <= 0:
         raise TomographyError("record contains no counts")
     freqs = counts / scale
-    rho_vec, *_ = np.linalg.lstsq(stack.conj(), freqs.astype(complex), rcond=None)
-    rho = rho_vec.reshape(4, 4)
+    # the settings were checked complete, so the system is square and invertible
+    rho = np.linalg.solve(stack.conj(), freqs.astype(complex)).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
 
-_PAULI = (
-    np.eye(2),
-    np.array([[0.0, 1.0], [1.0, 0.0]]),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    np.diag([1.0, -1.0]),
-)
 #: The 15 two-qubit Pauli products other than the identity, over 2: an
 #: orthonormal basis of the traceless Hermitian 4x4 matrices, one per row.
-_TRACELESS = np.array(
-    [np.kron(a, b) / 2.0 for a in _PAULI for b in _PAULI][1:]
-).reshape(15, 16)
+_TRACELESS = _PAULI_PRODUCTS[1:] / 2.0
 #: Factor by which the barrier weight falls once an iterate is centred.
 _MU_SHRINK = 20.0
 #: Squared Newton decrement at or below which an iterate counts as centred.

@@ -54,20 +54,6 @@ def qwp_matrix(theta_deg: float) -> np.ndarray:
 # States
 
 
-@dataclass(frozen=True)
-class PathPolState:
-    """Single-beam amplitudes over (rail, polarization) basis elements."""
-
-    amplitudes: dict
-
-    def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def validate(self, tol: float = 1e-12) -> None:
-        if abs(self.norm_sq() - 1.0) > tol:
-            raise ValueError("squared amplitudes must sum to 1")
-
-
 class TwoPhotonState:
     """4x4 density matrix over the ordered basis (HH, HV, VH, VV)."""
 

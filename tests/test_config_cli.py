@@ -220,6 +220,25 @@ class TestCli:
         assert "missing.csv" in err
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "power_mw,car\n1.0,2000.0\n",
+            "power_mw\n1.0\n2.0\n3.0\n4.0\n5.0\n",
+            "power_mw,car\n1.0,2000.0\n2.0,3000.0\n",
+        ],
+        ids=["one-row", "one-column", "two-rows"],
+    )
+    def test_bad_fit_csv_fails_before_writing(self, tmp_path, capsys, text):
+        path = tmp_path / "fit.csv"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = main(["--out", str(out), "car", "--fit-csv", str(path)])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / "car_curve.csv").exists()
+
+    @pytest.mark.parametrize(
         "payload, names",
         [
             ({"seed": "x"}, "seed"),

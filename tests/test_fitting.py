@@ -168,6 +168,15 @@ class TestFitExpG2:
         assert fit.message.startswith("no significant peak")
         assert fit.iterations == 0
 
+    def test_pure_noise_is_never_fitted(self):
+        # flat Poisson(50) histograms: the floor estimate's own error enters
+        # the excess once per bin and must count against it
+        for seed in range(100):
+            counts = np.random.default_rng(seed).poisson(50, CENTERS_PS.size)
+            fit = fit_exp_g2(Histogram(CENTERS_PS, counts))
+            assert fit.message.startswith("no significant peak"), seed
+            assert fit.iterations == 0
+
     @pytest.mark.parametrize("seed", [9, 31, 38])
     def test_peak_on_a_negative_delay_bin_converges(self, seed):
         # at 150 mW x 1 s these records put their noisy maximum left of zero

@@ -25,6 +25,7 @@ from cavityspdc import (
 )
 from cavityspdc.measurement import (
     TOMOGRAPHY_LABELS,
+    BellSettings,
     TomoEntry,
     TomographyError,
     bell_projector_settings,
@@ -96,6 +97,79 @@ def grid_oracle_chsh(state) -> float:
         tot = (col - e_grid).max(axis=0) + (col + e_grid).max(axis=0)
         best = max(best, float(tot.max()))
     return best
+
+
+def born_prob(rho, ket_a, ket_b) -> float:
+    """Brute-force Born rule <ab|rho|ab>, clipped to [0, 1]."""
+    ket = np.kron(ket_a, ket_b)
+    return min(max(float(np.real(ket.conj() @ rho @ ket)), 0.0), 1.0)
+
+
+def linear_ket(angle_deg):
+    rad = math.radians(angle_deg)
+    return np.array([math.cos(rad), math.sin(rad)], dtype=complex)
+
+
+def born_curve(rho, alpha, beta):
+    """Per-angle Born-rule curve with a least-squares sinusoid
+    O + A cos 2b + B sin 2b for its offset, amplitude and visibility."""
+    probs = np.array([born_prob(rho, linear_ket(alpha), linear_ket(b)) for b in beta])
+    two_b = 2.0 * np.radians(beta)
+    design = np.column_stack([np.ones_like(two_b), np.cos(two_b), np.sin(two_b)])
+    (offset, a_cos, b_sin), *_ = np.linalg.lstsq(design, probs, rcond=None)
+    amplitude = math.hypot(a_cos, b_sin)
+    return probs, offset, amplitude, amplitude / offset
+
+
+def born_correlation(rho, a, b) -> float:
+    """E(a, b) from the four projector combinations of two linear analyzers."""
+    p = [
+        born_prob(rho, linear_ket(a + da), linear_ket(b + db))
+        for da, db in ((0, 0), (90, 90), (0, 90), (90, 0))
+    ]
+    return (p[0] + p[1] - p[2] - p[3]) / sum(p)
+
+
+def random_mixture(rng, k) -> TwoPhotonState:
+    weights = rng.dirichlet(np.ones(rng.integers(1, 5)))
+    rho = sum(w * random_pure_state(100 * k + i).rho for i, w in enumerate(weights))
+    return TwoPhotonState(0.5 * (rho + rho.conj().T))
+
+
+def test_pauli_table_forms_match_born_rule_oracle():
+    rng = np.random.default_rng(7)
+    beta = np.arange(0.0, 361.0, 7.5)
+    for k in range(120):
+        state = random_mixture(rng, k)
+        rho = state.rho
+        for label_a, label_b in TOMOGRAPHY_LABELS:
+            setting = ProjectorSetting.from_labels(label_a, label_b)
+            assert coincidence_prob(state, setting) == pytest.approx(
+                born_prob(rho, setting.ket0, setting.ket1), abs=1e-12
+            )
+        a, b, alpha, *bell = rng.uniform(-180.0, 180.0, 7)
+        assert coincidence_prob(state, ProjectorSetting.linear(a, b)) == pytest.approx(
+            born_prob(rho, linear_ket(a), linear_ket(b)), abs=1e-12
+        )
+
+        curve = interference_curve(state, alpha, beta)
+        probs, offset, amplitude, visibility = born_curve(rho, alpha, beta)
+        np.testing.assert_allclose(curve.probs, probs, rtol=0.0, atol=1e-12)
+        assert curve.offset == pytest.approx(offset, abs=1e-12)
+        assert curve.amplitude == pytest.approx(amplitude, abs=1e-12)
+        assert curve.visibility == pytest.approx(visibility, abs=1e-12)
+
+        assert correlation_E(state, a, b) == pytest.approx(
+            born_correlation(rho, a, b), abs=1e-12
+        )
+        ba, bap, bb, bbp = bell
+        s_oracle = abs(
+            born_correlation(rho, ba, bb)
+            - born_correlation(rho, ba, bbp)
+            + born_correlation(rho, bap, bb)
+            + born_correlation(rho, bap, bbp)
+        )
+        assert chsh_S(state, BellSettings(*bell)) == pytest.approx(s_oracle, abs=1e-12)
 
 
 class TestCoincidenceProb:

@@ -21,7 +21,6 @@ from cavityspdc import (
     propagate_network,
     qwp_matrix,
 )
-from cavityspdc.polarization import PathPolState
 
 angles = st.floats(-360.0, 360.0)
 phases = st.floats(-2.0 * math.pi, 2.0 * math.pi)
@@ -195,12 +194,3 @@ class TestDisplacerNetwork:
                     CrystalSource("c1", rail=(1, 0)),
                 )
             )
-
-
-class TestPathPolState:
-    def test_norm_validation(self):
-        ok = PathPolState({((0, 0), "H"): 1.0 / math.sqrt(2), ((1, 0), "V"): 1.0j / math.sqrt(2)})
-        ok.validate()
-        bad = PathPolState({((0, 0), "H"): 0.5})
-        with pytest.raises(ValueError):
-            bad.validate()
