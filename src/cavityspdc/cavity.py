@@ -136,17 +136,19 @@ def airy_transmission(detuning_ghz, fsr_ghz: float, fwhm_mhz: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _comb(spacing_ghz: float, span_ghz: float, linewidth_mhz: float, pol: str) -> ModeComb:
+    """Modes k * spacing for every k whose offset lies within +-span/2."""
+    _require_positive(span_ghz=span_ghz)
+    k_max = int(math.floor(span_ghz / (2.0 * spacing_ghz)))
+    return ModeComb(tuple(
+        Mode(index=k, offset_ghz=k * spacing_ghz, linewidth_mhz=linewidth_mhz, pol=pol)
+        for k in range(-k_max, k_max + 1)
+    ))
+
+
 def build_mode_comb(spec: CavitySpec, pol: str, span_ghz: float) -> ModeComb:
     """Mode comb of one polarization over +-span/2 around degeneracy."""
-    _require_positive(span_ghz=span_ghz)
-    fsr = spec.fsr_ghz(pol)
-    fwhm = spec.fwhm_mhz(pol)
-    k_max = int(math.floor(span_ghz / (2.0 * fsr)))
-    modes = tuple(
-        Mode(index=k, offset_ghz=k * fsr, linewidth_mhz=fwhm, pol=pol)
-        for k in range(-k_max, k_max + 1)
-    )
-    return ModeComb(modes)
+    return _comb(spec.fsr_ghz(pol), span_ghz, spec.fwhm_mhz(pol), pol)
 
 
 def cluster_spacing(fsr_s_ghz: float, fsr_i_ghz: float) -> float:
@@ -188,15 +190,8 @@ def cluster_comb(spec: CavitySpec, span_ghz: float) -> ModeComb:
     H and V combs; each entry carries the mean linewidth and the joint
     polarization tag.
     """
-    _require_positive(span_ghz=span_ghz)
     spacing = cluster_spacing(spec.fsr_h_ghz, spec.fsr_v_ghz)
-    k_max = int(math.floor(span_ghz / (2.0 * spacing)))
-    width = spec.mean_linewidth_mhz()
-    modes = tuple(
-        Mode(index=k, offset_ghz=k * spacing, linewidth_mhz=width, pol=JOINT_POL)
-        for k in range(-k_max, k_max + 1)
-    )
-    return ModeComb(modes)
+    return _comb(spacing, span_ghz, spec.mean_linewidth_mhz(), JOINT_POL)
 
 
 def vernier_pairs(

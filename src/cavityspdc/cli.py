@@ -9,6 +9,7 @@ import json
 import math
 import secrets
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,12 @@ EXIT_REPORT_FAIL = 3
 #: ``reference``, relatively ("rel") or absolutely ("abs"), or, by ``kind``,
 #: strictly above ("bound") or below ("upper") it.
 REPORT_COLUMNS = ("quantity", "computed", "reference", "tolerance", "kind", "passed", "source")
+
+#: Transmission sweep across one cavity line: points over +-3 linewidths and
+#: the additive RMS noise on each point.
+SWEEP_POINTS = 400
+SWEEP_HALF_SPAN_LINEWIDTHS = 3.0
+SWEEP_NOISE_RMS = 0.02
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -80,10 +87,28 @@ def _biphoton_params(cfg: ExperimentConfig):
 # Subcommands
 
 
+def _sweep_fit(spec, pol, rng, out: Path, fmt: str) -> dict:
+    """Noisy Airy transmission across one line of ``pol``, fitted with a Lorentzian."""
+    fwhm = spec.fwhm_mhz(pol)
+    half_span = SWEEP_HALF_SPAN_LINEWIDTHS * fwhm
+    detuning_mhz = np.linspace(-half_span, half_span, SWEEP_POINTS)
+    trans = cavity.airy_transmission(detuning_mhz * 1e-3, spec.fsr_ghz(pol), fwhm)
+    noisy = trans + rng.normal(0.0, SWEEP_NOISE_RMS, trans.size)
+    fit = fitting.fit_lorentzian(detuning_mhz, noisy)
+    model = fitting.lorentzian(detuning_mhz, *fit.parameters.values())
+    _write_table(out / f"sweep_{spec.name}_{pol}.csv",
+                 ("detuning_mhz", "transmission", "fit"), zip(detuning_mhz, noisy, model), fmt)
+    if not fit.converged:
+        return {"fit_error": fit.message}
+    return {"fwhm_mhz": fit.parameters["fwhm"], "fwhm_err_mhz": fit.errors["fwhm"]}
+
+
 def _cmd_cavity(cfg, args, out: Path, seed, seed_source):
     span = args.span_ghz
+    rng = np.random.default_rng(seed)
     summary_specs = []
     for spec in (cfg.ppktp0, cfg.ppktp1):
+        sweep_fits = {}
         for pol in ("H", "V"):
             comb = cavity.build_mode_comb(spec, pol, span)
             _write_table(
@@ -92,6 +117,7 @@ def _cmd_cavity(cfg, args, out: Path, seed, seed_source):
                 comb.csv_rows(),
                 args.format,
             )
+            sweep_fits[pol] = _sweep_fit(spec, pol, rng, out, args.format)
         clusters = cavity.cluster_comb(spec, span)
         selected = cavity.dwdm_select(
             clusters, cfg.dwdm.center_offset_ghz, cfg.dwdm.width_ghz
@@ -116,6 +142,7 @@ def _cmd_cavity(cfg, args, out: Path, seed, seed_source):
                     spec.length_mm, spec.fsr_v_ghz
                 ),
                 "dwdm_selected_clusters": len(selected),
+                "sweep_fit": sweep_fits,
             }
         )
     _write_json(out / "cavity_summary.json", {"crystals": summary_specs})
@@ -157,7 +184,12 @@ def _cmd_car(cfg, args, out: Path, seed, seed_source):
         # without dark counts CAR decreases monotonically with rate
         summary["optimal_rate_pairs_per_s"] = None
     if args.fit_csv is not None:
-        data = np.loadtxt(args.fit_csv, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a header-only file is reported below, not by numpy's warning
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(args.fit_csv, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[0] == 0:
+            raise ValueError(f"{args.fit_csv}: no data rows")
         if data.shape[1] < 2:
             raise ValueError(f"{args.fit_csv}: need two columns, power_mw and car")
         fit = fitting.fit_car_curve(data[:, 0], data[:, 1])
@@ -191,6 +223,9 @@ def _cmd_simulate(cfg, args, out: Path, seed, seed_source):
         "singles_ch1": int((stream.channel == 1).sum()),
         "coincidences_window": photostats.count_coincidences(
             stream, 0.0, cfg.chain.window_ns
+        ),
+        "accidentals_window": photostats.count_coincidences(
+            stream, cfg.accidental_offset_ns, cfg.chain.window_ns
         ),
         "car_monte_carlo": car_mc if math.isfinite(car_mc) else "inf",
         "car_model": photostats.car_model(rate, cfg.chain),

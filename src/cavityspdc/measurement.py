@@ -265,8 +265,8 @@ class TomoEntry:
     counts: int
 
     def __post_init__(self):
-        if self.seconds <= 0.0:
-            raise ValueError("integration time must be > 0")
+        if not (math.isfinite(self.seconds) and self.seconds > 0.0):
+            raise ValueError(f"integration time must be finite and > 0, got {self.seconds!r}")
         if self.counts < 0:
             raise ValueError("counts must be non-negative")
 
@@ -281,9 +281,10 @@ class TomographyRecord:
         if len(entries) != 16:
             raise ValueError(f"need exactly 16 entries, got {len(entries)}")
         self.entries = entries
-        # (16, 4, 4) stack of the settings' projectors, shared by records
-        # that differ only in counts
-        self._projectors = _projector_stack([e.setting for e in entries])
+        # (16, 4, 4) stack of the settings' projectors, each times its
+        # integration time, shared by records that differ only in counts
+        times = np.array([e.seconds for e in entries])
+        self._projectors = times[:, None, None] * _projector_stack([e.setting for e in entries])
         if np.linalg.matrix_rank(self._projectors.reshape(16, 16), tol=1e-9) != 16:
             raise TomographyError("projector settings are not informationally complete")
 
@@ -353,22 +354,14 @@ def tomo_linear(rec: TomographyRecord) -> np.ndarray:
     Returns a Hermitian unit-trace matrix that may have negative
     eigenvalues, which demonstrates why the constrained estimate is needed.
     """
-    stack = rec._projectors.reshape(16, 16)
     counts = rec.counts()
-    # the {H,V} x {H,V} block is a complete projective measurement, so its
-    # total estimates the per-setting flux
-    labels = [(e.setting.label_a, e.setting.label_b) for e in rec.entries]
-    hv_total = sum(
-        c
-        for c, lab in zip(counts, labels)
-        if lab[0] in ("H", "V") and lab[1] in ("H", "V")
-    )
-    scale = hv_total if hv_total > 0 else counts.sum() / 4.0
-    if scale <= 0:
+    if counts.sum() <= 0:
         raise TomographyError("record contains no counts")
-    freqs = counts / scale
-    # the settings were checked complete, so the system is square and invertible
-    rho = np.linalg.solve(stack.conj(), freqs.astype(complex)).reshape(4, 4)
+    # n_k = flux * tr(t_k P_k rho); the settings were checked complete, so the
+    # system is square and invertible, and the unknown flux only scales the
+    # solution, which is normalised to unit trace below
+    stack = rec._projectors.reshape(16, 16)
+    rho = np.linalg.solve(stack.conj(), counts.astype(complex)).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
@@ -387,8 +380,9 @@ def tomo_mle(
 ) -> TwoPhotonState:
     """Maximum-likelihood reconstruction over physical density matrices.
 
-    The 16 settings do not sum to the identity, so with G = sum_k P_k the
-    whitened projectors P~_k = G^{-1/2} P_k G^{-1/2} form a POVM, and the
+    The 16 settings, each weighted by its integration time t_k, do not sum
+    to the identity, so with G = sum_k t_k P_k the whitened projectors
+    P~_k = G^{-1/2} t_k P_k G^{-1/2} form a POVM, and the
     Poisson likelihood with the flux profiled out becomes sum_k n_k log p_k,
     p_k = tr(P~_k sigma), over density matrices sigma proportional to
     G^{1/2} rho G^{1/2} (Hradil, PRA 55 R1561 (1997); Rehacek, Hradil &

@@ -17,6 +17,7 @@ from cavityspdc.cli import (
     EXIT_REPORT_FAIL,
     EXIT_RUNTIME,
     REPORT_COLUMNS,
+    SWEEP_POINTS,
     _passes,
     _report_rows,
     main,
@@ -179,6 +180,35 @@ class TestCli:
         summary = json.loads((tmp_path / "cavity_summary.json").read_text())
         assert summary["crystals"][0]["dwdm_selected_clusters"] == 1
 
+    def test_cavity_sweeps_recover_linewidths(self, tmp_path):
+        assert main(["--seed", "0", "--out", str(tmp_path), "cavity"]) == 0
+        summary = json.loads((tmp_path / "cavity_summary.json").read_text())
+        for spec, entry in zip((DEFAULT.ppktp0, DEFAULT.ppktp1), summary["crystals"]):
+            for pol in ("H", "V"):
+                lines = (tmp_path / f"sweep_{spec.name}_{pol}.csv").read_text().splitlines()
+                assert lines[0] == "detuning_mhz,transmission,fit"
+                assert len(lines) == 1 + SWEEP_POINTS
+                fit = entry["sweep_fit"][pol]
+                # the fitted FWHM scatters by 3.4 MHz over seeds
+                assert abs(fit["fwhm_mhz"] - spec.fwhm_mhz(pol)) <= 6 * 3.4
+                assert 0.0 < fit["fwhm_err_mhz"] < 10.0
+
+    def test_cavity_sweeps_are_seeded(self, tmp_path):
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert main(["--seed", "3", "--out", str(out), "cavity"]) == 0
+        names = [f"sweep_{c}_{p}.csv" for c in ("ppktp0", "ppktp1") for p in "HV"]
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+        out = tmp_path / "json"
+        assert main(["--seed", "3", "--format", "json", "--out", str(out), "cavity"]) == 0
+        for name in names:
+            payload = json.loads((out / name).with_suffix(".json").read_text())
+            assert payload["columns"] == ["detuning_mhz", "transmission", "fit"]
+            with open(runs[0] / name, newline="") as fh:
+                rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+            assert payload["rows"] == rows
+
     def test_cavity_degenerate_vernier_exit_code(self, tmp_path):
         cfg = config_to_dict(default_config())
         cfg["ppktp0"]["fsr_v_ghz"] = cfg["ppktp0"]["fsr_h_ghz"]
@@ -219,16 +249,18 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "missing.csv" in err
 
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            "power_mw,car\n1.0,2000.0\n",
-            "power_mw\n1.0\n2.0\n3.0\n4.0\n5.0\n",
-            "power_mw,car\n1.0,2000.0\n2.0,3000.0\n",
+            ("power_mw,car\n1.0,2000.0\n", "need at least 5"),
+            ("power_mw\n1.0\n2.0\n3.0\n4.0\n5.0\n", "need two columns"),
+            ("power_mw,car\n1.0,2000.0\n2.0,3000.0\n", "need at least 5"),
+            ("power_mw,car\n", "fit.csv: no data rows"),
         ],
-        ids=["one-row", "one-column", "two-rows"],
+        ids=["one-row", "one-column", "two-rows", "header-only"],
     )
-    def test_bad_fit_csv_fails_before_writing(self, tmp_path, capsys, text):
+    def test_bad_fit_csv_fails_before_writing(self, tmp_path, capsys, text, message):
         path = tmp_path / "fit.csv"
         path.write_text(text)
         out = tmp_path / "out"
@@ -236,6 +268,7 @@ class TestCli:
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
         assert not (out / "car_curve.csv").exists()
 
     @pytest.mark.parametrize(
@@ -303,6 +336,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: --duration") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_simulate_reports_accidentals(self, tmp_path):
+        assert main(["--seed", "7", "--out", str(tmp_path), "simulate",
+                     "--duration", "0.5"]) == 0
+        summary = json.loads((tmp_path / "simulate_summary.json").read_text())
+        peak, acc = summary["coincidences_window"], summary["accidentals_window"]
+        assert isinstance(acc, int) and acc >= 0
+        assert summary["car_monte_carlo"] == (peak / acc if acc else "inf")
 
     def test_simulate_records_failed_g2_fit(self, tmp_path):
         path = tmp_path / "dark.json"

@@ -400,6 +400,11 @@ class TestTomographySimulation:
             rec.with_counts([5] * 15)
         np.testing.assert_array_equal(rec.with_counts(range(16)).counts(), np.arange(16))
 
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, math.nan, math.inf])
+    def test_entry_rejects_bad_integration_time(self, seconds):
+        with pytest.raises(ValueError, match="integration time"):
+            TomoEntry(ProjectorSetting.from_labels("H", "H"), seconds, 5)
+
     def test_non_ic_settings_rejected(self):
         setting = ProjectorSetting.from_labels("H", "H")
         entries = [TomoEntry(setting, 1.0, 5)] * 16
@@ -416,6 +421,20 @@ class TestTomoMle:
         )
         rho_hat = tomo_mle(exact)
         assert fidelity(rho_hat, PHI_MINUS_KET) > 0.9999
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_integration_times_weight_the_settings(self, seed):
+        # exact expected counts flux * t_k * p_k with unequal times t_k
+        truth = degraded_state(math.pi, 0.8709)
+        times = np.random.default_rng(seed).choice([0.5, 1.0, 2.0, 4.0], 16)
+        entries = []
+        for (label_a, label_b), t in zip(TOMOGRAPHY_LABELS, times):
+            setting = ProjectorSetting.from_labels(label_a, label_b)
+            counts = round(1e6 * t * coincidence_prob(truth, setting))
+            entries.append(TomoEntry(setting, float(t), counts))
+        rec = TomographyRecord(entries)
+        assert np.linalg.norm(tomo_mle(rec).rho - truth.rho) < 1e-5
+        assert np.linalg.norm(tomo_linear(rec) - truth.rho) < 1e-5
 
     def test_poisson_recovery_study(self):
         truth = degraded_state(math.pi, 0.88)
@@ -450,7 +469,7 @@ class TestTomoMle:
 
     @pytest.mark.parametrize("n", [10_000, 500])
     def test_kkt_certificate(self, n):
-        # the observed records of scripts/entanglement_run.py (seed 0)
+        # the benchmark's observed tomography records, drawn at seed 0
         truth = degraded_state(math.pi, 0.8709)
         rec = tomo_simulate_counts(truth, n, seed=0)
         rho = tomo_mle(rec).rho
