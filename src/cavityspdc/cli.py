@@ -9,6 +9,7 @@ import json
 import math
 import secrets
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -453,6 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; return its exit status.
+
+    Once the output directory exists, metadata.json is written there
+    whether the command succeeds or fails: its ``status`` is "ok" exactly
+    when the exit status is 0, and ``error`` holds the message of an error
+    that stopped the command (null otherwise).
+    """
+    start = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -469,16 +478,27 @@ def main(argv=None) -> int:
     seed, seed_source = _resolve_seed(args, cfg)
     try:
         out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    error = None
+    try:
         code = _COMMANDS[args.command](cfg, args, out, seed, seed_source)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        code, error = EXIT_RUNTIME, str(exc)
     _write_json(
         out / "metadata.json",
         {
             "command": args.command,
+            "status": "ok" if code == EXIT_OK else "failed",
+            "exit_status": code,
+            "error": error,
             "seed": seed,
             "seed_source": seed_source,
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "numpy": np.__version__,
+            "wall_s": time.perf_counter() - start,
             "config": config_to_dict(cfg),
         },
     )

@@ -147,6 +147,45 @@ def car_optimal_rate(chain: DetectionChain) -> float:
     )
 
 
+#: Survival uniforms are drawn and compared in blocks of this many, so no
+#: record-length float array is held for them.
+_SURVIVAL_CHUNK = 1 << 16
+
+
+def _nonzero_uniforms(rng, n: int) -> np.ndarray:
+    """The next n nonzero values of rng.random().
+
+    Generator.laplace redraws a uniform that is exactly 0.0 in place, so a
+    zero is dropped here and the missing values come from the draws that
+    follow, in order; the generator ends in the same state as laplace(n)
+    would leave it.
+    """
+    u = rng.random(n)
+    while np.count_nonzero(u) < n:
+        u = u[u != 0.0]
+        u = np.concatenate([u, rng.random(n - u.size)])
+    return u
+
+
+def _laplace_from_uniforms(u: np.ndarray, scale: float) -> np.ndarray:
+    """numpy's Laplace(0, scale) transform of nonzero uniforms u:
+    -scale*log(2 - u - u) for u >= 0.5, else scale*log(u + u)."""
+    upper = u >= 0.5
+    log_u = np.log(np.where(upper, 2.0 - u - u, u + u))
+    np.negative(log_u, out=log_u, where=upper)
+    return scale * log_u
+
+
+def _survivals(rng, n: int, eta: float) -> np.ndarray:
+    """rng.random(n) < eta, drawn in fixed blocks into one boolean mask."""
+    keep = np.empty(n, dtype=bool)
+    block = np.empty(min(n, _SURVIVAL_CHUNK))
+    for start in range(0, n, _SURVIVAL_CHUNK):
+        u = rng.random(out=block[: min(_SURVIVAL_CHUNK, n - start)])
+        np.less(u, eta, out=keep[start:start + u.size])
+    return keep
+
+
 def simulate_timetags(
     src: SourceRate,
     bp: BiphotonParams,
@@ -161,8 +200,20 @@ def simulate_timetags(
     correlation function; each photon independently survives with its arm
     efficiency; surviving timestamps get Gaussian jitter; independent dark
     counts are added per channel.  Fixed seed gives a bit-reproducible
-    stream.  If jitter pushes the earliest event below zero the whole
-    record is translated so timestamps stay non-negative.
+    stream.  If a negative delay or jitter pushes the earliest event below
+    zero the whole record is translated so timestamps stay non-negative.
+
+    The draw order from default_rng(seed) is the stream's contract:
+    Poisson(rate * duration) pairs n; n pair times duration_ps * u; n
+    delay uniforms; n signal and then n idler survival uniforms (u < eta
+    survives); signal then idler jitter normals for the survivors; the
+    signal then idler dark-count Poisson numbers; the signal then idler
+    dark times duration_ps * u.  A delay uniform that is exactly 0.0 is
+    replaced by the next draw, as Generator.laplace does, and only the
+    surviving idlers' uniforms are transformed into delays.  The record is
+    the one rng.uniform and rng.laplace calls in that order give, up to
+    the last-place difference between np.log and the C library's log,
+    which the rounding to integer picoseconds absorbs.
     """
     if duration_s <= 0.0:
         raise ValueError("duration_s must be > 0")
@@ -170,13 +221,20 @@ def simulate_timetags(
     duration_ps = duration_s * 1e12
 
     n_pairs = rng.poisson(pair_rate(src) * duration_s)
-    t_pair = rng.uniform(0.0, duration_ps, n_pairs)
-    delay = rng.laplace(0.0, coherence_scale_ps(bp), n_pairs)
-    keep_s = rng.random(n_pairs) < chain.eta_s
-    keep_i = rng.random(n_pairs) < chain.eta_i
+    t_pair = rng.random(n_pairs) * duration_ps
+    u_delay = _nonzero_uniforms(rng, n_pairs)
+    keep_s = _survivals(rng, n_pairs, chain.eta_s)
+    keep_i = _survivals(rng, n_pairs, chain.eta_i)
 
+    # each record-length array is dropped as soon as its survivors are out,
+    # so the peak is the two uniform arrays, the two masks and the kept
+    # delay uniforms
+    u_idler = u_delay[keep_i]
+    del u_delay
     t_signal = t_pair[keep_s]
-    t_idler = t_pair[keep_i] + delay[keep_i]
+    t_idler = t_pair[keep_i]
+    del t_pair, keep_s, keep_i
+    t_idler += _laplace_from_uniforms(u_idler, coherence_scale_ps(bp))
     if chain.jitter_sigma_ps > 0.0:
         t_signal = t_signal + rng.normal(0.0, chain.jitter_sigma_ps, t_signal.size)
         t_idler = t_idler + rng.normal(0.0, chain.jitter_sigma_ps, t_idler.size)

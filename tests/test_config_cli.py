@@ -14,6 +14,7 @@ import cavityspdc
 from cavityspdc import default_config, load_config, measurement, save_config
 from cavityspdc.cli import (
     EXIT_CONFIG,
+    EXIT_OK,
     EXIT_REPORT_FAIL,
     EXIT_RUNTIME,
     REPORT_COLUMNS,
@@ -270,6 +271,29 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert not (out / "car_curve.csv").exists()
+
+    def test_failed_run_leaves_metadata(self, tmp_path, capsys):
+        path = tmp_path / "fit.csv"
+        path.write_text("power_mw,car\n")
+        out = tmp_path / "out"
+        code = main(["--seed", "3", "--out", str(out), "car", "--fit-csv", str(path)])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        meta = json.loads((out / "metadata.json").read_text())
+        assert (meta["status"], meta["exit_status"]) == ("failed", EXIT_RUNTIME)
+        assert err == f"error: {meta['error']}\n"
+        assert meta["error"].endswith("fit.csv: no data rows")
+        assert (meta["command"], meta["seed"], meta["seed_source"]) == ("car", 3, "cli")
+        assert meta["config"] == config_to_dict(DEFAULT)
+
+    def test_successful_run_metadata(self, tmp_path):
+        assert main(["--out", str(tmp_path), "biphoton"]) == EXIT_OK
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert (meta["status"], meta["exit_status"], meta["error"]) == ("ok", EXIT_OK, None)
+        assert meta["python"] == "%d.%d.%d" % sys.version_info[:3]
+        assert meta["numpy"] == np.__version__
+        assert 0.0 <= meta["wall_s"] < 60.0
+        assert meta["command"] == "biphoton" and "config" in meta
 
     @pytest.mark.parametrize(
         "payload, names",

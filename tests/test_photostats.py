@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from cavityspdc import (
     simulate_timetags,
     write_ttag,
 )
+from cavityspdc import photostats
 from cavityspdc.photostats import TTAG_MAGIC
 
 
@@ -29,6 +32,18 @@ def quiet_chain(**overrides):
                 window_ns=3.2, jitter_sigma_ps=0.0, bin_ps=25.0)
     base.update(overrides)
     return DetectionChain(**base)
+
+
+class ScriptedRandom:
+    """Stands in for a Generator: random(k) returns the next scripted block."""
+
+    def __init__(self, *blocks):
+        self.blocks = [np.asarray(block, dtype=float) for block in blocks]
+
+    def random(self, k):
+        block = self.blocks.pop(0)
+        assert block.size == k
+        return block
 
 
 class TestPairRate:
@@ -190,6 +205,46 @@ class TestSimulateTimetags:
         assert len(stream) == 244_600
         assert digest == "cdd20a6299c071acbf6271192f4190c198f5782e7417f733692c4924d0853487"
 
+    # records the generator gave while it drew the pair times with
+    # rng.uniform and transformed every delay with rng.laplace; one per
+    # branch of the generator
+    @pytest.mark.parametrize(
+        "case, n_events, digest",
+        [
+            ("ppktp1", 61_615, "6dc843f7712e44ea53820dc3a7ad9b05ef28476956dd1747e25caa6081e52f57"),
+            ("2.5mw", 7_879, "b8df51052e0a4cb7e33465a96b529c2510191de733663174349d4b6e64a9c41e"),
+            ("no-jitter", 61_286, "a6077adda84cd840d4d1a58ba9cba0f5776d2acd8785c255cf32e36833e9ff46"),
+            ("dark-heavy", 212_517, "8ec6df5233aeeecd87fe60fcf06f4eef265e2902183eaf4610534a79d86501fa"),
+            # its earliest event falls at -302 ps before the translation
+            ("translated", 17_139, "01ee041b3053ac2650572200d260fc00c290b8a446a4faa2b69008f19ed41319"),
+        ],
+    )
+    def test_seeded_stream_branches_are_pinned(self, cfg, bp0, bp1, case, n_events, digest):
+        chain = cfg.chain
+        args = {
+            "ppktp1": (cfg.source, bp1, chain, 5.0, 101),
+            "2.5mw": (SourceRate(0.7, 2.5, 458.0), bp0, chain, 20.0, 102),
+            "no-jitter": (cfg.source, bp0, replace(chain, jitter_sigma_ps=0.0), 5.0, 103),
+            "dark-heavy": (cfg.source, bp0,
+                           replace(chain, dark_s_per_s=1e5, dark_i_per_s=1e5), 1.0, 104),
+            "translated": (SourceRate(1e6, 150.0, 458.0), bp0, chain, 1e-6, 105),
+        }[case]
+        stream = simulate_timetags(*args)
+        assert len(stream) == n_events
+        assert hashlib.sha256(
+            stream.t_ps.astype("<i8").tobytes() + stream.channel.tobytes()
+        ).hexdigest() == digest
+
+    def test_traced_peak_per_generated_pair(self, source_150mw, bp0, chain):
+        duration = 5.0
+        tracemalloc.start()
+        try:
+            simulate_timetags(source_150mw, bp0, chain, duration, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22.0 * pair_rate(source_150mw) * duration
+
     def test_timestamps_non_negative(self, source_150mw, bp0, chain):
         stream = simulate_timetags(source_150mw, bp0, chain, 0.2, seed=11)
         assert stream.t_ps.min() >= 0
@@ -197,6 +252,24 @@ class TestSimulateTimetags:
     def test_rejects_nonpositive_duration(self, source_150mw, bp0, chain):
         with pytest.raises(ValueError):
             simulate_timetags(source_150mw, bp0, chain, 0.0, seed=0)
+
+
+class TestDelayDraws:
+    def test_exact_zero_is_redrawn_from_the_next_draws(self):
+        rng = ScriptedRandom([0.3, 0.0, 0.7, 0.0], [0.0, 0.9], [0.2])
+        u = photostats._nonzero_uniforms(rng, 4)
+        assert u.tolist() == [0.3, 0.7, 0.9, 0.2]
+        assert rng.blocks == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_generator_laplace(self, seed):
+        scale, n = 52.6, 200_000
+        mine_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        u = photostats._nonzero_uniforms(mine_rng, n)
+        mine = photostats._laplace_from_uniforms(u, scale)
+        ref = ref_rng.laplace(0.0, scale, n)
+        assert np.all(np.abs(mine - ref) <= 4.0 * np.spacing(np.abs(ref)))
+        assert mine_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestCoincidenceHistogram:
