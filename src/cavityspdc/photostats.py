@@ -69,7 +69,8 @@ class TimeTagStream:
             raise ValueError("t_ps and channel must be matching 1-d arrays")
         if channel.size and channel.max() > 1:
             raise ValueError("channel must be 0 or 1")
-        if t_ps.size > 1 and np.any(np.diff(t_ps) < 0):
+        # a bool temporary, not np.diff's int64 one
+        if t_ps.size > 1 and not np.all(t_ps[1:] >= t_ps[:-1]):
             raise ValueError("timestamps must be non-decreasing")
         self.t_ps = t_ps
         self.channel = channel
@@ -93,22 +94,23 @@ def write_ttag(stream: TimeTagStream, path) -> None:
     if stream.t_ps.size and stream.t_ps.min() < 0:
         raise ValueError("negative timestamps cannot be stored; translate first")
     records = np.empty(stream.t_ps.size, dtype=_TTAG_DTYPE)
-    records["t"] = stream.t_ps.astype(np.uint64)
+    records["t"] = stream.t_ps
     records["ch"] = stream.channel
     with open(path, "wb") as fh:
         fh.write(TTAG_MAGIC)
-        fh.write(records.tobytes())
+        fh.write(records.data)
 
 
 def read_ttag(path) -> TimeTagStream:
     data = Path(path).read_bytes()
     if not data.startswith(TTAG_MAGIC):
         raise ValueError(f"{path}: not a TTAG1 file")
-    body = data[len(TTAG_MAGIC):]
-    if len(body) % _TTAG_DTYPE.itemsize:
+    if (len(data) - len(TTAG_MAGIC)) % _TTAG_DTYPE.itemsize:
         raise ValueError(f"{path}: truncated record")
-    records = np.frombuffer(body, dtype=_TTAG_DTYPE)
-    return TimeTagStream(records["t"].astype(np.int64), records["ch"])
+    # records are views into data; both fields are copied out, so the file
+    # buffer is freed on return
+    records = np.frombuffer(data, dtype=_TTAG_DTYPE, offset=len(TTAG_MAGIC))
+    return TimeTagStream(records["t"].astype(np.int64), records["ch"].copy())
 
 
 def pair_rate(src: SourceRate) -> float:
@@ -147,9 +149,9 @@ def car_optimal_rate(chain: DetectionChain) -> float:
     )
 
 
-#: Survival uniforms are drawn and compared in blocks of this many, so no
-#: record-length float array is held for them.
-_SURVIVAL_CHUNK = 1 << 16
+#: Pairs drawn per chunk: a chunk's buffers and temporaries (a few hundred
+#: kB) stay in a core's L2 cache while its four streams are read.
+_DRAW_CHUNK = 1 << 14
 
 
 def _nonzero_uniforms(rng, n: int) -> np.ndarray:
@@ -176,14 +178,63 @@ def _laplace_from_uniforms(u: np.ndarray, scale: float) -> np.ndarray:
     return scale * log_u
 
 
-def _survivals(rng, n: int, eta: float) -> np.ndarray:
-    """rng.random(n) < eta, drawn in fixed blocks into one boolean mask."""
-    keep = np.empty(n, dtype=bool)
-    block = np.empty(min(n, _SURVIVAL_CHUNK))
-    for start in range(0, n, _SURVIVAL_CHUNK):
-        u = rng.random(out=block[: min(_SURVIVAL_CHUNK, n - start)])
-        np.less(u, eta, out=keep[start:start + u.size])
-    return keep
+class _DrawCounter:
+    """Passes random(k) on to a generator and counts the values drawn."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def random(self, k):
+        self.drawn += k
+        return self.rng.random(k)
+
+
+def _streams_from(rng):
+    """at(k): a new Generator standing k draws past rng's current state."""
+    kind, state = type(rng.bit_generator), rng.bit_generator.state
+
+    def at(k):
+        bit_gen = kind()
+        bit_gen.state = state
+        return np.random.Generator(bit_gen.advance(k))
+
+    return at
+
+
+def _draw_survivors(at, n: int, eta_s: float, eta_i: float,
+                    duration_ps: float, scale_ps: float):
+    """The detected photons' times from the record's four blocks of n draws.
+
+    at(k) gives a generator k draws into the record's uniforms: the pair
+    times duration_ps * u are the block at 0, the delay uniforms
+    (_nonzero_uniforms) the block at n, the signal and the idler survival
+    uniforms (u < eta survives) the blocks at 2n + z and 3n + z, where z
+    counts the exact-zero delay uniforms redrawn.  The four blocks are read
+    side by side, _DRAW_CHUNK pairs at a time, so no n-length array exists.
+    z is known only once the delay block is drawn; a record with z > 0
+    (probability about n * 2**-53) is drawn again with the survival blocks
+    moved.  Returns the signal times, the idler times with their
+    Laplace(scale_ps) delays, each as a list of per-chunk arrays, and z.
+    """
+    z = 0
+    while True:
+        pair, delay = at(0), _DrawCounter(at(n))
+        survival_s, survival_i = at(2 * n + z), at(3 * n + z)
+        t_buf, u_buf = np.empty(min(n, _DRAW_CHUNK)), np.empty(min(n, _DRAW_CHUNK))
+        signal, idler = [], []
+        for start in range(0, n, _DRAW_CHUNK):
+            m = min(_DRAW_CHUNK, n - start)
+            t_pair = pair.random(out=t_buf[:m])
+            t_pair *= duration_ps
+            u_delay = _nonzero_uniforms(delay, m)
+            signal.append(t_pair[survival_s.random(out=u_buf[:m]) < eta_s])
+            keep_i = survival_i.random(out=u_buf[:m]) < eta_i
+            t_idler = t_pair[keep_i]
+            t_idler += _laplace_from_uniforms(u_delay[keep_i], scale_ps)
+            idler.append(t_idler)
+        if delay.drawn == n + z:
+            return signal, idler, z
+        z = delay.drawn - n
 
 
 def simulate_timetags(
@@ -214,30 +265,43 @@ def simulate_timetags(
     the one rng.uniform and rng.laplace calls in that order give, up to
     the last-place difference between np.log and the C library's log,
     which the rounding to integer picoseconds absorbs.
+
+    That order is unchanged, but the four blocks of n uniforms are not
+    drawn one after the other: each rng.random() double is one 64-bit
+    draw, so each block is read from its own generator, placed at the
+    block's offset by the bit generator's advance, and the blocks are
+    consumed side by side in fixed chunks of pairs.  No array as long as
+    the pair count is held; memory grows with the detected events only.
+    The generator (the one passed as seed, if it is one) is then advanced
+    past the blocks and draws the rest in order.  This needs a bit
+    generator whose advance counts single draws: an int, SeedSequence or
+    None seed gives PCG64; a Generator passed as seed must use PCG64 or
+    PCG64DXSM, and any other (MT19937, Philox, SFC64) raises ValueError.
     """
     if duration_s <= 0.0:
         raise ValueError("duration_s must be > 0")
     rng = np.random.default_rng(seed)
+    # advance(k) of these skips exactly k rng.random() doubles; named here,
+    # not at module level, so that importing the package loads no numpy.random
+    if not isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise ValueError("seed: simulate_timetags needs a PCG64 or PCG64DXSM "
+                         f"bit generator, got {type(rng.bit_generator).__name__}")
     duration_ps = duration_s * 1e12
 
-    n_pairs = rng.poisson(pair_rate(src) * duration_s)
-    t_pair = rng.random(n_pairs) * duration_ps
-    u_delay = _nonzero_uniforms(rng, n_pairs)
-    keep_s = _survivals(rng, n_pairs, chain.eta_s)
-    keep_i = _survivals(rng, n_pairs, chain.eta_i)
-
-    # each record-length array is dropped as soon as its survivors are out,
-    # so the peak is the two uniform arrays, the two masks and the kept
-    # delay uniforms
-    u_idler = u_delay[keep_i]
-    del u_delay
-    t_signal = t_pair[keep_s]
-    t_idler = t_pair[keep_i]
-    del t_pair, keep_s, keep_i
-    t_idler += _laplace_from_uniforms(u_idler, coherence_scale_ps(bp))
+    n_pairs = int(rng.poisson(pair_rate(src) * duration_s))
+    at = _streams_from(rng)
+    t_signal, t_idler, z = _draw_survivors(
+        at, n_pairs, chain.eta_s, chain.eta_i, duration_ps, coherence_scale_ps(bp)
+    )
+    # advance resets the bit generator's buffered 32-bit half, which the
+    # blocks' double draws would not have touched
+    state = rng.bit_generator.state
+    rng.bit_generator.state = {**at(4 * n_pairs + z).bit_generator.state,
+                               "has_uint32": state["has_uint32"],
+                               "uinteger": state["uinteger"]}
     if chain.jitter_sigma_ps > 0.0:
-        t_signal = t_signal + rng.normal(0.0, chain.jitter_sigma_ps, t_signal.size)
-        t_idler = t_idler + rng.normal(0.0, chain.jitter_sigma_ps, t_idler.size)
+        for part in t_signal + t_idler:
+            part += rng.normal(0.0, chain.jitter_sigma_ps, part.size)
 
     n_dark_s = rng.poisson(chain.dark_s_per_s * duration_s)
     n_dark_i = rng.poisson(chain.dark_i_per_s * duration_s)
@@ -245,13 +309,23 @@ def simulate_timetags(
     dark_i = rng.uniform(0.0, duration_ps, n_dark_i)
 
     # sorting 2*t + channel puts channel 0 first on a timestamp tie
-    key = np.rint(np.concatenate([t_signal, dark_s, t_idler, dark_i])).astype(np.int64) << 1
-    key[t_signal.size + n_dark_s:] += 1
+    parts = t_signal + [dark_s] + t_idler + [dark_i]
+    first_idler = sum(part.size for part in t_signal) + n_dark_s
+    key = np.empty(sum(part.size for part in parts), dtype=np.int64)
+    end = 0
+    for part in parts:
+        key[end:end + part.size] = np.rint(part, out=part)
+        end += part.size
+    del parts, t_signal, t_idler, dark_s, dark_i
+    key <<= 1
+    key[first_idler:] += 1
     key.sort()
-    t_int = key >> 1
-    if t_int.size and t_int[0] < 0:
-        t_int -= t_int[0]
-    return TimeTagStream(t_int, (key & 1).astype(np.uint8))
+    channel = key.astype(np.uint8)
+    channel &= 1
+    key >>= 1
+    if key.size and key[0] < 0:
+        key -= key[0]
+    return TimeTagStream(key, channel)
 
 
 @dataclass(frozen=True)

@@ -528,3 +528,17 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_numpy_random():
+    # numpy loads numpy.random lazily; the package's import time should not
+    # pay for it before a command draws anything
+    code = "import sys, cavityspdc, cavityspdc.cli; print('numpy.random' in sys.modules)"
+    src = str(Path(cavityspdc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"

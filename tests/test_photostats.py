@@ -46,6 +46,39 @@ class ScriptedRandom:
         return block
 
 
+class ScriptedStream:
+    """Stands in for a Generator reading one scripted run of uniforms."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None, out=None):
+        k = size if out is None else out.size
+        block, self.values = self.values[:k], self.values[k:]
+        assert len(block) == k
+        if out is None:
+            return np.array(block)
+        out[:] = block
+        return out
+
+
+def sequential_survivors(rng, n, eta_s, eta_i, duration_ps, scale_ps):
+    """The record's four uniform blocks drawn one after the other, as the
+    generator drew them before it read them side by side: the reference
+    for photostats._draw_survivors."""
+    t_pair = rng.random(n) * duration_ps
+    u_delay = photostats._nonzero_uniforms(rng, n)
+    keep_s = rng.random(n) < eta_s
+    keep_i = rng.random(n) < eta_i
+    t_idler = t_pair[keep_i]
+    t_idler += photostats._laplace_from_uniforms(u_delay[keep_i], scale_ps)
+    return t_pair[keep_s], t_idler
+
+
+def joined(parts):
+    return np.concatenate([np.empty(0)] + parts)
+
+
 class TestPairRate:
     def test_product_form(self):
         assert pair_rate(SourceRate(0.7, 150.0, 458.0)) == pytest.approx(48_090.0)
@@ -123,6 +156,26 @@ class TestTimeTagStream:
         with pytest.raises(ValueError, match="non-decreasing"):
             TimeTagStream([10, 5], [0, 1])
 
+    def test_order_check_finds_one_inversion_among_ties(self):
+        t = np.repeat(np.arange(50_000, dtype=np.int64), 2)
+        channel = np.zeros(t.size, dtype=np.uint8)
+        TimeTagStream(t, channel)
+        t[70_001], t[70_002] = t[70_002], t[70_001]
+        with pytest.raises(ValueError, match="non-decreasing"):
+            TimeTagStream(t, channel)
+
+    def test_construction_peak_per_event(self):
+        # the order check may hold a bool per event, not an int64 difference
+        t = np.arange(200_000, dtype=np.int64)
+        channel = np.zeros(t.size, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            TimeTagStream(t, channel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * t.size
+
     def test_requires_binary_channels(self):
         with pytest.raises(ValueError, match="channel"):
             TimeTagStream([1, 2], [0, 3])
@@ -146,6 +199,40 @@ class TestTimeTagStream:
         path.write_bytes(b"NOTTAG" + b"\x00" * 18)
         with pytest.raises(ValueError, match="not a TTAG1"):
             read_ttag(path)
+
+    def test_truncated_record_rejected(self, tmp_path):
+        path = tmp_path / "short.ttag"
+        path.write_bytes(TTAG_MAGIC + b"\x00" * 17)
+        with pytest.raises(ValueError, match="truncated"):
+            read_ttag(path)
+
+    def test_read_ttag_keeps_only_the_stream(self, tmp_path):
+        n = 200_000
+        stream = TimeTagStream(np.arange(n, dtype=np.int64) * 7, np.arange(n, dtype=np.uint8) & 1)
+        path = tmp_path / "tags.ttag"
+        write_ttag(stream, path)
+        tracemalloc.start()
+        try:
+            back = read_ttag(path)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back == stream
+        assert retained <= 9 * n + 4096
+
+    def test_write_ttag_peaks_at_one_file(self, tmp_path):
+        n = 200_000
+        stream = TimeTagStream(np.arange(n, dtype=np.int64) * 7, np.arange(n, dtype=np.uint8) & 1)
+        path = tmp_path / "tags.ttag"
+        tracemalloc.start()
+        try:
+            write_ttag(stream, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size == len(TTAG_MAGIC) + 9 * n
+        assert peak <= 1.05 * size
 
 
 class TestSimulateTimetags:
@@ -217,6 +304,8 @@ class TestSimulateTimetags:
             ("dark-heavy", 212_517, "8ec6df5233aeeecd87fe60fcf06f4eef265e2902183eaf4610534a79d86501fa"),
             # its earliest event falls at -302 ps before the translation
             ("translated", 17_139, "01ee041b3053ac2650572200d260fc00c290b8a446a4faa2b69008f19ed41319"),
+            # no pairs: the dark counts follow the pair-count draw directly
+            ("dark-only", 40_208, "ea94cebc9f6f4a5ba6b3f9d8123fdfe2549b7dba481429500727420b197b99b2"),
         ],
     )
     def test_seeded_stream_branches_are_pinned(self, cfg, bp0, bp1, case, n_events, digest):
@@ -228,6 +317,8 @@ class TestSimulateTimetags:
             "dark-heavy": (cfg.source, bp0,
                            replace(chain, dark_s_per_s=1e5, dark_i_per_s=1e5), 1.0, 104),
             "translated": (SourceRate(1e6, 150.0, 458.0), bp0, chain, 1e-6, 105),
+            "dark-only": (SourceRate(0.7, 0.0, 458.0), bp0,
+                          replace(chain, dark_s_per_s=1e4, dark_i_per_s=1e4), 2.0, 106),
         }[case]
         stream = simulate_timetags(*args)
         assert len(stream) == n_events
@@ -244,6 +335,43 @@ class TestSimulateTimetags:
         finally:
             tracemalloc.stop()
         assert peak <= 22.0 * pair_rate(source_150mw) * duration
+
+    def test_traced_peak_per_returned_event(self, source_150mw, bp0, chain):
+        # no array as long as the generated-pair count: memory follows the
+        # detected events
+        tracemalloc.start()
+        try:
+            stream = simulate_timetags(source_150mw, bp0, chain, 20.0, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30.0 * len(stream)
+
+    def test_generator_seed_continues_its_stream(self, source_150mw, bp0, chain):
+        stream = simulate_timetags(source_150mw, bp0, chain, 1.0, seed=np.random.default_rng(7))
+        assert stream == simulate_timetags(source_150mw, bp0, chain, 1.0, seed=7)
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        for g in (rng, ref):
+            g.random(dtype=np.float32)  # leaves half a 64-bit draw buffered
+        simulate_timetags(source_150mw, bp0, chain, 1.0, seed=rng)
+        # the draws simulate_timetags has always made, in order
+        n = ref.poisson(pair_rate(source_150mw) * 1.0)
+        ref.random(n)
+        photostats._nonzero_uniforms(ref, n)
+        n_s = np.count_nonzero(ref.random(n) < chain.eta_s)
+        n_i = np.count_nonzero(ref.random(n) < chain.eta_i)
+        ref.normal(0.0, chain.jitter_sigma_ps, n_s)
+        ref.normal(0.0, chain.jitter_sigma_ps, n_i)
+        n_dark = [ref.poisson(rate) for rate in (chain.dark_s_per_s, chain.dark_i_per_s)]
+        for k in n_dark:
+            ref.uniform(0.0, 1e12, k)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_generator_without_draw_jumps_rejected(self, source_150mw, bp0, chain, bit_generator):
+        rng = np.random.Generator(bit_generator(7))
+        with pytest.raises(ValueError, match="PCG64"):
+            simulate_timetags(source_150mw, bp0, chain, 0.1, seed=rng)
 
     def test_timestamps_non_negative(self, source_150mw, bp0, chain):
         stream = simulate_timetags(source_150mw, bp0, chain, 0.2, seed=11)
@@ -270,6 +398,39 @@ class TestDelayDraws:
         ref = ref_rng.laplace(0.0, scale, n)
         assert np.all(np.abs(mine - ref) <= 4.0 * np.spacing(np.abs(ref)))
         assert mine_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+B = photostats._DRAW_CHUNK
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_matches_sequential_draws(self, n):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        at = photostats._streams_from(rng)
+        signal, idler, z = photostats._draw_survivors(at, n, 0.3, 0.6, 2e12, 52.6)
+        ref_signal, ref_idler = sequential_survivors(ref, n, 0.3, 0.6, 2e12, 52.6)
+        assert z == 0
+        assert np.array_equal(joined(signal), ref_signal)
+        assert np.array_equal(joined(idler), ref_idler)
+        assert at(4 * n).bit_generator.state == ref.bit_generator.state
+
+    def test_exact_zero_delay_moves_the_survival_blocks(self):
+        pair, delay = [0.1, 0.5, 0.9], [0.3, 0.0, 0.7, 0.8]
+        survival_s, survival_i = [0.1, 0.9, 0.1], [0.9, 0.1, 0.1]
+        values = pair + delay + survival_s + survival_i
+        opened = []
+
+        def at(k):
+            opened.append(k)
+            return ScriptedStream(values[k:])
+
+        signal, idler, z = photostats._draw_survivors(at, 3, 0.5, 0.5, 10.0, 2.0)
+        assert z == 1
+        assert opened[4:] == [0, 3, 7, 10]  # the second pass, moved by z
+        assert joined(signal).tolist() == [1.0, 9.0]
+        delays = photostats._laplace_from_uniforms(np.array([0.7, 0.8]), 2.0)
+        assert joined(idler).tolist() == (np.array([5.0, 9.0]) + delays).tolist()
 
 
 class TestCoincidenceHistogram:
