@@ -10,7 +10,6 @@ import numpy as np
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
-POLARIZATIONS = ("H", "V")
 JOINT_POL = "HV"  # paired signal/idler cluster modes
 
 
@@ -105,9 +104,6 @@ class ModeComb:
     def __len__(self):
         return len(self.modes)
 
-    def offsets_ghz(self) -> np.ndarray:
-        return np.array([m.offset_ghz for m in self.modes], dtype=float)
-
     def csv_rows(self):
         """Rows matching the (index, offset_GHz, linewidth_MHz, pol) export."""
         return [
@@ -194,50 +190,12 @@ def cluster_comb(spec: CavitySpec, span_ghz: float) -> ModeComb:
     return _comb(spacing, span_ghz, spec.mean_linewidth_mhz(), JOINT_POL)
 
 
-def vernier_pairs(
-    comb_h: ModeComb, comb_v: ModeComb, tol_ghz: float | None = None
-) -> list[tuple[Mode, Mode]]:
-    """H/V mode pairs whose offsets agree within a tolerance.
-
-    Default tolerance is half the mean linewidth of the two combs, which
-    realizes the joint-resonance condition numerically.  For realistic
-    birefringent FSR splittings only the degenerate pair survives; the
-    approximate realignments one Vernier period away miss by several
-    linewidths and are rejected.
-    """
-    if tol_ghz is None:
-        widths = [m.linewidth_mhz for m in comb_h.modes + comb_v.modes]
-        if not widths:
-            return []
-        tol_ghz = 0.5 * float(np.mean(widths)) * 1e-3
-    if tol_ghz <= 0:
-        raise ValueError("tol_ghz must be > 0")
-    pairs = []
-    v_offsets = comb_v.offsets_ghz()
-    for mh in comb_h.modes:
-        if v_offsets.size == 0:
-            break
-        j = int(np.argmin(np.abs(v_offsets - mh.offset_ghz)))
-        if abs(v_offsets[j] - mh.offset_ghz) <= tol_ghz:
-            pairs.append((mh, comb_v.modes[j]))
-    return pairs
-
-
-def phase_matching_envelope(offset_ghz, spec: CavitySpec, shape: str = "gaussian"):
+def phase_matching_envelope(offset_ghz: float, spec: CavitySpec) -> float:
     """Relative phase-matching intensity at an offset from degeneracy.
 
-    Only the FWHM is contractual; the shape is configurable because the
-    underlying profile is not pinned down by the source characterization.
+    A Gaussian whose FWHM is the crystal's pm_fwhm_thz; only that width is
+    contractual, since the source characterization does not pin down the
+    profile's shape.
     """
-    offset = np.asarray(offset_ghz, dtype=float)
     fwhm_ghz = spec.pm_fwhm_thz * 1e3
-    if shape == "gaussian":
-        out = np.exp(-4.0 * math.log(2.0) * (offset / fwhm_ghz) ** 2)
-    elif shape == "sinc2":
-        # sinc^2(u) falls to 1/2 at u = 0.442946..., so scale the argument
-        # to put the half maximum at fwhm/2.
-        half_u = 0.4429464706890664
-        out = np.sinc(offset / fwhm_ghz * 2.0 * half_u) ** 2
-    else:
-        raise ValueError(f"unknown envelope shape {shape!r}")
-    return float(out) if out.ndim == 0 else out
+    return math.exp(-4.0 * math.log(2.0) * (offset_ghz / fwhm_ghz) ** 2)

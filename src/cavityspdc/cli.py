@@ -129,12 +129,11 @@ def _cmd_cavity(cfg, args, out: Path, seed, seed_source):
             clusters.csv_rows(),
             args.format,
         )
+        spacing = cavity.cluster_spacing(spec.fsr_h_ghz, spec.fsr_v_ghz)
         summary_specs.append(
             {
                 "name": spec.name,
-                "cluster_spacing_ghz": cavity.cluster_spacing(
-                    spec.fsr_h_ghz, spec.fsr_v_ghz
-                ),
+                "cluster_spacing_ghz": spacing,
                 "single_mode_margin_ghz": cavity.single_mode_margin(spec),
                 "effective_index_h": cavity.effective_index(
                     spec.length_mm, spec.fsr_h_ghz
@@ -142,6 +141,9 @@ def _cmd_cavity(cfg, args, out: Path, seed, seed_source):
                 "effective_index_v": cavity.effective_index(
                     spec.length_mm, spec.fsr_v_ghz
                 ),
+                # the neighbouring cluster's emission is not negligible, so the
+                # DWDM passband, not the envelope, selects a single cluster
+                "pm_weight_adjacent_cluster": cavity.phase_matching_envelope(spacing, spec),
                 "dwdm_selected_clusters": len(selected),
                 "sweep_fit": sweep_fits,
             }
@@ -168,22 +170,32 @@ def _cmd_biphoton(cfg, args, out: Path, seed, seed_source):
 
 
 def _cmd_car(cfg, args, out: Path, seed, seed_source):
+    chain = cfg.chain
     powers = np.logspace(math.log10(0.5), math.log10(250.0), args.points)
     k = cfg.source.brightness_per_s_mw_mhz * cfg.source.bandwidth_mhz
-    cars = [photostats.car_model(k * p, cfg.chain) for p in powers]
+    cars = [photostats.car_model(k * p, chain) for p in powers]
+    # CAR has an interior maximum only with dark counts and a nonzero
+    # efficiency in both arms; the optimum's power and the reduced curve's
+    # knees also divide by the pairs per second per mW, k
+    efficient = chain.eta_s > 0.0 and chain.eta_i > 0.0
     summary = {
-        "car_at_config_power": photostats.car_model(
-            photostats.pair_rate(cfg.source), cfg.chain
-        ),
+        "car_at_config_power": photostats.car_model(photostats.pair_rate(cfg.source), chain),
+        "optimal_rate_pairs_per_s": None,
+        "optimal_power_mw": None,
+        "peak_car": None,
+        "reference_curve": None,
     }
-    if cfg.chain.dark_s_per_s > 0.0 and cfg.chain.dark_i_per_s > 0.0:
-        optimum = photostats.car_optimal_rate(cfg.chain)
+    if efficient and chain.dark_s_per_s > 0.0 and chain.dark_i_per_s > 0.0:
+        optimum = photostats.car_optimal_rate(chain)
         summary["optimal_rate_pairs_per_s"] = optimum
-        summary["optimal_power_mw"] = optimum / k
-        summary["peak_car"] = photostats.car_model(optimum, cfg.chain)
-    else:
-        # without dark counts CAR decreases monotonically with rate
-        summary["optimal_rate_pairs_per_s"] = None
+        summary["optimal_power_mw"] = optimum / k if k > 0.0 else None
+        summary["peak_car"] = photostats.car_model(optimum, chain)
+    if efficient and k > 0.0:
+        # the parameters that a --fit-csv fit of this curve estimates
+        summary["reference_curve"] = dict(zip(
+            ("norm_per_mw", "knee_s_mw", "knee_i_mw"),
+            fitting.car_curve_reference(cfg.source, chain),
+        ))
     if args.fit_csv is not None:
         with warnings.catch_warnings():
             # a header-only file is reported below, not by numpy's warning
@@ -215,6 +227,9 @@ def _cmd_simulate(cfg, args, out: Path, seed, seed_source):
 
     rate = photostats.pair_rate(cfg.source)
     car_mc = photostats.car_from_stream(stream, cfg.chain, cfg.accidental_offset_ns)
+    peak, accidental = photostats._window_counts(
+        stream, cfg.chain.window_ns * 1e3 / 2.0, 0.0, cfg.accidental_offset_ns * 1e3
+    )
     summary = {
         "duration_s": args.duration,
         "seed": seed,
@@ -222,12 +237,8 @@ def _cmd_simulate(cfg, args, out: Path, seed, seed_source):
         "events": len(stream),
         "singles_ch0": int((stream.channel == 0).sum()),
         "singles_ch1": int((stream.channel == 1).sum()),
-        "coincidences_window": photostats.count_coincidences(
-            stream, 0.0, cfg.chain.window_ns
-        ),
-        "accidentals_window": photostats.count_coincidences(
-            stream, cfg.accidental_offset_ns, cfg.chain.window_ns
-        ),
+        "coincidences_window": peak,
+        "accidentals_window": accidental,
         "car_monte_carlo": car_mc if math.isfinite(car_mc) else "inf",
         "car_model": photostats.car_model(rate, cfg.chain),
     }
@@ -329,6 +340,12 @@ def _cmd_tomo(cfg, args, out: Path, seed, seed_source):
             "fidelity_bootstrap_mean": boot.mean,
             "fidelity_bootstrap_std": boot.std,
             "state_fidelity_to_model": measurement.state_fidelity(rho_hat, state),
+            # below 0 when the unconstrained inversion is unphysical, which is
+            # why the state is reconstructed by constrained MLE
+            "linear_inversion_min_eigenvalue": float(
+                np.linalg.eigvalsh(measurement.tomo_linear(record))[0]
+            ),
+            "concurrence": polarization.concurrence(rho_hat),
         },
     )
     return EXIT_OK
@@ -472,6 +489,9 @@ def main(argv=None) -> int:
 
     if args.command == "simulate" and not (math.isfinite(args.duration) and args.duration > 0.0):
         print(f"error: --duration must be finite and > 0, got {args.duration!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.command == "car" and args.points < 2:
+        print(f"error: --points must be >= 2, got {args.points!r}", file=sys.stderr)
         return EXIT_CONFIG
 
     out = args.out

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import TwoPhotonState
+from .polarization import BASIS, TwoPhotonState
 
 _SQ2 = math.sqrt(2.0)
 
@@ -540,13 +540,7 @@ def bootstrap_errors(
 def rho_to_json_payload(state) -> dict:
     rho = _as_rho(state)
     return {
-        "basis": ["HH", "HV", "VH", "VV"],
+        "basis": list(BASIS),
         "rho_re": np.real(rho).tolist(),
         "rho_im": np.imag(rho).tolist(),
     }
-
-
-def rho_from_json_payload(payload: dict) -> np.ndarray:
-    return np.asarray(payload["rho_re"], dtype=float) + 1j * np.asarray(
-        payload["rho_im"], dtype=float
-    )

@@ -78,9 +78,6 @@ class TimeTagStream:
     def __len__(self):
         return self.t_ps.size
 
-    def translated(self, dt_ps: int) -> "TimeTagStream":
-        return TimeTagStream(self.t_ps + int(dt_ps), self.channel.copy())
-
     def __eq__(self, other):
         if not isinstance(other, TimeTagStream):
             return NotImplemented
@@ -334,9 +331,6 @@ class Histogram:
 
     bin_centers_ps: np.ndarray
     counts: np.ndarray
-
-    def total(self) -> int:
-        return int(self.counts.sum())
 
     def csv_rows(self):
         return list(zip(self.bin_centers_ps.tolist(), self.counts.tolist()))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Order of the two-photon basis kets indexing every 4x4 density matrix.
 BASIS = ("HH", "HV", "VH", "VV")
 BD_STEP_MM = 4.0
 
@@ -79,9 +80,6 @@ class TwoPhotonState:
             raise ValueError("zero state vector")
         ket = ket / n
         return cls(np.outer(ket, ket.conj()))
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.rho)
 
     def __repr__(self):
         return f"TwoPhotonState(diag={np.real(np.diag(self.rho)).round(4).tolist()})"

@@ -157,7 +157,7 @@ def test_c07_tomography_recovery():
     for seed in range(100):
         rec = tomo_simulate_counts(truth, 10_000, seed=seed)
         rho_hat = tomo_mle(rec)
-        assert rho_hat.eigenvalues().min() >= -1e-12  # physical by construction
+        assert np.linalg.eigvalsh(rho_hat.rho).min() >= -1e-12  # physical by construction
         if state_fidelity(rho_hat, truth) >= 0.995:
             good += 1
     elapsed = time.monotonic() - start

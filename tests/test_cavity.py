@@ -14,7 +14,6 @@ from cavityspdc import (
     dwdm_select,
     effective_index,
     single_mode_margin,
-    vernier_pairs,
 )
 from cavityspdc.cavity import Mode, ModeComb, phase_matching_envelope
 
@@ -66,7 +65,7 @@ class TestAiryTransmission:
 class TestModeComb:
     def test_ppktp0_h_span_240(self, ppktp0):
         comb = build_mode_comb(ppktp0, "H", 240.0)
-        offsets = comb.offsets_ghz()
+        offsets = [m.offset_ghz for m in comb.modes]
         np.testing.assert_allclose(
             offsets, [-115.82, -57.91, 0.0, 57.91, 115.82], rtol=1e-12
         )
@@ -79,7 +78,7 @@ class TestModeComb:
     def test_ppktp1_v_span_220(self, ppktp1):
         comb = build_mode_comb(ppktp1, "V", 220.0)
         assert len(comb) == 5
-        spacing = np.diff(comb.offsets_ghz())
+        spacing = np.diff([m.offset_ghz for m in comb.modes])
         np.testing.assert_allclose(spacing, 54.91, rtol=1e-9)
 
     @given(
@@ -159,7 +158,7 @@ class TestDwdmSelect:
         kept = dwdm_select(clusters, 0.0, 2200.0)
         spacing = cluster_spacing(ppktp0.fsr_h_ghz, ppktp0.fsr_v_ghz)
         np.testing.assert_allclose(
-            kept.offsets_ghz(), [-spacing, 0.0, spacing], rtol=1e-12
+            [m.offset_ghz for m in kept.modes], [-spacing, 0.0, spacing], rtol=1e-12
         )
 
     def test_empty_comb_passthrough(self):
@@ -196,29 +195,11 @@ class TestEffectiveIndex:
             effective_index(0.0, 57.91)
 
 
-class TestVernierPairs:
-    def test_only_degenerate_pair_survives_default_tolerance(self, ppktp0):
-        comb_h = build_mode_comb(ppktp0, "H", 2400.0)
-        comb_v = build_mode_comb(ppktp0, "V", 2400.0)
-        pairs = vernier_pairs(comb_h, comb_v)
-        assert [(h.offset_ghz, v.offset_ghz) for h, v in pairs] == [(0.0, 0.0)]
-
-    def test_loose_tolerance_recovers_adjacent_clusters(self, ppktp0):
-        comb_h = build_mode_comb(ppktp0, "H", 2400.0)
-        comb_v = build_mode_comb(ppktp0, "V", 2400.0)
-        pairs = vernier_pairs(comb_h, comb_v, tol_ghz=1.5)
-        offsets = sorted(round(h.offset_ghz) for h, _ in pairs)
-        assert 0 in offsets and len(offsets) == 3  # one realignment per side
-
-
 class TestPhaseMatchingEnvelope:
     def test_fwhm_is_contractual(self, ppktp0):
         half = 0.5 * ppktp0.pm_fwhm_thz * 1e3
-        for shape in ("gaussian", "sinc2"):
-            assert phase_matching_envelope(0.0, ppktp0, shape) == pytest.approx(1.0)
-            assert phase_matching_envelope(half, ppktp0, shape) == pytest.approx(
-                0.5, rel=1e-6
-            )
+        assert phase_matching_envelope(0.0, ppktp0) == pytest.approx(1.0)
+        assert phase_matching_envelope(half, ppktp0) == pytest.approx(0.5, rel=1e-6)
 
     def test_cluster_spacing_beats_half_envelope_width(self, ppktp0, ppktp1):
         # the adjacent cluster sits beyond the envelope half-width for both
@@ -226,10 +207,6 @@ class TestPhaseMatchingEnvelope:
         for spec in (ppktp0, ppktp1):
             spacing = cluster_spacing(spec.fsr_h_ghz, spec.fsr_v_ghz)
             assert spacing > 0.5 * spec.pm_fwhm_thz * 1e3
-
-    def test_unknown_shape_rejected(self, ppktp0):
-        with pytest.raises(ValueError):
-            phase_matching_envelope(0.0, ppktp0, shape="boxcar")
 
 
 class TestCavitySpecValidation:

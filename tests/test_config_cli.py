@@ -139,6 +139,14 @@ class TestConfig:
             load_config(path)
 
 
+@pytest.fixture(scope="module")
+def tomo_seed5(tmp_path_factory):
+    """Output directory of one `--seed 5 tomo` run."""
+    out = tmp_path_factory.mktemp("tomo")
+    assert main(["--seed", "5", "--out", str(out), "tomo"]) == EXIT_OK
+    return out
+
+
 class TestCli:
     def test_report_exits_clean(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "report"]) == 0
@@ -180,6 +188,14 @@ class TestCli:
         assert header == "index,offset_GHz,linewidth_MHz,pol"
         summary = json.loads((tmp_path / "cavity_summary.json").read_text())
         assert summary["crystals"][0]["dwdm_selected_clusters"] == 1
+
+    def test_cavity_records_adjacent_cluster_weight(self, tmp_path):
+        assert main(["--out", str(tmp_path), "cavity"]) == 0
+        crystals = json.loads((tmp_path / "cavity_summary.json").read_text())["crystals"]
+        for spec, entry in zip((DEFAULT.ppktp0, DEFAULT.ppktp1), crystals):
+            ratio = entry["cluster_spacing_ghz"] / (spec.pm_fwhm_thz * 1e3)
+            expected = math.exp(-4.0 * math.log(2.0) * ratio**2)
+            assert entry["pm_weight_adjacent_cluster"] == pytest.approx(expected, abs=1e-12)
 
     def test_cavity_sweeps_recover_linewidths(self, tmp_path):
         assert main(["--seed", "0", "--out", str(tmp_path), "cavity"]) == 0
@@ -368,6 +384,11 @@ class TestCli:
         peak, acc = summary["coincidences_window"], summary["accidentals_window"]
         assert isinstance(acc, int) and acc >= 0
         assert summary["car_monte_carlo"] == (peak / acc if acc else "inf")
+        # both windows come from one scan; each matches its own count
+        stream = cavityspdc.read_ttag(tmp_path / "timetags.ttag")
+        window = DEFAULT.chain.window_ns
+        assert peak == cavityspdc.count_coincidences(stream, 0.0, window)
+        assert acc == cavityspdc.count_coincidences(stream, DEFAULT.accidental_offset_ns, window)
 
     def test_simulate_records_failed_g2_fit(self, tmp_path):
         path = tmp_path / "dark.json"
@@ -425,14 +446,28 @@ class TestCli:
             "s_std": 0.014736735928125114,
         }
 
-    def test_tomo_outputs(self, tmp_path):
-        assert main(["--seed", "5", "--out", str(tmp_path), "tomo"]) == 0
-        payload = json.loads((tmp_path / "tomo_summary.json").read_text())
+    def test_tomo_outputs(self, tomo_seed5):
+        payload = json.loads((tomo_seed5 / "tomo_summary.json").read_text())
         assert payload["fidelity_to_target"] == pytest.approx(0.9355, abs=0.01)
-        rho = json.loads((tmp_path / "rho.json").read_text())
+        rho = json.loads((tomo_seed5 / "rho.json").read_text())
         assert np.asarray(rho["rho_re"]).shape == (4, 4)
-        counts_header = (tmp_path / "counts.csv").read_text().splitlines()[0]
+        counts_header = (tomo_seed5 / "counts.csv").read_text().splitlines()[0]
         assert counts_header == "setting_a,setting_b,seconds,counts"
+
+    def test_tomo_records_linear_inversion_eigenvalue(self, tomo_seed5):
+        payload = json.loads((tomo_seed5 / "tomo_summary.json").read_text())
+        record = measurement.TomographyRecord.from_csv(tomo_seed5 / "counts.csv")
+        least = np.linalg.eigvalsh(measurement.tomo_linear(record))[0]
+        assert payload["linear_inversion_min_eigenvalue"] == least
+        assert least < 0.0  # the record that needs the constrained fit
+
+    def test_tomo_records_concurrence(self, tomo_seed5):
+        # Over seeds 0-999 at the default 10k counts per setting the MLE
+        # state's concurrence had mean 0.8708, standard deviation 0.0072
+        # and largest |C - coherence| 0.0223; 0.03 exceeds every one of
+        # those seeds and is about four standard deviations
+        payload = json.loads((tomo_seed5 / "tomo_summary.json").read_text())
+        assert abs(payload["concurrence"] - DEFAULT.coherence) < 0.03
 
     def test_car_outputs(self, tmp_path):
         assert main(["--out", str(tmp_path), "car"]) == 0
@@ -457,6 +492,41 @@ class TestCli:
         payload = json.loads((fit_out / "car_fit.json").read_text())
         assert payload["converged"] is True
         assert payload["derived"]["peak_car"] == pytest.approx(97656.25, rel=1e-3)
+        # the fit recovers the reduced parameters the summary records
+        reference = json.loads((tmp_path / "car_summary.json").read_text())["reference_curve"]
+        assert set(reference) == set(payload["parameters"])
+        for name, value in reference.items():
+            assert payload["parameters"][name] == pytest.approx(value, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "payload, defined",
+        [
+            ({"source": {"brightness_per_s_mw_mhz": 0.0}},
+             {"optimal_rate_pairs_per_s", "peak_car"}),
+            ({"chain": {"eta_s": 0.0}}, set()),
+            ({"chain": {"dark_i_per_s": 0.0}}, {"reference_curve"}),
+        ],
+        ids=["no-brightness", "no-efficiency", "no-darks"],
+    )
+    def test_car_undefined_optimum_is_null(self, tmp_path, payload, defined):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out), "car"]) == EXIT_OK
+        summary = json.loads((out / "car_summary.json").read_text())
+        optional = {"optimal_rate_pairs_per_s", "optimal_power_mw", "peak_car",
+                    "reference_curve"}
+        assert {key for key in optional if summary[key] is not None} == defined
+        meta = json.loads((out / "metadata.json").read_text())
+        assert (meta["status"], meta["error"]) == ("ok", None)
+
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_car_bad_points_is_one_line_error(self, tmp_path, capsys, points):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "car", "--points", points]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: --points") and err.count("\n") == 1
+        assert not out.exists()
 
 
 PAPER_ROWS = {

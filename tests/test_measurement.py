@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from cavityspdc.measurement import (
     bell_projector_settings,
     chsh_from_counts,
 )
+from cavityspdc.cli import main
 from cavityspdc.polarization import TwoPhotonState
 
 PHI_MINUS = degraded_state(math.pi, 1.0)
@@ -442,7 +444,7 @@ class TestTomoMle:
         for seed in range(100):
             rec = tomo_simulate_counts(truth, 10_000, seed=seed)
             rho_hat = tomo_mle(rec)
-            assert rho_hat.eigenvalues().min() >= -1e-12
+            assert np.linalg.eigvalsh(rho_hat.rho).min() >= -1e-12
             if state_fidelity(rho_hat, truth) >= 0.995:
                 good += 1
         assert good >= 95
@@ -454,7 +456,7 @@ class TestTomoMle:
             rec = tomo_simulate_counts(truth, 10_000, seed=seed)
             if np.linalg.eigvalsh(tomo_linear(rec)).min() < -1e-12:
                 saw_negative = True
-            assert tomo_mle(rec).eigenvalues().min() >= -1e-12
+            assert np.linalg.eigvalsh(tomo_mle(rec).rho).min() >= -1e-12
         assert saw_negative
 
     def test_permutation_invariance(self):
@@ -584,9 +586,11 @@ class TestCsvRoundTrip:
             (e.setting.label_a, e.setting.label_b) for e in back.entries
         ] == list(TOMOGRAPHY_LABELS)
 
-    def test_rho_json_round_trip(self):
-        from cavityspdc.measurement import rho_from_json_payload, rho_to_json_payload
-
-        state = degraded_state(1.1, 0.77)
-        payload = rho_to_json_payload(state)
-        np.testing.assert_allclose(rho_from_json_payload(payload), state.rho)
+    def test_rho_json_round_trip(self, tmp_path):
+        # the CLI's rho.json holds the MLE state of the counts.csv beside it
+        assert main(["--seed", "4", "--out", str(tmp_path), "tomo"]) == 0
+        payload = json.loads((tmp_path / "rho.json").read_text())
+        rho = np.asarray(payload["rho_re"]) + 1j * np.asarray(payload["rho_im"])
+        record = TomographyRecord.from_csv(tmp_path / "counts.csv")
+        np.testing.assert_allclose(rho, tomo_mle(record).rho)
+        assert payload["basis"] == ["HH", "HV", "VH", "VV"]

@@ -276,7 +276,7 @@ class TestSimulateTimetags:
         cdf = stats.laplace.cdf(edges, scale=scale_ps)
         probs = np.diff(cdf)
         probs = probs / probs.sum()
-        expected = hist.total() * probs
+        expected = hist.counts.sum() * probs
         mask = expected >= 10.0
         chi2 = float(np.sum((hist.counts[mask] - expected[mask]) ** 2 / expected[mask]))
         dof = int(mask.sum()) - 1
@@ -440,7 +440,7 @@ class TestCoincidenceHistogram:
         center = hist.bin_centers_ps.size // 2
         assert hist.bin_centers_ps[center] == 0
         assert hist.counts[center] == 1
-        assert hist.total() == 1
+        assert hist.counts.sum() == 1
 
     def test_known_delay_bin(self):
         stream = TimeTagStream([1_000_000, 1_000_500], [0, 1])  # +500 ps
@@ -463,10 +463,10 @@ class TestCoincidenceHistogram:
 
     def test_translation_invariance(self, source_150mw, bp0, chain):
         stream = simulate_timetags(source_150mw, bp0, chain, 0.5, seed=5)
-        shifted = stream.translated(123_456_789)
+        shifted = TimeTagStream(stream.t_ps + 123_456_789, stream.channel)
         a = coincidence_histogram(stream, 20.0, 25.0)
         b = coincidence_histogram(shifted, 20.0, 25.0)
-        assert a.total() == b.total()
+        assert a.counts.sum() == b.counts.sum()
         np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_fitted_width_tracks_jitter_broadened_peak(self, bp0, chain):
@@ -541,7 +541,7 @@ class TestMonteCarloConvergence:
 @settings(max_examples=25, deadline=None)
 def test_count_coincidences_translation_invariant(dt):
     stream = TimeTagStream([100, 150, 90_000, 90_075], [0, 1, 0, 1])
-    shifted = stream.translated(dt)
+    shifted = TimeTagStream(stream.t_ps + dt, stream.channel)
     assert count_coincidences(stream, 0.0, 3.2) == count_coincidences(
         shifted, 0.0, 3.2
     )
