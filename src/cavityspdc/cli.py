@@ -285,10 +285,7 @@ def _cmd_chsh(cfg, args, out: Path, seed, seed_source):
     projectors = measurement.bell_projector_settings(settings)
     rng = np.random.default_rng(seed)
     n = cfg.tomo_counts_per_setting
-    counts = [
-        int(rng.poisson(n * measurement.coincidence_prob(state, s)))
-        for s in projectors
-    ]
+    counts = rng.poisson(n * measurement._product_probs(state, projectors))
     boot = measurement._poisson_bootstrap(
         counts, cfg.bootstrap_resamples, measurement.chsh_from_counts, seed
     )

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cavity import CavitySpec
+from .fitting import _MIN_G2_BINS
 from .photostats import DetectionChain, SourceRate, histogram_k_max
 from .polarization import BD, HWP, QWP, CrystalSource, ElementNet, Mirror
 
@@ -66,15 +67,17 @@ class ExperimentConfig:
             raise ConfigError("pump_phase_rad must be finite")
         if not 0.0 <= self.coherence <= 1.0:
             raise ConfigError("coherence must lie in [0, 1]")
-        if self.tomo_counts_per_setting <= 0:
-            raise ConfigError("tomo_counts_per_setting must be > 0")
-        if self.bootstrap_resamples < 100:
-            raise ConfigError("bootstrap_resamples must be >= 100")
+        if not _is_int(self.tomo_counts_per_setting) or self.tomo_counts_per_setting <= 0:
+            raise ConfigError("tomo_counts_per_setting must be an integer > 0")
+        if not _is_int(self.bootstrap_resamples) or self.bootstrap_resamples < 100:
+            raise ConfigError("bootstrap_resamples must be an integer >= 100")
         if self.accidental_offset_ns <= 2.0 * self.chain.window_ns:
             raise ConfigError("accidental_offset_ns must far exceed the window")
         if self.histogram_range_ns <= 0.0:
             raise ConfigError("histogram_range_ns must be > 0")
-        histogram_k_max(self.histogram_range_ns, self.chain.bin_ps)
+        k_max = histogram_k_max(self.histogram_range_ns, self.chain.bin_ps)
+        if 2 * k_max + 1 < _MIN_G2_BINS:
+            raise ConfigError(f"histogram_range_ns must span at least {_MIN_G2_BINS} bins")
 
 
 def default_config() -> ExperimentConfig:

@@ -16,6 +16,13 @@ from .biphoton import FWHM_FACTOR
 
 _FD_REL_STEP = 1e-6
 _MAX_ITER = 200
+#: Convergence tolerances: largest gradient (absolute, or cosine to the
+#: residual), relative cost decrease and relative step.
+_GTOL = 1e-10
+_FTOL = 1e-12
+_XTOL = 1e-10
+#: Fewest delay-histogram bins fit_exp_g2 accepts.
+_MIN_G2_BINS = 20
 
 
 @dataclass
@@ -52,14 +59,7 @@ def _fd_jacobian(residual_fn, params: np.ndarray, r0: np.ndarray) -> np.ndarray:
     return jac
 
 
-def damped_least_squares(
-    residual_fn,
-    p0,
-    max_iter: int = _MAX_ITER,
-    gtol: float = 1e-10,
-    ftol: float = 1e-12,
-    xtol: float = 1e-10,
-):
+def damped_least_squares(residual_fn, p0):
     """Minimize 0.5*||r(p)||^2 with multiplicative damping.
 
     The damping factor grows tenfold on a rejected step and shrinks
@@ -86,14 +86,14 @@ def damped_least_squares(
         denom = np.maximum(col_norms * r_norm, 1e-300)
         return float(np.max(np.abs(grad) / denom))
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         jac = _fd_jacobian(residual_fn, params, residual)
         grad = jac.T @ residual
         jtj = jac.T @ jac
         if not np.all(np.isfinite(jtj)):
             message = "non-finite Jacobian"
             break
-        if np.max(np.abs(grad)) < gtol or _gradient_cosine(jac, grad) < gtol:
+        if np.max(np.abs(grad)) < _GTOL or _gradient_cosine(jac, grad) < _GTOL:
             converged = True
             message = "gradient below tolerance"
             break
@@ -113,8 +113,8 @@ def damped_least_squares(
                 if trial_cost < cost:
                     step_small = np.max(
                         np.abs(delta) / np.maximum(np.abs(params), 1.0)
-                    ) < xtol
-                    cost_small = (cost - trial_cost) <= ftol * max(cost, 1e-300)
+                    ) < _XTOL
+                    cost_small = (cost - trial_cost) <= _FTOL * max(cost, 1e-300)
                     params, residual, cost = trial, trial_residual, trial_cost
                     lam = max(lam / 10.0, 1e-14)
                     accepted = True
@@ -195,7 +195,7 @@ def _half_max_width(x, y, offset, peak_idx) -> float:
     return width
 
 
-def fit_lorentzian(x, y, init_guess=None) -> FitResult:
+def fit_lorentzian(x, y) -> FitResult:
     """Fit y = A*(G/2)^2 / ((x-x0)^2 + (G/2)^2) + B.
 
     Parameters are reported as center, fwhm, amplitude, offset with
@@ -206,14 +206,10 @@ def fit_lorentzian(x, y, init_guess=None) -> FitResult:
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 5:
         raise ValueError("need at least 5 samples")
-    if init_guess is None:
-        offset0 = float(np.min(y))
-        peak = int(np.argmax(y))
-        amp0 = float(y[peak] - offset0)
-        width0 = _half_max_width(x, y, offset0, peak)
-        p0 = np.array([x[peak], width0, amp0, offset0])
-    else:
-        p0 = np.asarray(init_guess, dtype=float)
+    offset0 = float(np.min(y))
+    peak = int(np.argmax(y))
+    amp0 = float(y[peak] - offset0)
+    p0 = np.array([x[peak], _half_max_width(x, y, offset0, peak), amp0, offset0])
     if np.ptp(x) < 2.0 * abs(p0[1]):
         raise ValueError("samples must span at least two linewidths")
 
@@ -255,8 +251,8 @@ def fit_exp_g2(hist) -> FitResult:
     """
     centers_ps = np.asarray(hist.bin_centers_ps, dtype=float)
     counts = np.asarray(hist.counts, dtype=float)
-    if centers_ps.size < 20:
-        raise ValueError("need at least 20 bins")
+    if centers_ps.size < _MIN_G2_BINS:
+        raise ValueError(f"need at least {_MIN_G2_BINS} bins")
     if abs(centers_ps[0] + centers_ps[-1]) > 0.51 * abs(centers_ps[1] - centers_ps[0]):
         raise ValueError("histogram range must be symmetric about zero delay")
     t_ns = centers_ps * 1e-3
@@ -330,7 +326,10 @@ def fit_car_curve(powers_mw, cars) -> FitResult:
     runs on the log denominator coefficients of
     CAR = P / (c2 P^2 + c1 P + c0), which stay independent everywhere.
     The knees are recovered as the roots of the denominator and the peak as
-    peak_power = sqrt(c0/c2), peak_car = 1/(c1 + 2 sqrt(c0 c2)).
+    peak_power = sqrt(c0/c2), peak_car = 1/(c1 + 2 sqrt(c0 c2)).  The
+    covariance is that of norm_per_mw, knee_s_mw and knee_i_mw, carried from
+    the fit coordinates by the delta method; its knee rows and columns are
+    NaN once the discriminant closes and the knees cannot be told apart.
     """
     powers = np.asarray(powers_mw, dtype=float)
     cars = np.asarray(cars, dtype=float)
@@ -367,45 +366,24 @@ def fit_car_curve(powers_mw, cars) -> FitResult:
         )
 
     values = derived_values(q)
-    if cov is not None:
+    if cov is None:
+        cov = np.full((5, 5), math.nan)
+    else:
         # delta method; knee errors blow up as the discriminant closes, which
         # reflects a genuine loss of identifiability
-        jac = np.empty((5, 3))
-        for j in range(3):
-            step = 1e-6
-            qp = q.copy()
-            qp[j] += step
-            jac[:, j] = (derived_values(qp) - values) / step
-        dcov = jac @ cov @ jac.T
-        sigmas = np.sqrt(np.clip(np.diag(dcov), 0.0, None))
-    else:
-        sigmas = np.full(5, math.nan)
+        jac = _fd_jacobian(derived_values, q, values)
+        cov = jac @ cov @ jac.T
     c0, c1, c2 = np.exp(q)
     if c1 * c1 - 4.0 * c0 * c2 <= 1e-9 * c1 * c1:
-        sigmas[1] = sigmas[2] = math.nan
+        cov[1:3, :] = cov[:, 1:3] = math.nan
 
-    norm, knee_s, knee_i, peak_power, peak_car = map(float, values)
-    result = FitResult(
-        parameters={
-            "norm_per_mw": norm,
-            "knee_s_mw": knee_s,
-            "knee_i_mw": knee_i,
-        },
-        errors={
-            "norm_per_mw": float(sigmas[0]),
-            "knee_s_mw": float(sigmas[1]),
-            "knee_i_mw": float(sigmas[2]),
-        },
-        covariance=cov if cov is not None else np.full((3, 3), np.nan),
-        residual_norm=math.sqrt(2.0 * cost),
-        converged=ok,
-        iterations=iters,
-        message=msg,
-        derived={
-            "peak_power_mw": peak_power,
-            "peak_power_err_mw": float(sigmas[3]),
-            "peak_car": peak_car,
-            "peak_car_err": float(sigmas[4]),
-        },
-    )
+    result = _finalize(("norm_per_mw", "knee_s_mw", "knee_i_mw"), values[:3], cov[:3, :3],
+                       cost, ok, iters, msg)
+    peak_power_err, peak_car_err = np.sqrt(np.clip(np.diag(cov)[3:], 0.0, None))
+    result.derived = {
+        "peak_power_mw": float(values[3]),
+        "peak_power_err_mw": float(peak_power_err),
+        "peak_car": float(values[4]),
+        "peak_car_err": float(peak_car_err),
+    }
     return result

@@ -102,8 +102,10 @@ def _pauli_table(state) -> np.ndarray:
     return np.real(_PAULI_PRODUCTS.conj() @ _as_rho(state).ravel()).reshape(4, 4)
 
 
-def _bloch(ket) -> np.ndarray:
-    return np.array([np.real(ket.conj() @ s @ ket) for s in _PAULI])
+def _bloch(kets) -> np.ndarray:
+    """Bloch 4-vectors <ket|sigma_m|ket>, one row per ket."""
+    kets = np.asarray(kets)
+    return np.real(np.einsum("ki,mij,kj->km", kets.conj(), _PAULI, kets))
 
 
 def _linear_bloch(angle_deg: float) -> np.ndarray:
@@ -112,10 +114,18 @@ def _linear_bloch(angle_deg: float) -> np.ndarray:
     return np.array([1.0, math.sin(two_a), 0.0, math.cos(two_a)])
 
 
+def _product_probs(state, settings) -> np.ndarray:
+    """Coincidence probabilities (1/4) n_a^T T n_b of product settings, all
+    from one Pauli table, clipped to [0, 1]."""
+    n_a = _bloch([s.ket0 for s in settings])
+    n_b = _bloch([s.ket1 for s in settings])
+    probs = np.einsum("km,mn,kn->k", n_a, _pauli_table(state), n_b) / 4.0
+    return np.clip(probs, 0.0, 1.0)
+
+
 def coincidence_prob(state, setting: ProjectorSetting) -> float:
     """Born-rule coincidence probability <ab|rho|ab>, clipped to [0, 1]."""
-    p = float(_bloch(setting.ket0) @ _pauli_table(state) @ _bloch(setting.ket1)) / 4.0
-    return min(max(p, 0.0), 1.0)
+    return float(_product_probs(state, [setting])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +343,13 @@ def _projector_stack(settings) -> np.ndarray:
     return np.einsum("ki,kj->kij", kets, kets.conj())
 
 
-def tomo_simulate_counts(
-    state, n_per_setting: float, seed, seconds: float = 1.0
-) -> TomographyRecord:
-    """Poisson counts for the canonical 16-setting tomography."""
+def tomo_simulate_counts(state, n_per_setting: float, seed) -> TomographyRecord:
+    """Poisson counts for the canonical 16-setting tomography, 1 s each."""
     if n_per_setting <= 0:
         raise ValueError("n_per_setting must be > 0")
-    rng = np.random.default_rng(seed)
-    entries = []
-    for label_a, label_b in TOMOGRAPHY_LABELS:
-        setting = ProjectorSetting.from_labels(label_a, label_b)
-        lam = n_per_setting * coincidence_prob(state, setting)
-        entries.append(TomoEntry(setting, seconds, int(rng.poisson(lam))))
-    return TomographyRecord(entries)
+    settings = [ProjectorSetting.from_labels(a, b) for a, b in TOMOGRAPHY_LABELS]
+    counts = np.random.default_rng(seed).poisson(n_per_setting * _product_probs(state, settings))
+    return TomographyRecord(TomoEntry(s, 1.0, int(c)) for s, c in zip(settings, counts))
 
 
 def tomo_linear(rec: TomographyRecord) -> np.ndarray:

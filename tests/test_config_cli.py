@@ -327,11 +327,18 @@ class TestCli:
             ({"tolerances": {"chsh_abs": -1}}, "config.tolerances.chsh_abs"),
             ({"tolerances": {"chsh_abs": math.nan}}, "config.tolerances.chsh_abs"),
             ({"tolerances": {"fidelity_abs": math.inf}}, "config.tolerances.fidelity_abs"),
+            ({"bootstrap_resamples": 150.5}, "bootstrap_resamples"),
+            ({"bootstrap_resamples": True}, "bootstrap_resamples"),
+            ({"tomo_counts_per_setting": 150.5}, "tomo_counts_per_setting"),
+            ({"tomo_counts_per_setting": True}, "tomo_counts_per_setting"),
+            ('{"tomo_counts_per_setting": 1e400}', "tomo_counts_per_setting"),
+            # 17 bins of 25 ps, too few for the correlation-peak fit
+            ({"histogram_range_ns": 0.4}, "histogram_range_ns"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         code = main(["--config", str(path), "--out", str(tmp_path / "out"), "biphoton"])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err

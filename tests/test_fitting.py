@@ -282,6 +282,36 @@ class TestFitResultContract:
         text = json.dumps(fit.to_json_payload())
         assert "parameters" in json.loads(text)
 
+    @pytest.mark.parametrize("fitter", ["lorentzian", "exp_g2", "car_curve"])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_errors_are_the_covariance_diagonal(self, fitter, noise):
+        # errors[name]**2 is covariance[i, i] in parameter order, NaN for NaN
+        rng = np.random.default_rng(4)
+        if fitter == "lorentzian":
+            y = lorentzian_samples(fwhm=454.0, offset=0.1)
+            fit = fit_lorentzian(X_MHZ, y + noise * rng.normal(size=y.size))
+        elif fitter == "exp_g2":
+            counts = exp_decay(CENTERS_PS * 1e-3, 0.45798, 1000.0, 10.0)
+            if noise:
+                counts = rng.poisson(counts)
+            fit = fit_exp_g2(Histogram(CENTERS_PS, counts))
+        else:
+            # the default knees coincide, which gives NaN knee rows; the
+            # noisy curve has distinct knees and finite rows
+            powers = TestFitCarCurve.powers
+            if noise:
+                cars = car_curve(powers, 2e-6, 1.2, 7.5)
+                cars = cars * (1.0 + noise * rng.normal(size=powers.size))
+            else:
+                cars = car_curve(powers, *TestFitCarCurve().reference())
+            fit = fit_car_curve(powers, cars)
+            assert np.isnan(fit.errors["knee_s_mw"]) == (noise == 0.0)
+        assert fit.covariance.shape == (len(fit.parameters),) * 2
+        np.testing.assert_allclose(
+            [fit.errors[name] ** 2 for name in fit.parameters],
+            np.diag(fit.covariance), rtol=1e-12, atol=0.0, equal_nan=True,
+        )
+
     def test_covariance_psd_when_converged(self):
         rng = np.random.default_rng(9)
         y = lorentzian_samples(fwhm=454.0) + rng.normal(0.0, 0.03, X_MHZ.size)
