@@ -54,6 +54,9 @@ class CavitySpec:
             raise ValueError(f"{self.name}: fwhm_h must be below fsr_h")
         if self.fwhm_v_mhz >= self.fsr_v_ghz * 1e3:
             raise ValueError(f"{self.name}: fwhm_v must be below fsr_v")
+        if self.fsr_h_ghz == self.fsr_v_ghz:
+            raise ValueError(f"{self.name}: fsr_h_ghz must differ from fsr_v_ghz "
+                             "(degenerate Vernier)")
         if not 0.0 < self.out_coupler_reflectivity < 1.0:
             raise ValueError(
                 f"{self.name}: out_coupler_reflectivity must lie in (0, 1)"

@@ -37,27 +37,29 @@ SWEEP_HALF_SPAN_LINEWIDTHS = 3.0
 SWEEP_NOISE_RMS = 0.02
 
 
+def _strict(obj):
+    """``obj`` with numpy values as Python ones and non-finite floats as None."""
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_strict(value) for value in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    path.write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
+    """Strict JSON: a NaN or infinity is written as null."""
+    payload = _strict({"schema_version": SCHEMA_VERSION, **payload})
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _write_table(path: Path, header, rows, fmt: str = "csv") -> None:
+def _write_table(path: Path, header, rows, fmt: str) -> None:
     """Tabular artifact in the requested format, fixed basename per command."""
-    rows = [tuple(row) for row in rows]
     if fmt == "json":
-        payload = {"columns": list(header), "rows": rows}
-        _write_json(path.with_suffix(".json"), payload)
+        _write_json(path.with_suffix(".json"), {"columns": header, "rows": list(rows)})
         return
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -88,8 +90,8 @@ def _biphoton_params(cfg: ExperimentConfig):
 # Subcommands
 
 
-def _sweep_fit(spec, pol, rng, out: Path, fmt: str) -> dict:
-    """Noisy Airy transmission across one line of ``pol``, fitted with a Lorentzian."""
+def _sweep_fit(spec, pol, rng):
+    """Noisy Airy sweep across one line of ``pol`` and its Lorentzian fit's summary."""
     fwhm = spec.fwhm_mhz(pol)
     half_span = SWEEP_HALF_SPAN_LINEWIDTHS * fwhm
     detuning_mhz = np.linspace(-half_span, half_span, SWEEP_POINTS)
@@ -97,38 +99,28 @@ def _sweep_fit(spec, pol, rng, out: Path, fmt: str) -> dict:
     noisy = trans + rng.normal(0.0, SWEEP_NOISE_RMS, trans.size)
     fit = fitting.fit_lorentzian(detuning_mhz, noisy)
     model = fitting.lorentzian(detuning_mhz, *fit.parameters.values())
-    _write_table(out / f"sweep_{spec.name}_{pol}.csv",
-                 ("detuning_mhz", "transmission", "fit"), zip(detuning_mhz, noisy, model), fmt)
+    table = (("detuning_mhz", "transmission", "fit"), zip(detuning_mhz, noisy, model))
     if not fit.converged:
-        return {"fit_error": fit.message}
-    return {"fwhm_mhz": fit.parameters["fwhm"], "fwhm_err_mhz": fit.errors["fwhm"]}
+        return table, {"fit_error": fit.message}
+    return table, {"fwhm_mhz": fit.parameters["fwhm"], "fwhm_err_mhz": fit.errors["fwhm"]}
 
 
-def _cmd_cavity(cfg, args, out: Path, seed, seed_source):
+def _cmd_cavity(cfg, args, seed, seed_source):
     span = args.span_ghz
     rng = np.random.default_rng(seed)
-    summary_specs = []
+    header = cavity.MODE_COMB_CSV_HEADER
+    artifacts, summary_specs = {}, []
     for spec in (cfg.ppktp0, cfg.ppktp1):
         sweep_fits = {}
         for pol in ("H", "V"):
             comb = cavity.build_mode_comb(spec, pol, span)
-            _write_table(
-                out / f"modes_{spec.name}_{pol}.csv",
-                cavity.MODE_COMB_CSV_HEADER,
-                comb.csv_rows(),
-                args.format,
-            )
-            sweep_fits[pol] = _sweep_fit(spec, pol, rng, out, args.format)
+            artifacts[f"modes_{spec.name}_{pol}.csv"] = (header, comb.csv_rows())
+            artifacts[f"sweep_{spec.name}_{pol}.csv"], sweep_fits[pol] = _sweep_fit(spec, pol, rng)
         clusters = cavity.cluster_comb(spec, span)
         selected = cavity.dwdm_select(
             clusters, cfg.dwdm.center_offset_ghz, cfg.dwdm.width_ghz
         )
-        _write_table(
-            out / f"clusters_{spec.name}.csv",
-            cavity.MODE_COMB_CSV_HEADER,
-            clusters.csv_rows(),
-            args.format,
-        )
+        artifacts[f"clusters_{spec.name}.csv"] = (header, clusters.csv_rows())
         spacing = cavity.cluster_spacing(spec.fsr_h_ghz, spec.fsr_v_ghz)
         summary_specs.append(
             {
@@ -148,11 +140,11 @@ def _cmd_cavity(cfg, args, out: Path, seed, seed_source):
                 "sweep_fit": sweep_fits,
             }
         )
-    _write_json(out / "cavity_summary.json", {"crystals": summary_specs})
-    return EXIT_OK
+    artifacts["cavity_summary.json"] = {"crystals": summary_specs}
+    return EXIT_OK, artifacts
 
 
-def _cmd_biphoton(cfg, args, out: Path, seed, seed_source):
+def _cmd_biphoton(cfg, args, seed, seed_source):
     bp0, bp1 = _biphoton_params(cfg)
     payload = {
         "crystals": [
@@ -165,11 +157,10 @@ def _cmd_biphoton(cfg, args, out: Path, seed, seed_source):
         ],
         "spectral_overlap": biphoton.spectral_overlap(bp0, bp1),
     }
-    _write_json(out / "biphoton.json", payload)
-    return EXIT_OK
+    return EXIT_OK, {"biphoton.json": payload}
 
 
-def _cmd_car(cfg, args, out: Path, seed, seed_source):
+def _cmd_car(cfg, args, seed, seed_source):
     chain = cfg.chain
     powers = np.logspace(math.log10(0.5), math.log10(250.0), args.points)
     k = cfg.source.brightness_per_s_mw_mhz * cfg.source.bandwidth_mhz
@@ -185,6 +176,7 @@ def _cmd_car(cfg, args, out: Path, seed, seed_source):
         "peak_car": None,
         "reference_curve": None,
     }
+    artifacts = {"car_curve.csv": (("power_mw", "car"), zip(powers, cars))}
     if efficient and chain.dark_s_per_s > 0.0 and chain.dark_i_per_s > 0.0:
         optimum = photostats.car_optimal_rate(chain)
         summary["optimal_rate_pairs_per_s"] = optimum
@@ -206,24 +198,19 @@ def _cmd_car(cfg, args, out: Path, seed, seed_source):
         if data.shape[1] < 2:
             raise ValueError(f"{args.fit_csv}: need two columns, power_mw and car")
         fit = fitting.fit_car_curve(data[:, 0], data[:, 1])
-        _write_json(out / "car_fit.json", fit.to_json_payload())
-        summary["fit"] = fit.to_json_payload()
-    # written after the fit, so that a bad fit CSV leaves no output behind
-    _write_table(out / "car_curve.csv", ("power_mw", "car"), zip(powers, cars), args.format)
-    _write_json(out / "car_summary.json", summary)
-    return EXIT_OK
+        artifacts["car_fit.json"] = summary["fit"] = fit.to_json_payload()
+    artifacts["car_summary.json"] = summary
+    return EXIT_OK, artifacts
 
 
-def _cmd_simulate(cfg, args, out: Path, seed, seed_source):
+def _cmd_simulate(cfg, args, seed, seed_source):
     bp0, _ = _biphoton_params(cfg)
     stream = photostats.simulate_timetags(
         cfg.source, bp0, cfg.chain, args.duration, seed
     )
-    photostats.write_ttag(stream, out / "timetags.ttag")
     hist = photostats.coincidence_histogram(
         stream, cfg.histogram_range_ns, cfg.chain.bin_ps
     )
-    _write_table(out / "histogram.csv", photostats.HISTOGRAM_CSV_HEADER, hist.csv_rows(), args.format)
 
     rate = photostats.pair_rate(cfg.source)
     car_mc = photostats.car_from_stream(stream, cfg.chain, cfg.accidental_offset_ns)
@@ -251,11 +238,14 @@ def _cmd_simulate(cfg, args, out: Path, seed, seed_source):
         }
     else:
         summary["g2_fit_error"] = fit.message
-    _write_json(out / "simulate_summary.json", summary)
-    return EXIT_OK
+    return EXIT_OK, {
+        "timetags.ttag": stream,
+        "histogram.csv": (photostats.HISTOGRAM_CSV_HEADER, hist.csv_rows()),
+        "simulate_summary.json": summary,
+    }
 
 
-def _cmd_interference(cfg, args, out: Path, seed, seed_source):
+def _cmd_interference(cfg, args, seed, seed_source):
     state = _state_from_config(cfg)
     beta = np.arange(0.0, 361.0, 7.5)
     rows = []
@@ -267,15 +257,13 @@ def _cmd_interference(cfg, args, out: Path, seed, seed_source):
         )
         visibilities[f"visibility_{alpha:g}deg"] = curve.visibility
         visibilities[f"degenerate_{alpha:g}deg"] = curve.degenerate
-    _write_table(
-        out / "interference.csv", ("alpha_deg", "beta_deg", "probability"), rows,
-        args.format,
-    )
-    _write_json(out / "interference.json", visibilities)
-    return EXIT_OK
+    return EXIT_OK, {
+        "interference.csv": (("alpha_deg", "beta_deg", "probability"), rows),
+        "interference.json": visibilities,
+    }
 
 
-def _cmd_chsh(cfg, args, out: Path, seed, seed_source):
+def _cmd_chsh(cfg, args, seed, seed_source):
     state = _state_from_config(cfg)
     result = measurement.chsh_max(state)
     s_canonical = measurement.chsh_S(state, measurement.PHI_SETTINGS)
@@ -307,18 +295,15 @@ def _cmd_chsh(cfg, args, out: Path, seed, seed_source):
             "s_std": boot.std,
         },
     }
-    _write_json(out / "chsh.json", payload)
-    return EXIT_OK
+    return EXIT_OK, {"chsh.json": payload}
 
 
-def _cmd_tomo(cfg, args, out: Path, seed, seed_source):
+def _cmd_tomo(cfg, args, seed, seed_source):
     state = _state_from_config(cfg)
     record = measurement.tomo_simulate_counts(
         state, cfg.tomo_counts_per_setting, seed
     )
-    record.to_csv(out / "counts.csv")
     rho_hat = measurement.tomo_mle(record)
-    _write_json(out / "rho.json", measurement.rho_to_json_payload(rho_hat))
 
     target = polarization.entangled_ket(cfg.pump_phase_rad)
     boot = measurement.bootstrap_errors(
@@ -327,9 +312,10 @@ def _cmd_tomo(cfg, args, out: Path, seed, seed_source):
         lambda rec: measurement.fidelity(measurement.tomo_mle(rec), target),
         seed=seed,
     )
-    _write_json(
-        out / "tomo_summary.json",
-        {
+    return EXIT_OK, {
+        "counts.csv": (measurement.TOMO_CSV_HEADER, record.csv_rows()),
+        "rho.json": measurement.rho_to_json_payload(rho_hat),
+        "tomo_summary.json": {
             "seed": seed,
             "seed_source": seed_source,
             "counts_per_setting": cfg.tomo_counts_per_setting,
@@ -344,8 +330,7 @@ def _cmd_tomo(cfg, args, out: Path, seed, seed_source):
             ),
             "concurrence": polarization.concurrence(rho_hat),
         },
-    )
-    return EXIT_OK
+    }
 
 
 def _passes(computed, reference, tolerance, kind) -> bool:
@@ -401,17 +386,16 @@ def _report_rows(cfg: ExperimentConfig):
     )
 
 
-def _cmd_report(cfg, args, out: Path, seed, seed_source):
+def _cmd_report(cfg, args, seed, seed_source):
     table = [
         (name, computed, ref, tol, kind, _passes(computed, ref, tol, kind), source)
         for name, computed, ref, tol, kind, source in _report_rows(cfg)
     ]
     rows = [dict(zip(REPORT_COLUMNS, row)) for row in table]
     passed = all(r["passed"] for r in rows)
-    if args.format == "csv":
-        # the JSON summary below already carries every row
-        _write_table(out / "report.csv", REPORT_COLUMNS, table)
-    _write_json(out / "report.json", {"rows": rows, "all_passed": passed})
+    # report.json carries every row, so no table stands in for it under --format json
+    artifacts = {"report.csv": (REPORT_COLUMNS, table)} if args.format == "csv" else {}
+    artifacts["report.json"] = {"rows": rows, "all_passed": passed}
     width = max(len(r["quantity"]) for r in rows)
     for r in rows:
         status = "PASS" if r["passed"] else "FAIL"
@@ -420,7 +404,7 @@ def _cmd_report(cfg, args, out: Path, seed, seed_source):
             f"ref {r['reference']:>10.6g}  [{status}]"
         )
     print("overall:", "PASS" if passed else "FAIL")
-    return EXIT_OK if passed else EXIT_REPORT_FAIL
+    return EXIT_OK if passed else EXIT_REPORT_FAIL, artifacts
 
 
 _COMMANDS = {
@@ -432,6 +416,13 @@ _COMMANDS = {
     "chsh": _cmd_chsh,
     "tomo": _cmd_tomo,
     "report": _cmd_report,
+}
+
+
+#: Subcommand options checked before any work: option -> (rule, holds).
+_OPTION_RULES = {
+    "duration": ("finite and > 0", lambda v: math.isfinite(v) and v > 0.0),
+    "points": (">= 2", lambda v: v >= 2),
 }
 
 
@@ -470,10 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; return its exit status.
 
-    Once the output directory exists, metadata.json is written there
-    whether the command succeeds or fails: its ``status`` is "ok" exactly
-    when the exit status is 0, and ``error`` holds the message of an error
-    that stopped the command (null otherwise).
+    The subcommand returns its artifacts and they are written here, so an
+    error that stops it writes none.  Once the output directory exists,
+    metadata.json is written there whether the command succeeds or fails:
+    its ``status`` is "ok" exactly when the exit status is 0, and ``error``
+    holds the message of an error that stopped the command (null otherwise).
     """
     start = time.perf_counter()
     parser = build_parser()
@@ -484,12 +476,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.command == "simulate" and not (math.isfinite(args.duration) and args.duration > 0.0):
-        print(f"error: --duration must be finite and > 0, got {args.duration!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.command == "car" and args.points < 2:
-        print(f"error: --points must be >= 2, got {args.points!r}", file=sys.stderr)
-        return EXIT_CONFIG
+    for option, (rule, holds) in _OPTION_RULES.items():
+        value = getattr(args, option, None)
+        if value is not None and not holds(value):
+            print(f"error: --{option} must be {rule}, got {value!r}", file=sys.stderr)
+            return EXIT_CONFIG
 
     out = args.out
     seed, seed_source = _resolve_seed(args, cfg)
@@ -500,7 +491,14 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     error = None
     try:
-        code = _COMMANDS[args.command](cfg, args, out, seed, seed_source)
+        code, artifacts = _COMMANDS[args.command](cfg, args, seed, seed_source)
+        for name, artifact in artifacts.items():
+            if isinstance(artifact, dict):
+                _write_json(out / name, artifact)
+            elif isinstance(artifact, photostats.TimeTagStream):
+                photostats.write_ttag(artifact, out / name)
+            else:
+                _write_table(out / name, *artifact, args.format)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code, error = EXIT_RUNTIME, str(exc)

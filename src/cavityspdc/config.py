@@ -28,8 +28,10 @@ class DwdmFilter:
     width_ghz: float = 200.0
 
     def __post_init__(self):
-        if self.width_ghz <= 0.0:
-            raise ConfigError("dwdm.width_ghz must be > 0")
+        if not math.isfinite(self.center_offset_ghz):
+            raise ConfigError("dwdm.center_offset_ghz must be finite")
+        if not (math.isfinite(self.width_ghz) and self.width_ghz > 0.0):
+            raise ConfigError("dwdm.width_ghz must be finite and > 0")
 
 
 #: Reference tolerances used by the comparison report.
@@ -71,10 +73,11 @@ class ExperimentConfig:
             raise ConfigError("tomo_counts_per_setting must be an integer > 0")
         if not _is_int(self.bootstrap_resamples) or self.bootstrap_resamples < 100:
             raise ConfigError("bootstrap_resamples must be an integer >= 100")
-        if self.accidental_offset_ns <= 2.0 * self.chain.window_ns:
-            raise ConfigError("accidental_offset_ns must far exceed the window")
-        if self.histogram_range_ns <= 0.0:
-            raise ConfigError("histogram_range_ns must be > 0")
+        offset = self.accidental_offset_ns
+        if not (math.isfinite(offset) and offset > 2.0 * self.chain.window_ns):
+            raise ConfigError("accidental_offset_ns must be finite and far exceed the window")
+        if not (math.isfinite(self.histogram_range_ns) and self.histogram_range_ns > 0.0):
+            raise ConfigError("histogram_range_ns must be finite and > 0")
         k_max = histogram_k_max(self.histogram_range_ns, self.chain.bin_ps)
         if 2 * k_max + 1 < _MIN_G2_BINS:
             raise ConfigError(f"histogram_range_ns must span at least {_MIN_G2_BINS} bins")

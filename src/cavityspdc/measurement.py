@@ -318,24 +318,22 @@ class TomographyRecord:
         rec._projectors = self._projectors
         return rec
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("setting_a", "setting_b", "seconds", "counts"))
-            for e in self.entries:
-                writer.writerow((e.setting.label_a, e.setting.label_b, e.seconds, e.counts))
+    def csv_rows(self):
+        """Rows matching TOMO_CSV_HEADER, one per setting."""
+        return [(e.setting.label_a, e.setting.label_b, e.seconds, e.counts) for e in self.entries]
 
     @classmethod
     def from_csv(cls, path) -> "TomographyRecord":
-        entries = []
+        label_a, label_b, seconds, counts = TOMO_CSV_HEADER
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                setting = ProjectorSetting.from_labels(row["setting_a"], row["setting_b"])
-                entries.append(
-                    TomoEntry(setting, float(row["seconds"]), int(row["counts"]))
-                )
-        return cls(entries)
+            return cls(
+                TomoEntry(ProjectorSetting.from_labels(row[label_a], row[label_b]),
+                          float(row[seconds]), int(row[counts]))
+                for row in csv.DictReader(fh)
+            )
+
+
+TOMO_CSV_HEADER = ("setting_a", "setting_b", "seconds", "counts")
 
 
 def _projector_stack(settings) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,8 +138,10 @@ class TestSingleModeMargin:
         assert single_mode_margin(ppktp1) == pytest.approx(2.5 - 0.403, abs=1e-12)
 
     def test_degenerate_fsrs_negative(self, ppktp0):
+        # equal FSRs are rejected (TestCavitySpecValidation); FSRs closer
+        # than a linewidth leave no single-mode margin
         spec = CavitySpec(
-            name="flat", fsr_h_ghz=55.0, fsr_v_ghz=55.0,
+            name="flat", fsr_h_ghz=55.0, fsr_v_ghz=55.2,
             fwhm_h_mhz=454.0, fwhm_v_mhz=462.0,
             degenerate_freq_thz=193.39, pm_fwhm_thz=2.04, length_mm=1.47,
             out_coupler_reflectivity=0.96, poling_period_um=46.2,
@@ -218,6 +221,11 @@ class TestCavitySpecValidation:
                 degenerate_freq_thz=193.39, pm_fwhm_thz=2.04, length_mm=1.47,
                 out_coupler_reflectivity=0.96, poling_period_um=46.2,
             )
+
+    def test_equal_fsrs_rejected(self, ppktp0):
+        # a degenerate Vernier: the clusters would sit infinitely far apart
+        with pytest.raises(ValueError, match="degenerate Vernier"):
+            replace(ppktp0, fsr_v_ghz=ppktp0.fsr_h_ghz)
 
     def test_reflectivity_open_interval(self):
         with pytest.raises(ValueError):

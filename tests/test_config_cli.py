@@ -231,7 +231,7 @@ class TestCli:
         cfg["ppktp0"]["fsr_v_ghz"] = cfg["ppktp0"]["fsr_h_ghz"]
         path = tmp_path / "degen.json"
         path.write_text(json.dumps(cfg))
-        assert main(["--config", str(path), "--out", str(tmp_path), "cavity"]) == 1
+        assert main(["--config", str(path), "--out", str(tmp_path), "cavity"]) == EXIT_CONFIG
 
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -302,6 +302,43 @@ class TestCli:
         assert (meta["command"], meta["seed"], meta["seed_source"]) == ("car", 3, "cli")
         assert meta["config"] == config_to_dict(DEFAULT)
 
+    @pytest.mark.parametrize(
+        "payload, seed, argv, message",
+        [
+            ({}, "5", ["simulate", "--duration", "1e-7"], "empty stream"),
+            # a bootstrap resample of one count per setting that holds none
+            ({"tomo_counts_per_setting": 1}, "1", ["tomo"], "no counts"),
+        ],
+        ids=["simulate", "tomo"],
+    )
+    def test_failed_run_writes_only_metadata(self, tmp_path, capsys, payload, seed, argv,
+                                             message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        code = main(["--config", str(path), "--seed", seed, "--out", str(out), *argv])
+        assert code == EXIT_RUNTIME
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
+        meta = json.loads((out / "metadata.json").read_text())
+        assert (meta["status"], meta["exit_status"]) == ("failed", EXIT_RUNTIME)
+
+    def test_json_artifacts_are_strict(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        assert main(["--seed", "5", "--out", str(tmp_path / "curve"), "car"]) == EXIT_OK
+        out = tmp_path / "fit"
+        assert main(["--seed", "5", "--out", str(out), "car",
+                     "--fit-csv", str(tmp_path / "curve" / "car_curve.csv")]) == EXIT_OK
+        payloads = {path.name: json.loads(path.read_text(), parse_constant=reject)
+                    for path in out.glob("*.json")}
+        assert set(payloads) == {"car_fit.json", "car_summary.json", "metadata.json"}
+        # the default chain's knees coincide, so their errors are undefined
+        for name in ("car_fit.json", "car_summary.json"):
+            fit = payloads[name] if name == "car_fit.json" else payloads[name]["fit"]
+            assert fit["errors"]["knee_s_mw"] is None and fit["errors"]["knee_i_mw"] is None
+
     def test_successful_run_metadata(self, tmp_path):
         assert main(["--out", str(tmp_path), "biphoton"]) == EXIT_OK
         meta = json.loads((tmp_path / "metadata.json").read_text())
@@ -334,6 +371,14 @@ class TestCli:
             ('{"tomo_counts_per_setting": 1e400}', "tomo_counts_per_setting"),
             # 17 bins of 25 ps, too few for the correlation-peak fit
             ({"histogram_range_ns": 0.4}, "histogram_range_ns"),
+            ({"histogram_range_ns": math.inf}, "histogram_range_ns"),
+            ({"chain": {"window_ns": math.nan}}, "window_ns"),
+            ({"chain": {"bin_ps": math.nan}}, "bin_ps"),
+            ({"accidental_offset_ns": math.nan}, "accidental_offset_ns"),
+            ({"accidental_offset_ns": math.inf}, "accidental_offset_ns"),
+            ({"dwdm": {"width_ghz": math.nan}}, "dwdm.width_ghz"),
+            ({"dwdm": {"center_offset_ghz": math.nan}}, "dwdm.center_offset_ghz"),
+            ({"ppktp0": {"fsr_v_ghz": 57.91}}, "config.ppktp0"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
@@ -460,6 +505,17 @@ class TestCli:
         assert np.asarray(rho["rho_re"]).shape == (4, 4)
         counts_header = (tomo_seed5 / "counts.csv").read_text().splitlines()[0]
         assert counts_header == "setting_a,setting_b,seconds,counts"
+
+    def test_tomo_json_format_writes_counts_json(self, tmp_path):
+        assert main(["--seed", "5", "--format", "json", "--out", str(tmp_path), "tomo"]) == 0
+        assert not (tmp_path / "counts.csv").exists()
+        payload = json.loads((tmp_path / "counts.json").read_text())
+        assert payload["columns"] == list(measurement.TOMO_CSV_HEADER)
+        record = measurement.tomo_simulate_counts(
+            cavityspdc.degraded_state(DEFAULT.pump_phase_rad, DEFAULT.coherence),
+            DEFAULT.tomo_counts_per_setting, 5,
+        )
+        assert payload["rows"] == [list(row) for row in record.csv_rows()]
 
     def test_tomo_records_linear_inversion_eigenvalue(self, tomo_seed5):
         payload = json.loads((tomo_seed5 / "tomo_summary.json").read_text())

@@ -576,11 +576,12 @@ class TestBootstrap:
 
 
 class TestCsvRoundTrip:
-    def test_record_round_trips(self, tmp_path):
-        rec = tomo_simulate_counts(degraded_state(math.pi, 0.9), 5_000, seed=4)
-        path = tmp_path / "counts.csv"
-        rec.to_csv(path)
-        back = TomographyRecord.from_csv(path)
+    def test_record_round_trips(self, tmp_path, cfg):
+        # the CLI's counts.csv reads back as the record it simulated
+        assert main(["--seed", "4", "--out", str(tmp_path), "tomo"]) == 0
+        rec = tomo_simulate_counts(degraded_state(cfg.pump_phase_rad, cfg.coherence),
+                                   cfg.tomo_counts_per_setting, seed=4)
+        back = TomographyRecord.from_csv(tmp_path / "counts.csv")
         np.testing.assert_array_equal(rec.counts(), back.counts())
         assert [
             (e.setting.label_a, e.setting.label_b) for e in back.entries

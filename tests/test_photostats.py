@@ -523,6 +523,47 @@ class TestCarFromStream:
             car_from_stream(stream, chain, accidental_offset_ns=4.0)
 
 
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestEventBlocks:
+    @pytest.fixture(scope="class")
+    def record(self, source_150mw, bp0, chain):
+        return simulate_timetags(source_150mw, bp0, chain, 20.0, seed=1)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    def test_block_size_changes_no_result(self, tmp_path, monkeypatch, source_150mw,
+                                          bp0, chain, block):
+        # pairs straddle block edges at every block size
+        stream = simulate_timetags(source_150mw, bp0, chain, 0.05, seed=3)
+        results = []
+        for size in (photostats._EVENT_BLOCK, block):
+            monkeypatch.setattr(photostats, "_EVENT_BLOCK", size)
+            path = tmp_path / f"{size}.ttag"
+            write_ttag(stream, path)
+            results.append((photostats._cross_deltas(stream, 60_000).tolist(),
+                            coincidence_histogram(stream, 20.0, 25.0).counts.tolist(),
+                            path.read_bytes()))
+        assert results[0] == results[1]
+        assert read_ttag(tmp_path / f"{block}.ttag") == stream
+
+    def test_analysis_peak_per_event(self, record, chain):
+        # no int64 difference per event: 9 B per event before the blocks
+        assert traced_peak(coincidence_histogram, record, 20.0, 25.0) <= 3.0 * len(record)
+        assert traced_peak(car_from_stream, record, chain) <= 3.0 * len(record)
+
+    def test_write_peak_per_event(self, record, tmp_path):
+        # the records are filled and written a block at a time, not all at once
+        assert traced_peak(write_ttag, record, tmp_path / "tags.ttag") <= 1.0 * len(record)
+
+
 class TestMonteCarloConvergence:
     def test_car_converges_to_model_at_1e6_coincidences(self, bp0):
         # 4.5e6 pairs at 50% arm efficiency leave over 1e6 coincidences in
