@@ -40,6 +40,10 @@ class CavitySpec:
     poling_period_um: float  # metadata only, never used in computations
 
     def __post_init__(self):
+        # the name is part of the output file names
+        if not isinstance(self.name, str) or not self.name or {"/", "\\"} & set(self.name):
+            raise ValueError(f"name must be a non-empty string without a path separator, "
+                             f"got {self.name!r}")
         _require_positive(
             fsr_h_ghz=self.fsr_h_ghz,
             fsr_v_ghz=self.fsr_v_ghz,

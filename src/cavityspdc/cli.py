@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import biphoton, cavity, fitting, measurement, photostats, polarization
+from . import __version__, biphoton, cavity, fitting, measurement, photostats, polarization
 from .config import ConfigError, ExperimentConfig, config_to_dict, default_config, load_config
 
 SCHEMA_VERSION = 1
@@ -270,12 +270,11 @@ def _cmd_chsh(cfg, args, seed, seed_source):
 
     # Poisson bootstrap of S at the optimizer settings, from simulated counts
     settings = result.settings
-    projectors = measurement.bell_projector_settings(settings)
-    rng = np.random.default_rng(seed)
     n = cfg.tomo_counts_per_setting
-    counts = rng.poisson(n * measurement._product_probs(state, projectors))
-    boot = measurement._poisson_bootstrap(
-        counts, cfg.bootstrap_resamples, measurement.chsh_from_counts, seed
+    projectors = measurement.bell_projector_settings(settings)
+    record = measurement.tomo_simulate_counts(state, n, seed, settings=projectors)
+    boot = measurement.bootstrap_errors(
+        record, cfg.bootstrap_resamples, lambda r: measurement.chsh_from_counts(r.counts()), seed
     )
     payload = {
         "seed": seed,
@@ -513,6 +512,7 @@ def main(argv=None) -> int:
             "seed_source": seed_source,
             "python": "%d.%d.%d" % sys.version_info[:3],
             "numpy": np.__version__,
+            "package": __version__,
             "wall_s": time.perf_counter() - start,
             "config": config_to_dict(cfg),
         },

@@ -63,6 +63,8 @@ class ExperimentConfig:
     tolerances: dict
 
     def __post_init__(self):
+        if self.ppktp0.name == self.ppktp1.name:
+            raise ConfigError(f"ppktp1.name {self.ppktp1.name!r} must differ from ppktp0.name")
         if self.seed is not None and not _is_int(self.seed):
             raise ConfigError("seed must be an integer or null")
         if not math.isfinite(self.pump_phase_rad):

@@ -4,6 +4,7 @@ reconstruction, fidelity, and Poisson bootstrap errors."""
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -268,86 +269,90 @@ def chsh_from_counts(counts) -> float:
 # Tomography
 
 
-@dataclass(frozen=True)
-class TomoEntry:
-    setting: ProjectorSetting
-    seconds: float
-    counts: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.seconds) and self.seconds > 0.0):
-            raise ValueError(f"integration time must be finite and > 0, got {self.seconds!r}")
-        if self.counts < 0:
-            raise ValueError("counts must be non-negative")
+def _checked_counts(counts) -> np.ndarray:
+    counts = np.asarray(counts)
+    if counts.shape != (16,):
+        raise ValueError(f"need exactly 16 counts, got {counts.size}")
+    if not np.all(np.isfinite(counts) & (counts >= 0)):
+        raise ValueError("counts must be finite and non-negative")
+    return counts.astype(np.int64)
 
 
 class TomographyRecord:
-    """Sixteen projector settings with integration times and counts."""
+    """Counts at sixteen product projector settings, each integrated for its
+    own time: the one record behind tomography and the CHSH bootstrap.
 
-    __slots__ = ("entries", "_projectors")
+    Whether the settings are informationally complete is decided once, when
+    the projector stack is built; the state estimators refuse a record whose
+    settings are not, while CHSH's rank-9 Bell settings need no such check.
+    """
 
-    def __init__(self, entries):
-        entries = tuple(entries)
-        if len(entries) != 16:
-            raise ValueError(f"need exactly 16 entries, got {len(entries)}")
-        self.entries = entries
+    __slots__ = ("settings", "seconds", "_counts", "_projectors", "_complete")
+
+    def __init__(self, settings, seconds, counts):
+        self.settings = tuple(settings)
+        self.seconds = np.array(seconds, dtype=float)
+        if len(self.settings) != 16 or self.seconds.shape != (16,):
+            raise ValueError(f"need exactly 16 settings and times, got "
+                             f"{len(self.settings)} and {self.seconds.size}")
+        ok = np.isfinite(self.seconds) & (self.seconds > 0.0)
+        if not ok.all():
+            raise ValueError(f"integration time must be finite and > 0, got {self.seconds[~ok]}")
+        self.seconds.flags.writeable = False
+        self._counts = _checked_counts(counts)
         # (16, 4, 4) stack of the settings' projectors, each times its
         # integration time, shared by records that differ only in counts
-        times = np.array([e.seconds for e in entries])
-        self._projectors = times[:, None, None] * _projector_stack([e.setting for e in entries])
-        if np.linalg.matrix_rank(self._projectors.reshape(16, 16), tol=1e-9) != 16:
-            raise TomographyError("projector settings are not informationally complete")
+        kets = np.stack([s.product_ket() for s in self.settings])
+        self._projectors = self.seconds[:, None, None] * np.einsum("ki,kj->kij", kets, kets.conj())
+        rank = np.linalg.matrix_rank(self._projectors.reshape(16, 16), tol=1e-9)
+        self._complete = bool(rank == 16)
 
     def counts(self) -> np.ndarray:
-        return np.array([e.counts for e in self.entries], dtype=float)
+        return self._counts.astype(float)
 
     def with_counts(self, counts) -> "TomographyRecord":
-        """The same settings and times with new counts.
-
-        The settings were checked for completeness when this record was
-        built, so their projectors are reused and only the new entries are
-        validated.
-        """
-        counts = list(counts)
-        if len(counts) != 16:
-            raise ValueError(f"need exactly 16 counts, got {len(counts)}")
-        rec = object.__new__(TomographyRecord)
-        rec.entries = tuple(
-            TomoEntry(e.setting, e.seconds, int(c)) for e, c in zip(self.entries, counts)
-        )
-        rec._projectors = self._projectors
+        """The same settings and times with new counts, sharing this record's
+        projector stack and completeness."""
+        rec = copy.copy(self)
+        rec._counts = _checked_counts(counts)
         return rec
+
+    def _complete_projectors(self) -> np.ndarray:
+        if not self._complete:
+            raise TomographyError("projector settings are not informationally complete")
+        return self._projectors
 
     def csv_rows(self):
         """Rows matching TOMO_CSV_HEADER, one per setting."""
-        return [(e.setting.label_a, e.setting.label_b, e.seconds, e.counts) for e in self.entries]
+        return [
+            (s.label_a, s.label_b, t, n)
+            for s, t, n in zip(self.settings, self.seconds.tolist(), self._counts.tolist())
+        ]
 
     @classmethod
     def from_csv(cls, path) -> "TomographyRecord":
         label_a, label_b, seconds, counts = TOMO_CSV_HEADER
         with open(path, newline="") as fh:
-            return cls(
-                TomoEntry(ProjectorSetting.from_labels(row[label_a], row[label_b]),
-                          float(row[seconds]), int(row[counts]))
-                for row in csv.DictReader(fh)
-            )
+            rows = list(csv.DictReader(fh))
+        return cls([ProjectorSetting.from_labels(r[label_a], r[label_b]) for r in rows],
+                   [float(r[seconds]) for r in rows], [int(r[counts]) for r in rows])
 
 
 TOMO_CSV_HEADER = ("setting_a", "setting_b", "seconds", "counts")
 
 
-def _projector_stack(settings) -> np.ndarray:
-    kets = np.stack([s.product_ket() for s in settings])
-    return np.einsum("ki,kj->kij", kets, kets.conj())
+_TOMOGRAPHY_SETTINGS = tuple(ProjectorSetting.from_labels(a, b) for a, b in TOMOGRAPHY_LABELS)
 
 
-def tomo_simulate_counts(state, n_per_setting: float, seed) -> TomographyRecord:
-    """Poisson counts for the canonical 16-setting tomography, 1 s each."""
+def tomo_simulate_counts(
+    state, n_per_setting: float, seed, settings=_TOMOGRAPHY_SETTINGS
+) -> TomographyRecord:
+    """Poisson counts at 16 product settings, 1 s each; the canonical
+    tomography set unless other settings are given."""
     if n_per_setting <= 0:
         raise ValueError("n_per_setting must be > 0")
-    settings = [ProjectorSetting.from_labels(a, b) for a, b in TOMOGRAPHY_LABELS]
     counts = np.random.default_rng(seed).poisson(n_per_setting * _product_probs(state, settings))
-    return TomographyRecord(TomoEntry(s, 1.0, int(c)) for s, c in zip(settings, counts))
+    return TomographyRecord(settings, np.ones(16), counts)
 
 
 def tomo_linear(rec: TomographyRecord) -> np.ndarray:
@@ -356,13 +361,13 @@ def tomo_linear(rec: TomographyRecord) -> np.ndarray:
     Returns a Hermitian unit-trace matrix that may have negative
     eigenvalues, which demonstrates why the constrained estimate is needed.
     """
+    stack = rec._complete_projectors().reshape(16, 16)
     counts = rec.counts()
     if counts.sum() <= 0:
         raise TomographyError("record contains no counts")
-    # n_k = flux * tr(t_k P_k rho); the settings were checked complete, so the
-    # system is square and invertible, and the unknown flux only scales the
-    # solution, which is normalised to unit trace below
-    stack = rec._projectors.reshape(16, 16)
+    # n_k = flux * tr(t_k P_k rho); complete settings make the system square
+    # and invertible, and the unknown flux only scales the solution, which is
+    # normalised to unit trace below
     rho = np.linalg.solve(stack.conj(), counts.astype(complex)).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
@@ -410,6 +415,7 @@ def tomo_mle(
     remaining Newton steps converge quadratically.  The iteration stops once
     gap <= tol and raises TomographyError if max_iter steps do not get there.
     """
+    projectors = rec._complete_projectors()
     counts = rec.counts()
     total = counts.sum()
     if total <= 0:
@@ -417,9 +423,9 @@ def tomo_mle(
     seen = counts > 0
     n_seen = counts[seen]
 
-    g_val, g_vec = np.linalg.eigh(rec._projectors.sum(axis=0))
+    g_val, g_vec = np.linalg.eigh(projectors.sum(axis=0))
     g_isqrt = (g_vec / np.sqrt(g_val)) @ g_vec.conj().T
-    whitened = (g_isqrt @ rec._projectors[seen] @ g_isqrt).reshape(-1, 16)
+    whitened = (g_isqrt @ projectors[seen] @ g_isqrt).reshape(-1, 16)
     # p_k = tr(P~_k sigma) = offset_k + coords_k . x, since B_j^T = conj(B_j)
     offset = np.real(np.einsum("kii->k", whitened.reshape(-1, 4, 4))) / 4.0
     coords = np.real(whitened @ _TRACELESS.conj().T)
@@ -510,20 +516,6 @@ class BootstrapResult:
     resamples: int
 
 
-def _poisson_bootstrap(observed, resamples: int, statistic, seed) -> BootstrapResult:
-    """Mean and standard deviation of statistic(counts ~ Poisson(observed)).
-
-    Resample i draws from its own child of SeedSequence(seed), so each
-    resample is reproducible on its own.
-    """
-    observed = np.asarray(observed, dtype=float)
-    children = np.random.SeedSequence(seed).spawn(resamples)
-    values = np.array(
-        [statistic(np.random.default_rng(child).poisson(observed)) for child in children]
-    )
-    return BootstrapResult(float(values.mean()), float(values.std(ddof=1)), resamples)
-
-
 def bootstrap_errors(
     rec: TomographyRecord, resamples: int, statistic, seed=None
 ) -> BootstrapResult:
@@ -531,12 +523,18 @@ def bootstrap_errors(
 
     Each resample draws counts ~ Poisson(observed) and reevaluates
     statistic(record); returns the sample mean and standard deviation.
+    Resample i draws from its own child of SeedSequence(seed), so each
+    resample is reproducible on its own.
     """
     if resamples < 100:
         raise ValueError("need at least 100 resamples")
-    return _poisson_bootstrap(
-        rec.counts(), resamples, lambda counts: statistic(rec.with_counts(counts)), seed
-    )
+    observed = rec.counts()
+    children = np.random.SeedSequence(seed).spawn(resamples)
+    values = np.array([
+        statistic(rec.with_counts(np.random.default_rng(child).poisson(observed)))
+        for child in children
+    ])
+    return BootstrapResult(float(values.mean()), float(values.std(ddof=1)), resamples)
 
 
 def rho_to_json_payload(state) -> dict:

@@ -146,11 +146,19 @@ class HWP:
     angle_deg: float
     rail: Rail | None = None  # None applies to every rail
 
+    def __post_init__(self):
+        if not math.isfinite(self.angle_deg):
+            raise ValueError(f"angle_deg must be finite, got {self.angle_deg!r}")
+
 
 @dataclass(frozen=True)
 class QWP:
     angle_deg: float
     rail: Rail | None = None
+
+    def __post_init__(self):
+        if not math.isfinite(self.angle_deg):
+            raise ValueError(f"angle_deg must be finite, got {self.angle_deg!r}")
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,7 @@ class TestCli:
         assert meta["error"].endswith("fit.csv: no data rows")
         assert (meta["command"], meta["seed"], meta["seed_source"]) == ("car", 3, "cli")
         assert meta["config"] == config_to_dict(DEFAULT)
+        assert meta["package"] == cavityspdc.__version__
 
     @pytest.mark.parametrize(
         "payload, seed, argv, message",
@@ -345,6 +346,7 @@ class TestCli:
         assert (meta["status"], meta["exit_status"], meta["error"]) == ("ok", EXIT_OK, None)
         assert meta["python"] == "%d.%d.%d" % sys.version_info[:3]
         assert meta["numpy"] == np.__version__
+        assert meta["package"] == cavityspdc.__version__
         assert 0.0 <= meta["wall_s"] < 60.0
         assert meta["command"] == "biphoton" and "config" in meta
 
@@ -379,6 +381,15 @@ class TestCli:
             ({"dwdm": {"width_ghz": math.nan}}, "dwdm.width_ghz"),
             ({"dwdm": {"center_offset_ghz": math.nan}}, "dwdm.center_offset_ghz"),
             ({"ppktp0": {"fsr_v_ghz": 57.91}}, "config.ppktp0"),
+            ({"network": [{"type": "hwp", "angle_deg": math.nan}]},
+             "config.network[0]: angle_deg"),
+            ({"network": [{"type": "crystal", "label": "c"},
+                          {"type": "qwp", "angle_deg": math.inf, "rail": [0, 0]}]},
+             "config.network[1]: angle_deg"),
+            # crystal names become output file names
+            ({"ppktp1": {"name": "ppktp0"}}, "ppktp1.name"),
+            ({"ppktp0": {"name": "a/b"}}, "config.ppktp0: name"),
+            ({"ppktp0": {"name": ""}}, "config.ppktp0: name"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):

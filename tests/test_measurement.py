@@ -27,7 +27,6 @@ from cavityspdc import (
 from cavityspdc.measurement import (
     TOMOGRAPHY_LABELS,
     BellSettings,
-    TomoEntry,
     TomographyError,
     bell_projector_settings,
     chsh_from_counts,
@@ -57,7 +56,7 @@ def certificate_gap(rec, rho) -> float:
     """lambda_max(R) - 1 for the whitened likelihood gradient R at rho, an
     upper bound on how far the per-count log-likelihood is from its maximum."""
     # whitened POVM G^{-1/2} P_k G^{-1/2}, state sigma ~ G^{1/2} rho G^{1/2}
-    kets = np.stack([e.setting.product_ket() for e in rec.entries])
+    kets = np.stack([s.product_ket() for s in rec.settings])
     g_val, g_vec = np.linalg.eigh(kets.T @ kets.conj())
     g_sqrt = (g_vec * np.sqrt(g_val)) @ g_vec.conj().T
     g_isqrt = (g_vec / np.sqrt(g_val)) @ g_vec.conj().T
@@ -361,7 +360,7 @@ class TestTomographySimulation:
         hh = TwoPhotonState.from_pure([1.0, 0.0, 0.0, 0.0])
         rec = tomo_simulate_counts(hh, 1_000_000, seed=0)
         by_label = {
-            (e.setting.label_a, e.setting.label_b): e.counts for e in rec.entries
+            (s.label_a, s.label_b): n for s, n in zip(rec.settings, rec.counts())
         }
         assert abs(by_label[("H", "H")] - 1_000_000) < 5_000  # 5 sigma
         assert by_label[("V", "V")] == 0
@@ -392,7 +391,11 @@ class TestTomographySimulation:
         state = degraded_state(math.pi, 0.9)
         rec = tomo_simulate_counts(state, 100, seed=0)
         with pytest.raises(ValueError):
-            TomographyRecord(rec.entries[:15])
+            TomographyRecord(rec.settings[:15], rec.seconds[:15], rec.counts()[:15])
+        with pytest.raises(ValueError, match="16 settings and times"):
+            TomographyRecord(rec.settings, rec.seconds[:15], rec.counts())
+        with pytest.raises(ValueError, match="16 counts"):
+            TomographyRecord(rec.settings, rec.seconds, rec.counts()[:15])
 
     def test_with_counts_validates_counts(self):
         rec = tomo_simulate_counts(degraded_state(math.pi, 0.9), 100, seed=0)
@@ -402,16 +405,42 @@ class TestTomographySimulation:
             rec.with_counts([5] * 15)
         np.testing.assert_array_equal(rec.with_counts(range(16)).counts(), np.arange(16))
 
-    @pytest.mark.parametrize("seconds", [0.0, -1.0, math.nan, math.inf])
-    def test_entry_rejects_bad_integration_time(self, seconds):
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_entry_rejects_bad_integration_time(self, bad):
+        # one bad entry among the 16 integration times
+        rec = tomo_simulate_counts(degraded_state(math.pi, 0.9), 100, seed=0)
+        seconds = np.ones(16)
+        seconds[3] = bad
         with pytest.raises(ValueError, match="integration time"):
-            TomoEntry(ProjectorSetting.from_labels("H", "H"), seconds, 5)
+            TomographyRecord(rec.settings, seconds, rec.counts())
+
+    def test_record_seconds_are_read_only(self):
+        # records made by with_counts share the times and the projectors
+        # built from them
+        rec = tomo_simulate_counts(degraded_state(math.pi, 0.9), 100, seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            rec.seconds[0] = 2.0
 
     def test_non_ic_settings_rejected(self):
         setting = ProjectorSetting.from_labels("H", "H")
-        entries = [TomoEntry(setting, 1.0, 5)] * 16
+        rec = TomographyRecord([setting] * 16, np.ones(16), [5] * 16)
+        np.testing.assert_array_equal(rec.counts(), np.full(16, 5.0))
+        for estimator in (tomo_linear, tomo_mle):
+            with pytest.raises(TomographyError, match="informationally complete"):
+                estimator(rec)
+
+    def test_with_counts_shares_projectors_and_completeness(self):
+        complete = tomo_simulate_counts(PHI_MINUS, 100, seed=0)
+        bell = tomo_simulate_counts(
+            PHI_MINUS, 100, seed=0, settings=bell_projector_settings(PHI_SETTINGS)
+        )
+        for rec, is_complete in ((complete, True), (bell, False)):
+            child = rec.with_counts(range(16))
+            assert child._projectors is rec._projectors
+            assert child.settings is rec.settings and child.seconds is rec.seconds
+            assert child._complete is rec._complete is is_complete
         with pytest.raises(TomographyError, match="informationally complete"):
-            TomographyRecord(entries)
+            tomo_mle(bell.with_counts(range(16)))
 
 
 class TestTomoMle:
@@ -419,7 +448,7 @@ class TestTomoMle:
         n = 1_000_000
         rec = tomo_simulate_counts(PHI_MINUS, n, seed=0)
         exact = rec.with_counts(
-            [round(n * coincidence_prob(PHI_MINUS, e.setting)) for e in rec.entries]
+            [round(n * coincidence_prob(PHI_MINUS, s)) for s in rec.settings]
         )
         rho_hat = tomo_mle(exact)
         assert fidelity(rho_hat, PHI_MINUS_KET) > 0.9999
@@ -429,12 +458,9 @@ class TestTomoMle:
         # exact expected counts flux * t_k * p_k with unequal times t_k
         truth = degraded_state(math.pi, 0.8709)
         times = np.random.default_rng(seed).choice([0.5, 1.0, 2.0, 4.0], 16)
-        entries = []
-        for (label_a, label_b), t in zip(TOMOGRAPHY_LABELS, times):
-            setting = ProjectorSetting.from_labels(label_a, label_b)
-            counts = round(1e6 * t * coincidence_prob(truth, setting))
-            entries.append(TomoEntry(setting, float(t), counts))
-        rec = TomographyRecord(entries)
+        settings = [ProjectorSetting.from_labels(a, b) for a, b in TOMOGRAPHY_LABELS]
+        counts = [round(1e6 * t * coincidence_prob(truth, s)) for s, t in zip(settings, times)]
+        rec = TomographyRecord(settings, times, counts)
         assert np.linalg.norm(tomo_mle(rec).rho - truth.rho) < 1e-5
         assert np.linalg.norm(tomo_linear(rec) - truth.rho) < 1e-5
 
@@ -464,7 +490,9 @@ class TestTomoMle:
         rec = tomo_simulate_counts(truth, 5_000, seed=3)
         rng = np.random.default_rng(0)
         perm = rng.permutation(16)
-        shuffled = TomographyRecord([rec.entries[i] for i in perm])
+        shuffled = TomographyRecord(
+            [rec.settings[i] for i in perm], rec.seconds[perm], rec.counts()[perm]
+        )
         a = tomo_mle(rec)
         b = tomo_mle(shuffled)
         assert np.linalg.norm(a.rho - b.rho) < 1e-6
@@ -479,7 +507,9 @@ class TestTomoMle:
         assert certificate_gap(rec, rho) <= 1e-10
 
         perm = np.random.default_rng(0).permutation(16)
-        shuffled = tomo_mle(TomographyRecord([rec.entries[i] for i in perm]))
+        shuffled = tomo_mle(TomographyRecord(
+            [rec.settings[i] for i in perm], rec.seconds[perm], rec.counts()[perm]
+        ))
         assert np.linalg.norm(shuffled.rho - rho) < 1e-6
 
     @pytest.mark.parametrize("seed", range(20))
@@ -584,7 +614,7 @@ class TestCsvRoundTrip:
         back = TomographyRecord.from_csv(tmp_path / "counts.csv")
         np.testing.assert_array_equal(rec.counts(), back.counts())
         assert [
-            (e.setting.label_a, e.setting.label_b) for e in back.entries
+            (s.label_a, s.label_b) for s in back.settings
         ] == list(TOMOGRAPHY_LABELS)
 
     def test_rho_json_round_trip(self, tmp_path):
