@@ -302,7 +302,8 @@ def _cmd_tomo(cfg, args, seed, seed_source):
     record = measurement.tomo_simulate_counts(
         state, cfg.tomo_counts_per_setting, seed
     )
-    rho_hat = measurement.tomo_mle(record)
+    fit = measurement.tomo_mle_fit(record)
+    rho_hat = fit.state
 
     target = polarization.entangled_ket(cfg.pump_phase_rad)
     boot = measurement.bootstrap_errors(
@@ -328,6 +329,8 @@ def _cmd_tomo(cfg, args, seed, seed_source):
                 np.linalg.eigvalsh(measurement.tomo_linear(record))[0]
             ),
             "concurrence": polarization.concurrence(rho_hat),
+            "mle_newton_steps": fit.steps,
+            "mle_certificate_gap": fit.gap,
         },
     }
 

@@ -269,6 +269,60 @@ def chsh_from_counts(counts) -> float:
 # Tomography
 
 
+#: The 15 two-qubit Pauli products other than the identity, over 2: an
+#: orthonormal basis of the traceless Hermitian 4x4 matrices, one per row.
+_TRACELESS = _PAULI_PRODUCTS[1:] / 2.0
+_TRACELESS_CONJ = _TRACELESS.conj()
+_MIXED = np.eye(4) / 4.0
+
+
+def _sigma(x) -> np.ndarray:
+    """The unit-trace Hermitian matrix I/4 + sum_j x_j B_j."""
+    return _MIXED + (x @ _TRACELESS).reshape(4, 4)
+
+
+def _coordinates(matrix) -> np.ndarray:
+    """tr(B_j M) of a Hermitian M, the x of _sigma(x) = M when tr M = 1;
+    B_j^T = conj(B_j)."""
+    return np.real(_TRACELESS_CONJ @ matrix.ravel())
+
+
+@dataclass(frozen=True, eq=False)
+class _WhitenedPovm:
+    """The settings' projectors t_k P_k whitened by G = sum_k t_k P_k, so that
+    the rows P~_k = G^{-1/2} t_k P_k G^{-1/2} sum to the identity, with the
+    probabilities p_k = tr(P~_k sigma) = offset_k + coords_k . x of
+    sigma = _sigma(x)."""
+
+    g_isqrt: np.ndarray  # G^{-1/2}
+    rows: np.ndarray  # (16, 16), P~_k raveled
+    offset: np.ndarray  # (16,)
+    coords: np.ndarray  # (16, 15)
+    inverse: np.ndarray  # (15, 16), pseudo-inverse of coords
+
+    @classmethod
+    def of(cls, projectors: np.ndarray) -> "_WhitenedPovm":
+        g_val, g_vec = np.linalg.eigh(projectors.sum(axis=0))
+        g_isqrt = (g_vec / np.sqrt(g_val)) @ g_vec.conj().T
+        rows = (g_isqrt @ projectors @ g_isqrt).reshape(16, 16)
+        offset = np.real(np.einsum("kii->k", rows.reshape(16, 4, 4))) / 4.0
+        coords = np.real(rows @ _TRACELESS_CONJ.T)
+        # coords has full column rank, so its pseudo-inverse is (C^T C)^-1 C^T
+        return cls(g_isqrt, rows, offset, coords, np.linalg.solve(coords.T @ coords, coords.T))
+
+    def linear_inversion(self, freqs) -> np.ndarray:
+        """x with p_k = f_k for every setting.  The offsets and the frequencies
+        both sum to 1 and each coords column to 0, and 16 complete settings
+        give coords rank 15, so the system solves exactly."""
+        return self.inverse @ (freqs - self.offset)
+
+    def unwhiten(self, sigma) -> np.ndarray:
+        """The unit-trace rho proportional to G^{-1/2} sigma G^{-1/2}."""
+        rho = self.g_isqrt @ sigma @ self.g_isqrt
+        rho /= np.trace(rho).real
+        return 0.5 * (rho + rho.conj().T)
+
+
 def _checked_counts(counts) -> np.ndarray:
     counts = np.asarray(counts)
     if counts.shape != (16,):
@@ -283,11 +337,12 @@ class TomographyRecord:
     own time: the one record behind tomography and the CHSH bootstrap.
 
     Whether the settings are informationally complete is decided once, when
-    the projector stack is built; the state estimators refuse a record whose
-    settings are not, while CHSH's rank-9 Bell settings need no such check.
+    the projector stack is built, and complete settings get their whitened
+    POVM then; the state estimators refuse a record whose settings are not,
+    while CHSH's rank-9 Bell settings need no such check and build nothing.
     """
 
-    __slots__ = ("settings", "seconds", "_counts", "_projectors", "_complete")
+    __slots__ = ("settings", "seconds", "_counts", "_projectors", "_povm")
 
     def __init__(self, settings, seconds, counts):
         self.settings = tuple(settings)
@@ -305,22 +360,22 @@ class TomographyRecord:
         kets = np.stack([s.product_ket() for s in self.settings])
         self._projectors = self.seconds[:, None, None] * np.einsum("ki,kj->kij", kets, kets.conj())
         rank = np.linalg.matrix_rank(self._projectors.reshape(16, 16), tol=1e-9)
-        self._complete = bool(rank == 16)
+        self._povm = _WhitenedPovm.of(self._projectors) if rank == 16 else None
 
     def counts(self) -> np.ndarray:
         return self._counts.astype(float)
 
     def with_counts(self, counts) -> "TomographyRecord":
         """The same settings and times with new counts, sharing this record's
-        projector stack and completeness."""
+        projector stack and whitened POVM."""
         rec = copy.copy(self)
         rec._counts = _checked_counts(counts)
         return rec
 
-    def _complete_projectors(self) -> np.ndarray:
-        if not self._complete:
+    def _complete_povm(self) -> "_WhitenedPovm":
+        if self._povm is None:
             raise TomographyError("projector settings are not informationally complete")
-        return self._projectors
+        return self._povm
 
     def csv_rows(self):
         """Rows matching TOMO_CSV_HEADER, one per setting."""
@@ -355,31 +410,44 @@ def tomo_simulate_counts(
     return TomographyRecord(settings, np.ones(16), counts)
 
 
+def _counts_and_total(rec: TomographyRecord) -> tuple[np.ndarray, float]:
+    counts = rec.counts()
+    total = counts.sum()
+    if total <= 0:
+        raise TomographyError("record contains no counts")
+    return counts, total
+
+
 def tomo_linear(rec: TomographyRecord) -> np.ndarray:
     """Direct linear inversion of the measured frequencies.
 
     Returns a Hermitian unit-trace matrix that may have negative
     eigenvalues, which demonstrates why the constrained estimate is needed.
     """
-    stack = rec._complete_projectors().reshape(16, 16)
-    counts = rec.counts()
-    if counts.sum() <= 0:
-        raise TomographyError("record contains no counts")
-    # n_k = flux * tr(t_k P_k rho); complete settings make the system square
-    # and invertible, and the unknown flux only scales the solution, which is
-    # normalised to unit trace below
-    rho = np.linalg.solve(stack.conj(), counts.astype(complex)).reshape(4, 4)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
+    povm = rec._complete_povm()
+    counts, total = _counts_and_total(rec)
+    # n_k = flux * tr(t_k P_k rho); the unknown flux only scales rho, which
+    # unwhiten normalises to unit trace
+    return povm.unwhiten(_sigma(povm.linear_inversion(counts / total)))
 
 
-#: The 15 two-qubit Pauli products other than the identity, over 2: an
-#: orthonormal basis of the traceless Hermitian 4x4 matrices, one per row.
-_TRACELESS = _PAULI_PRODUCTS[1:] / 2.0
+#: Barrier weight per count at which a fit enters the central path, and the
+#: floor on the eigenvalues of its starting point.
+_ENTRY_MU = 1e-2
 #: Factor by which the barrier weight falls once an iterate is centred.
 _MU_SHRINK = 20.0
 #: Squared Newton decrement at or below which an iterate counts as centred.
 _CENTRED = 0.1
+
+
+@dataclass(frozen=True)
+class MleFit:
+    """A certified maximum-likelihood state with its Newton step count and
+    the final certificate gap, lambda_max(R) - 1 <= tol."""
+
+    state: TwoPhotonState
+    steps: int
+    gap: float
 
 
 def tomo_mle(
@@ -393,13 +461,17 @@ def tomo_mle(
     Poisson likelihood with the flux profiled out becomes sum_k n_k log p_k,
     p_k = tr(P~_k sigma), over density matrices sigma proportional to
     G^{1/2} rho G^{1/2} (Hradil, PRA 55 R1561 (1997); Rehacek, Hradil &
-    Jezek, PRA 63 040303(R) (2001)).
+    Jezek, PRA 63 040303(R) (2001)).  The whitened POVM is built once per
+    projector stack, with the record.
 
     It is maximised by a log-barrier Newton method (Boyd & Vandenberghe,
     Convex Optimization (2004), ch. 11).  With sigma = I/4 +
     sum_j x_j B_j over an orthonormal traceless basis B_j, each stage
-    minimises -sum_k n_k log p_k - mu log det sigma in x, starting from the
-    maximally mixed state with mu = N = sum_k n_k.  A Newton step
+    minimises -sum_k n_k log p_k - mu log det sigma in x.  The fit enters
+    the central path at the record's own linear inversion (p_k = f_k for
+    every setting) with its eigenvalues floored at _ENTRY_MU and
+    renormalised, so sigma is positive definite and every p_k > 0, at
+    mu = _ENTRY_MU N, N = sum_k n_k.  A Newton step
     whose squared decrement lam2 = step . H . step / mu is at least 1 is
     damped to 1 / (1 + sqrt(lam2)), which keeps it inside the Dikin ellipsoid
     of log det sigma, so every iterate is positive definite.  Once
@@ -414,39 +486,34 @@ def tomo_mle(
     centre for mu the gap is below 4 mu / N, so mu stops at tol N / 8 and the
     remaining Newton steps converge quadratically.  The iteration stops once
     gap <= tol and raises TomographyError if max_iter steps do not get there.
+    tomo_mle_fit returns the same fit with its diagnostics.
     """
-    projectors = rec._complete_projectors()
-    counts = rec.counts()
-    total = counts.sum()
-    if total <= 0:
-        raise TomographyError("record contains no counts")
+    return tomo_mle_fit(rec, max_iter, tol).state
+
+
+def tomo_mle_fit(rec: TomographyRecord, max_iter: int = 200, tol: float = 1e-10) -> MleFit:
+    """The fit of tomo_mle, with its Newton steps and final certificate gap."""
+    povm = rec._complete_povm()
+    counts, total = _counts_and_total(rec)
     seen = counts > 0
     n_seen = counts[seen]
-
-    g_val, g_vec = np.linalg.eigh(projectors.sum(axis=0))
-    g_isqrt = (g_vec / np.sqrt(g_val)) @ g_vec.conj().T
-    whitened = (g_isqrt @ projectors[seen] @ g_isqrt).reshape(-1, 16)
-    # p_k = tr(P~_k sigma) = offset_k + coords_k . x, since B_j^T = conj(B_j)
-    offset = np.real(np.einsum("kii->k", whitened.reshape(-1, 4, 4))) / 4.0
-    coords = np.real(whitened @ _TRACELESS.conj().T)
-    basis_t = _TRACELESS.conj()
-    mixed = np.eye(4) / 4.0
-
-    def state(x):
-        return mixed + (x @ _TRACELESS).reshape(4, 4)
+    rows, offset, coords = povm.rows[seen], povm.offset[seen], povm.coords[seen]
 
     def certificate_gap(q):
-        return np.linalg.eigvalsh((q @ whitened).reshape(4, 4))[-1] / total - 1.0
+        return np.linalg.eigvalsh((q @ rows).reshape(4, 4))[-1] / total - 1.0
 
-    x = np.zeros(15)
-    mu = total
+    # enter at the linear inversion, its eigenvalues floored at _ENTRY_MU
+    val, vec = np.linalg.eigh(_sigma(povm.linear_inversion(counts / total)))
+    val = np.maximum(val, _ENTRY_MU)
+    x = _coordinates((vec * (val / val.sum())) @ vec.conj().T)
+    mu = _ENTRY_MU * total
     mu_floor = tol * total / 8.0
     for iterations in range(max_iter + 1):
-        sigma = state(x)
+        sigma = _sigma(x)
         inv = np.linalg.inv(sigma)
         p = offset + coords @ x
         q = n_seen / p
-        barrier_grad = np.real(basis_t @ inv.ravel())
+        barrier_grad = _coordinates(inv)
         grad = -(q @ coords) - mu * barrier_grad
         # tr(S B_i S B_j) = B_i . K . B_j with K[(b, c), (d, a)] = S_ab S_cd
         kron = (inv.T[:, None, None, :] * inv[None, :, :, None]).reshape(16, 16)
@@ -473,15 +540,13 @@ def tomo_mle(
         move = (mu - mu_next) * np.linalg.solve(hess, barrier_grad)
         floor = np.linalg.eigvalsh(sigma)[0] * mu_next / (4.0 * mu)
         for _ in range(30):
-            if np.linalg.eigvalsh(state(x - move))[0] > floor:
+            if np.linalg.eigvalsh(_sigma(x - move))[0] > floor:
                 x = x - move
                 break
             move = move / 2.0
         mu = mu_next
 
-    rho = g_isqrt @ sigma @ g_isqrt
-    rho /= np.trace(rho).real
-    return TwoPhotonState(0.5 * (rho + rho.conj().T))
+    return MleFit(TwoPhotonState(povm.unwhiten(sigma)), iterations, float(gap))
 
 
 # ---------------------------------------------------------------------------

@@ -491,7 +491,7 @@ class TestCli:
     def test_chsh_bootstrap_stream_is_unchanged(self, tmp_path, monkeypatch):
         # settings and bootstrap block written for --seed 5 by the
         # hand-rolled resampling loop this command used before it shared
-        # measurement._poisson_bootstrap; at the same settings the shared
+        # measurement.bootstrap_errors; at the same settings the shared
         # path must reproduce them bit for bit
         settings = measurement.BellSettings(
             20.526211948981327, 159.4736227840125, 9.442528986434254e-05, 45.000083449841306
@@ -542,6 +542,12 @@ class TestCli:
         # those seeds and is about four standard deviations
         payload = json.loads((tomo_seed5 / "tomo_summary.json").read_text())
         assert abs(payload["concurrence"] - DEFAULT.coherence) < 0.03
+
+    def test_tomo_records_mle_diagnostics(self, tomo_seed5):
+        payload = json.loads((tomo_seed5 / "tomo_summary.json").read_text())
+        assert payload["mle_certificate_gap"] <= 1e-10
+        assert isinstance(payload["mle_newton_steps"], int)
+        assert payload["mle_newton_steps"] <= 200
 
     def test_car_outputs(self, tmp_path):
         assert main(["--out", str(tmp_path), "car"]) == 0

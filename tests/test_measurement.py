@@ -30,6 +30,7 @@ from cavityspdc.measurement import (
     TomographyError,
     bell_projector_settings,
     chsh_from_counts,
+    tomo_mle_fit,
 )
 from cavityspdc.cli import main
 from cavityspdc.polarization import TwoPhotonState
@@ -438,7 +439,10 @@ class TestTomographySimulation:
             child = rec.with_counts(range(16))
             assert child._projectors is rec._projectors
             assert child.settings is rec.settings and child.seconds is rec.seconds
-            assert child._complete is rec._complete is is_complete
+            # completeness is carried as the whitened POVM, built only for
+            # complete settings and shared, not rebuilt, by with_counts
+            assert child._povm is rec._povm
+            assert (rec._povm is not None) is is_complete
         with pytest.raises(TomographyError, match="informationally complete"):
             tomo_mle(bell.with_counts(range(16)))
 
@@ -525,6 +529,45 @@ class TestTomoMle:
         rec = tomo_simulate_counts(degraded_state(math.pi, 0.8709), 10_000, seed=0)
         with pytest.raises(TomographyError, match="5 iterations, gap"):
             tomo_mle(rec, max_iter=5)
+
+    @pytest.mark.parametrize("n", [10_000, 500])
+    def test_observed_records_certify_within_17_steps(self, n):
+        # the benchmark's observed records; entered at mu = N at the
+        # maximally mixed state they needed 21 and 19 steps
+        rec = tomo_simulate_counts(degraded_state(math.pi, 0.8709), n, seed=0)
+        rho = tomo_mle(rec, max_iter=17).rho
+        assert certificate_gap(rec, rho) <= 1e-10
+
+    def test_fit_reports_its_steps_and_gap(self):
+        rec = tomo_simulate_counts(degraded_state(math.pi, 0.8709), 10_000, seed=0)
+        fit = tomo_mle_fit(rec)
+        np.testing.assert_array_equal(fit.state.rho, tomo_mle(rec).rho)
+        assert 0 < fit.steps <= 200 and fit.gap <= 1e-10
+        tomo_mle(rec, max_iter=fit.steps)
+        with pytest.raises(TomographyError, match="iterations, gap"):
+            tomo_mle(rec, max_iter=fit.steps - 1)
+
+    def test_zero_count_settings_certify(self):
+        rec = tomo_simulate_counts(PHI_MINUS, 100, seed=0)
+        assert np.count_nonzero(rec.counts() == 0) == 3
+        rho = tomo_mle(rec).rho
+        assert_density_matrix(rho)
+        assert certificate_gap(rec, rho) <= 1e-10
+
+    def test_full_rank_state_with_positive_linear_inversion_certifies(self):
+        werner = TwoPhotonState(0.5 * PHI_MINUS.rho + 0.5 * np.eye(4) / 4.0)
+        rec = tomo_simulate_counts(werner, 10_000, seed=0)
+        assert np.linalg.eigvalsh(tomo_linear(rec))[0] > 0.05
+        rho = tomo_mle(rec).rho
+        assert_density_matrix(rho)
+        assert certificate_gap(rec, rho) <= 1e-10
+
+    def test_huge_count_record_certifies(self):
+        # the 4 M-count record of TestBootstrap.test_huge_counts_shrink_std
+        rec = tomo_simulate_counts(degraded_state(math.pi, 0.8709), 4_000_000, seed=1)
+        rho = tomo_mle(rec).rho
+        assert_density_matrix(rho)
+        assert certificate_gap(rec, rho) <= 1e-10
 
     def test_empty_record_rejected(self):
         rec = tomo_simulate_counts(PHI_MINUS, 100, seed=0)
