@@ -235,9 +235,12 @@ def _cmd_simulate(cfg, args, seed, seed_source):
             "gamma_ghz": fit.parameters["gamma_ghz"],
             "t_fwhm_ns": fit.derived.get("t_fwhm_ns"),
             "t_fwhm_err_ns": fit.derived.get("t_fwhm_err_ns"),
+            "iterations": fit.iterations,
+            "residual_norm": fit.residual_norm,
         }
     else:
         summary["g2_fit_error"] = fit.message
+        summary["g2_fit_iterations"] = fit.iterations
     return EXIT_OK, {
         "timetags.ttag": stream,
         "histogram.csv": (photostats.HISTOGRAM_CSV_HEADER, hist.csv_rows()),

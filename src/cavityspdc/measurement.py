@@ -124,11 +124,6 @@ def _product_probs(state, settings) -> np.ndarray:
     return np.clip(probs, 0.0, 1.0)
 
 
-def coincidence_prob(state, setting: ProjectorSetting) -> float:
-    """Born-rule coincidence probability <ab|rho|ab>, clipped to [0, 1]."""
-    return float(_product_probs(state, [setting])[0])
-
-
 # ---------------------------------------------------------------------------
 # Interference curves
 

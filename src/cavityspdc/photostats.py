@@ -3,7 +3,10 @@ detector time-tag streams (jitter, dark counts, coincidence windows)."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -182,17 +185,6 @@ def _laplace_from_uniforms(u: np.ndarray, scale: float) -> np.ndarray:
     return scale * log_u
 
 
-class _DrawCounter:
-    """Passes random(k) on to a generator and counts the values drawn."""
-
-    def __init__(self, rng):
-        self.rng, self.drawn = rng, 0
-
-    def random(self, k):
-        self.drawn += k
-        return self.rng.random(k)
-
-
 def _streams_from(rng):
     """at(k): a new Generator standing k draws past rng's current state."""
     kind, state = type(rng.bit_generator), rng.bit_generator.state
@@ -205,40 +197,98 @@ def _streams_from(rng):
     return at
 
 
-def _draw_survivors(at, n: int, eta_s: float, eta_i: float,
-                    duration_ps: float, scale_ps: float):
-    """The detected photons' times from the record's four blocks of n draws.
+def _read_range(at, n: int, lo: int, hi: int, skipped: int, z: int,
+                eta_s: float, eta_i: float, duration_ps: float, scale_ps: float):
+    """The detected photons' times of pairs [lo, hi) of a record of n pairs.
 
-    at(k) gives a generator k draws into the record's uniforms: the pair
-    times duration_ps * u are the block at 0, the delay uniforms
-    (_nonzero_uniforms) the block at n, the signal and the idler survival
-    uniforms (u < eta survives) the blocks at 2n + z and 3n + z, where z
-    counts the exact-zero delay uniforms redrawn.  The four blocks are read
-    side by side, _DRAW_CHUNK pairs at a time, so no n-length array exists.
-    z is known only once the delay block is drawn; a record with z > 0
-    (probability about n * 2**-53) is drawn again with the survival blocks
-    moved.  Returns the signal times, the idler times with their
-    Laplace(scale_ps) delays, each as a list of per-chunk arrays, and z.
+    at(k) gives a generator k draws into the record's uniforms.  Pair j's
+    time is duration_ps * u from the block at 0, its delay uniform the j-th
+    nonzero draw of the block at n, and its signal and idler survival
+    uniforms (u < eta survives) come from the blocks at 2n + z and 3n + z,
+    where z counts the exact-zero delay uniforms redrawn in the whole
+    record and skipped those redrawn before pair lo.  The four blocks are
+    read side by side, _DRAW_CHUNK pairs at a time, into reused buffers;
+    only the survivors are scaled and given their Laplace(scale_ps) delay.
+    Returns the signal and the idler times, each a list of per-chunk
+    arrays, and the zero delay uniforms this range redrew.
     """
-    z = 0
+    pair, delay = at(lo), at(n + skipped + lo)
+    survival_s, survival_i = at(2 * n + z + lo), at(3 * n + z + lo)
+    size = min(hi - lo, _DRAW_CHUNK)
+    t_buf, u_buf, d_buf = np.empty(size), np.empty(size), np.empty(size)
+    signal, idler, redrawn = [], [], 0
+    for start in range(lo, hi, _DRAW_CHUNK):
+        m = min(_DRAW_CHUNK, hi - start)
+        t_pair = pair.random(out=t_buf[:m])
+        u_delay = delay.random(out=d_buf[:m])
+        # as _nonzero_uniforms: a zero is dropped and the next draws follow
+        while u_delay.min() == 0.0:
+            kept = u_delay[u_delay != 0.0]
+            redrawn += m - kept.size
+            u_delay[:kept.size] = kept
+            delay.random(out=u_delay[kept.size:])
+        keep = np.flatnonzero(survival_s.random(out=u_buf[:m]) < eta_s)
+        t_signal = t_pair.take(keep)
+        t_signal *= duration_ps
+        signal.append(t_signal)
+        keep = np.flatnonzero(survival_i.random(out=u_buf[:m]) < eta_i)
+        t_idler = t_pair.take(keep)
+        t_idler *= duration_ps
+        t_idler += _laplace_from_uniforms(u_delay.take(keep), scale_ps)
+        idler.append(t_idler)
+    return signal, idler, redrawn
+
+
+def _read_ranges(at, n: int, bounds, eta_s: float, eta_i: float,
+                 duration_ps: float, scale_ps: float):
+    """_read_range over the contiguous ranges bounds[k] to bounds[k + 1],
+    which split [0, n): the first on the calling thread, each later one on
+    its own thread.  numpy's fills and ufuncs release the GIL, and every
+    range reads its own generators, so the record is the same for any split.
+
+    Each range's delay block starts after the zeros redrawn before it, and
+    the survival blocks after all of them, which are known only once the
+    delays are drawn: the ranges are read assuming none, and read again at
+    the offsets found until those agree (a zero has probability about
+    n * 2**-53).  Returns the signal and the idler times as per-chunk lists
+    in range order, and z.
+    """
+    skipped, z = [0] * (len(bounds) - 1), 0
     while True:
-        pair, delay = at(0), _DrawCounter(at(n))
-        survival_s, survival_i = at(2 * n + z), at(3 * n + z)
-        t_buf, u_buf = np.empty(min(n, _DRAW_CHUNK)), np.empty(min(n, _DRAW_CHUNK))
-        signal, idler = [], []
-        for start in range(0, n, _DRAW_CHUNK):
-            m = min(_DRAW_CHUNK, n - start)
-            t_pair = pair.random(out=t_buf[:m])
-            t_pair *= duration_ps
-            u_delay = _nonzero_uniforms(delay, m)
-            signal.append(t_pair[survival_s.random(out=u_buf[:m]) < eta_s])
-            keep_i = survival_i.random(out=u_buf[:m]) < eta_i
-            t_idler = t_pair[keep_i]
-            t_idler += _laplace_from_uniforms(u_delay[keep_i], scale_ps)
-            idler.append(t_idler)
-        if delay.drawn == n + z:
-            return signal, idler, z
-        z = delay.drawn - n
+        reads = [functools.partial(_read_range, at, n, lo, hi, before, z,
+                                   eta_s, eta_i, duration_ps, scale_ps)
+                 for lo, hi, before in zip(bounds, bounds[1:], skipped)]
+        parts = _call_in_threads(reads)
+        redrawn = [part[2] for part in parts]
+        found = list(itertools.accumulate(redrawn[:-1], initial=0))
+        if found == skipped and sum(redrawn) == z:
+            return ([t for part in parts for t in part[0]],
+                    [t for part in parts for t in part[1]], z)
+        skipped, z = found, sum(redrawn)
+
+
+def _call_in_threads(calls):
+    """The results of calls, the first made here, each later one on its own
+    thread.  Every thread is joined before the first call's exception that
+    was raised, in call order, is raised here."""
+    results, errors = [None] * len(calls), [None] * len(calls)
+
+    def run(k):
+        try:
+            results[k] = calls[k]()
+        except BaseException as exc:  # raised below, once every thread is joined
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(calls))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
 
 
 def simulate_timetags(
@@ -274,13 +324,17 @@ def simulate_timetags(
     drawn one after the other: each rng.random() double is one 64-bit
     draw, so each block is read from its own generator, placed at the
     block's offset by the bit generator's advance, and the blocks are
-    consumed side by side in fixed chunks of pairs.  No array as long as
-    the pair count is held; memory grows with the detected events only.
-    The generator (the one passed as seed, if it is one) is then advanced
-    past the blocks and draws the rest in order.  This needs a bit
-    generator whose advance counts single draws: an int, SeedSequence or
-    None seed gives PCG64; a Generator passed as seed must use PCG64 or
-    PCG64DXSM, and any other (MT19937, Philox, SFC64) raises ValueError.
+    consumed side by side in fixed chunks of pairs.  The pairs are read in
+    two contiguous ranges of whole chunks, the second on a worker thread
+    while the calling thread reads the first; every range places its own
+    generators, so the record is the same for any split and any number of
+    CPUs.  No array as long as the pair count is held; memory grows with
+    the detected events only.  The generator (the one passed as seed, if
+    it is one) is then advanced past the blocks and draws the rest in
+    order.  This needs a bit generator whose advance counts single draws:
+    an int, SeedSequence or None seed gives PCG64; a Generator passed as
+    seed must use PCG64 or PCG64DXSM, and any other (MT19937, Philox,
+    SFC64) raises ValueError.
     """
     if duration_s <= 0.0:
         raise ValueError("duration_s must be > 0")
@@ -294,8 +348,11 @@ def simulate_timetags(
 
     n_pairs = int(rng.poisson(pair_rate(src) * duration_s))
     at = _streams_from(rng)
-    t_signal, t_idler, z = _draw_survivors(
-        at, n_pairs, chain.eta_s, chain.eta_i, duration_ps, coherence_scale_ps(bp)
+    # two ranges of whole chunks, the second read on a worker thread
+    half = -(-n_pairs // (2 * _DRAW_CHUNK)) * _DRAW_CHUNK
+    bounds = [0, half, n_pairs] if half < n_pairs else [0, n_pairs]
+    t_signal, t_idler, z = _read_ranges(
+        at, n_pairs, bounds, chain.eta_s, chain.eta_i, duration_ps, coherence_scale_ps(bp)
     )
     # advance resets the bit generator's buffered 32-bit half, which the
     # blocks' double draws would not have touched

@@ -464,6 +464,28 @@ class TestCli:
         assert "g2_fit" not in summary
         assert summary["g2_fit_error"].startswith("no significant peak")
 
+    def test_simulate_records_g2_fit_diagnostics(self, tmp_path):
+        dark = tmp_path / "dark.json"
+        dark.write_text(json.dumps({"chain": {"eta_s": 0.0}}))
+        runs = {}
+        for name, config in (("ok", []), ("failed", ["--config", str(dark)])):
+            out = tmp_path / name
+            assert main(config + ["--seed", "7", "--out", str(out), "simulate",
+                                  "--duration", "0.5"]) == 0
+            stream = cavityspdc.read_ttag(out / "timetags.ttag")
+            hist = cavityspdc.coincidence_histogram(
+                stream, DEFAULT.histogram_range_ns, DEFAULT.chain.bin_ps)
+            runs[name] = (json.loads((out / "simulate_summary.json").read_text()),
+                          cavityspdc.fit_exp_g2(hist))
+        summary, fit = runs["ok"]
+        assert fit.converged and fit.iterations >= 1
+        assert summary["g2_fit"]["iterations"] == fit.iterations
+        assert summary["g2_fit"]["residual_norm"] == fit.residual_norm
+        summary, fit = runs["failed"]
+        assert not fit.converged
+        assert summary["g2_fit_iterations"] == fit.iterations
+        assert summary["g2_fit_error"] == fit.message
+
     def test_simulate_records_generated_seed(self, tmp_path):
         assert main(["--out", str(tmp_path), "simulate", "--duration", "0.1"]) == 0
         meta = json.loads((tmp_path / "metadata.json").read_text())

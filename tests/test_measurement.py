@@ -13,7 +13,6 @@ from cavityspdc import (
     bootstrap_errors,
     chsh_S,
     chsh_max,
-    coincidence_prob,
     correlation_E,
     degraded_state,
     entangled_ket,
@@ -28,6 +27,7 @@ from cavityspdc.measurement import (
     TOMOGRAPHY_LABELS,
     BellSettings,
     TomographyError,
+    _product_probs,
     bell_projector_settings,
     chsh_from_counts,
     tomo_mle_fit,
@@ -107,6 +107,12 @@ def born_prob(rho, ket_a, ket_b) -> float:
     return min(max(float(np.real(ket.conj() @ rho @ ket)), 0.0), 1.0)
 
 
+def setting_prob(state, setting) -> float:
+    """<ab|rho|ab> from the setting's product ket, clipped to [0, 1]."""
+    ket = setting.product_ket()
+    return min(max(float(np.real(ket.conj() @ state.rho @ ket)), 0.0), 1.0)
+
+
 def linear_ket(angle_deg):
     rad = math.radians(angle_deg)
     return np.array([math.cos(rad), math.sin(rad)], dtype=complex)
@@ -146,11 +152,11 @@ def test_pauli_table_forms_match_born_rule_oracle():
         rho = state.rho
         for label_a, label_b in TOMOGRAPHY_LABELS:
             setting = ProjectorSetting.from_labels(label_a, label_b)
-            assert coincidence_prob(state, setting) == pytest.approx(
+            assert _product_probs(state, [setting])[0] == pytest.approx(
                 born_prob(rho, setting.ket0, setting.ket1), abs=1e-12
             )
         a, b, alpha, *bell = rng.uniform(-180.0, 180.0, 7)
-        assert coincidence_prob(state, ProjectorSetting.linear(a, b)) == pytest.approx(
+        assert _product_probs(state, [ProjectorSetting.linear(a, b)])[0] == pytest.approx(
             born_prob(rho, linear_ket(a), linear_ket(b)), abs=1e-12
         )
 
@@ -176,30 +182,30 @@ def test_pauli_table_forms_match_born_rule_oracle():
 
 class TestCoincidenceProb:
     def test_phi_minus_hh(self):
-        assert coincidence_prob(
-            PHI_MINUS, ProjectorSetting.linear(0.0, 0.0)
-        ) == pytest.approx(0.5)
+        assert _product_probs(
+            PHI_MINUS, [ProjectorSetting.linear(0.0, 0.0)]
+        )[0] == pytest.approx(0.5)
 
     def test_phi_minus_cos_squared_law(self):
-        assert coincidence_prob(
-            PHI_MINUS, ProjectorSetting.linear(45.0, 135.0)
-        ) == pytest.approx(0.5, abs=1e-12)
-        assert coincidence_prob(
-            PHI_MINUS, ProjectorSetting.linear(45.0, 45.0)
-        ) == pytest.approx(0.0, abs=1e-12)
+        assert _product_probs(
+            PHI_MINUS, [ProjectorSetting.linear(45.0, 135.0)]
+        )[0] == pytest.approx(0.5, abs=1e-12)
+        assert _product_probs(
+            PHI_MINUS, [ProjectorSetting.linear(45.0, 45.0)]
+        )[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_degraded_diagonal_basis_leakage(self):
         c = 0.8709
         state = degraded_state(math.pi, c)
-        assert coincidence_prob(
-            state, ProjectorSetting.linear(45.0, 45.0)
-        ) == pytest.approx((1.0 - c) / 4.0, abs=1e-12)
+        assert _product_probs(
+            state, [ProjectorSetting.linear(45.0, 45.0)]
+        )[0] == pytest.approx((1.0 - c) / 4.0, abs=1e-12)
 
     @given(alpha=angles, beta=angles, seed=st.integers(0, 1000))
     @settings(max_examples=60)
     def test_probability_bounds(self, alpha, beta, seed):
         state = random_pure_state(seed)
-        p = coincidence_prob(state, ProjectorSetting.linear(alpha, beta))
+        p = _product_probs(state, [ProjectorSetting.linear(alpha, beta)])[0]
         assert 0.0 <= p <= 1.0
 
     @given(alpha=angles, beta=angles, seed=st.integers(0, 1000))
@@ -207,7 +213,7 @@ class TestCoincidenceProb:
     def test_complete_basis_sums_to_one(self, alpha, beta, seed):
         state = random_pure_state(seed)
         total = sum(
-            coincidence_prob(state, ProjectorSetting.linear(alpha + da, beta + db))
+            _product_probs(state, [ProjectorSetting.linear(alpha + da, beta + db)])[0]
             for da in (0.0, 90.0)
             for db in (0.0, 90.0)
         )
@@ -345,7 +351,7 @@ class TestBellCounts:
         state = degraded_state(math.pi, 0.8709)
         rng = np.random.default_rng(5)
         counts = [
-            rng.poisson(200_000 * coincidence_prob(state, s))
+            rng.poisson(200_000 * setting_prob(state, s))
             for s in bell_projector_settings(PHI_SETTINGS)
         ]
         s = chsh_from_counts(counts)
@@ -383,7 +389,7 @@ class TestTomographySimulation:
             sums += tomo_simulate_counts(state, n, seed=seed).counts()
         means = sums / n_seeds
         for mean, (label_a, label_b) in zip(means, TOMOGRAPHY_LABELS):
-            lam = n * coincidence_prob(
+            lam = n * setting_prob(
                 state, ProjectorSetting.from_labels(label_a, label_b)
             )
             assert abs(mean - lam) < 3.0 * math.sqrt(max(lam, 1.0) / n_seeds)
@@ -452,7 +458,7 @@ class TestTomoMle:
         n = 1_000_000
         rec = tomo_simulate_counts(PHI_MINUS, n, seed=0)
         exact = rec.with_counts(
-            [round(n * coincidence_prob(PHI_MINUS, s)) for s in rec.settings]
+            [round(n * setting_prob(PHI_MINUS, s)) for s in rec.settings]
         )
         rho_hat = tomo_mle(exact)
         assert fidelity(rho_hat, PHI_MINUS_KET) > 0.9999
@@ -463,7 +469,7 @@ class TestTomoMle:
         truth = degraded_state(math.pi, 0.8709)
         times = np.random.default_rng(seed).choice([0.5, 1.0, 2.0, 4.0], 16)
         settings = [ProjectorSetting.from_labels(a, b) for a, b in TOMOGRAPHY_LABELS]
-        counts = [round(1e6 * t * coincidence_prob(truth, s)) for s, t in zip(settings, times)]
+        counts = [round(1e6 * t * setting_prob(truth, s)) for s, t in zip(settings, times)]
         rec = TomographyRecord(settings, times, counts)
         assert np.linalg.norm(tomo_mle(rec).rho - truth.rho) < 1e-5
         assert np.linalg.norm(tomo_linear(rec) - truth.rho) < 1e-5

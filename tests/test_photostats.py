@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -65,7 +67,7 @@ class ScriptedStream:
 def sequential_survivors(rng, n, eta_s, eta_i, duration_ps, scale_ps):
     """The record's four uniform blocks drawn one after the other, as the
     generator drew them before it read them side by side: the reference
-    for photostats._draw_survivors."""
+    for photostats._read_ranges."""
     t_pair = rng.random(n) * duration_ps
     u_delay = photostats._nonzero_uniforms(rng, n)
     keep_s = rng.random(n) < eta_s
@@ -408,7 +410,7 @@ class TestBlockDraws:
     def test_matches_sequential_draws(self, n):
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
         at = photostats._streams_from(rng)
-        signal, idler, z = photostats._draw_survivors(at, n, 0.3, 0.6, 2e12, 52.6)
+        signal, idler, z = photostats._read_ranges(at, n, [0, n], 0.3, 0.6, 2e12, 52.6)
         ref_signal, ref_idler = sequential_survivors(ref, n, 0.3, 0.6, 2e12, 52.6)
         assert z == 0
         assert np.array_equal(joined(signal), ref_signal)
@@ -425,12 +427,89 @@ class TestBlockDraws:
             opened.append(k)
             return ScriptedStream(values[k:])
 
-        signal, idler, z = photostats._draw_survivors(at, 3, 0.5, 0.5, 10.0, 2.0)
+        signal, idler, z = photostats._read_ranges(at, 3, [0, 3], 0.5, 0.5, 10.0, 2.0)
         assert z == 1
         assert opened[4:] == [0, 3, 7, 10]  # the second pass, moved by z
         assert joined(signal).tolist() == [1.0, 9.0]
         delays = photostats._laplace_from_uniforms(np.array([0.7, 0.8]), 2.0)
         assert joined(idler).tolist() == (np.array([5.0, 9.0]) + delays).tolist()
+
+    @pytest.mark.parametrize("ranges", [2, 3])
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_any_split_matches_sequential_draws(self, n, ranges):
+        # one range is test_matches_sequential_draws; these bounds need not
+        # fall on whole chunks, and some ranges are empty
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        at = photostats._streams_from(rng)
+        bounds = [n * k // ranges for k in range(ranges + 1)]
+        signal, idler, z = photostats._read_ranges(at, n, bounds, 0.3, 0.6, 2e12, 52.6)
+        ref_signal, ref_idler = sequential_survivors(ref, n, 0.3, 0.6, 2e12, 52.6)
+        assert z == 0
+        assert np.array_equal(joined(signal), ref_signal)
+        assert np.array_equal(joined(idler), ref_idler)
+        assert at(4 * n).bit_generator.state == ref.bit_generator.state
+
+    def test_more_threads_than_cores_match_sequential_draws(self):
+        n = 3 * B + 7
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        bounds = [n * k // 8 for k in range(9)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            signal, idler, _ = photostats._read_ranges(
+                photostats._streams_from(rng), n, bounds, 0.3, 0.6, 2e12, 52.6)
+        finally:
+            sys.setswitchinterval(interval)
+        ref_signal, ref_idler = sequential_survivors(ref, n, 0.3, 0.6, 2e12, 52.6)
+        assert np.array_equal(joined(signal), ref_signal)
+        assert np.array_equal(joined(idler), ref_idler)
+
+    @pytest.mark.parametrize("zero_in, delay_offsets", [
+        # the second range's own later delays move
+        ("second", [4, 6]),
+        # the second range's delays start one draw later
+        ("first", [4, 7]),
+    ])
+    def test_exact_zero_delay_in_one_range_moves_every_range(self, zero_in, delay_offsets):
+        pair = [0.1, 0.3, 0.6, 0.9]
+        delay = {"first": [0.3, 0.0, 0.7, 0.8, 0.4],
+                 "second": [0.3, 0.7, 0.0, 0.8, 0.4]}[zero_in]
+        survival_s, survival_i = [0.1, 0.9, 0.1, 0.1], [0.9, 0.1, 0.1, 0.1]
+        values = pair + delay + survival_s + survival_i
+        opened = []
+
+        def at(k):
+            opened.append(k)
+            return ScriptedStream(values[k:])
+
+        signal, idler, z = photostats._read_ranges(at, 4, [0, 2, 4], 0.5, 0.5, 10.0, 2.0)
+        ref_signal, ref_idler = sequential_survivors(
+            ScriptedStream(values), 4, 0.5, 0.5, 10.0, 2.0)
+        assert z == 1
+        # the second pass: both survival blocks of both ranges moved by z
+        (first_delay, second_delay) = delay_offsets
+        assert sorted(opened[8:]) == sorted([0, first_delay, 9, 13, 2, second_delay, 11, 15])
+        assert joined(signal).tolist() == ref_signal.tolist() == [1.0, 6.0, 9.0]
+        assert joined(idler).tolist() == ref_idler.tolist()
+        nonzero = [u for u in delay if u != 0.0]
+        delays = photostats._laplace_from_uniforms(np.array(nonzero[1:4]), 2.0)
+        assert ref_idler.tolist() == (np.array([3.0, 6.0, 9.0]) + delays).tolist()
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, source_150mw, bp0, chain):
+        read_range, failed_on = photostats._read_range, []
+
+        def fail_after_first_range(at, n, lo, *args):
+            if lo > 0:
+                failed_on.append(threading.current_thread())
+                raise RuntimeError("second range failed")
+            return read_range(at, n, lo, *args)
+
+        monkeypatch.setattr(photostats, "_read_range", fail_after_first_range)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="second range failed"):
+            simulate_timetags(source_150mw, bp0, chain, 1.0, seed=1)
+        assert failed_on and failed_on[0] is not threading.main_thread()
+        assert threading.active_count() == threads
 
 
 class TestCoincidenceHistogram:
