@@ -213,10 +213,7 @@ def _cmd_simulate(cfg, args, seed, seed_source):
     )
 
     rate = photostats.pair_rate(cfg.source)
-    car_mc = photostats.car_from_stream(stream, cfg.chain, cfg.accidental_offset_ns)
-    peak, accidental = photostats._window_counts(
-        stream, cfg.chain.window_ns * 1e3 / 2.0, 0.0, cfg.accidental_offset_ns * 1e3
-    )
+    peak, accidental = photostats._car_counts(stream, cfg.chain, cfg.accidental_offset_ns)
     summary = {
         "duration_s": args.duration,
         "seed": seed,
@@ -226,7 +223,7 @@ def _cmd_simulate(cfg, args, seed, seed_source):
         "singles_ch1": int((stream.channel == 1).sum()),
         "coincidences_window": peak,
         "accidentals_window": accidental,
-        "car_monte_carlo": car_mc if math.isfinite(car_mc) else "inf",
+        "car_monte_carlo": peak / accidental if accidental else "inf",
         "car_model": photostats.car_model(rate, cfg.chain),
     }
     fit = fitting.fit_exp_g2(hist)

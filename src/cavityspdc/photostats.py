@@ -6,9 +6,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -17,8 +17,9 @@ from .biphoton import BiphotonParams, coherence_scale_ps
 TTAG_MAGIC = b"TTAG1\x00"
 _TTAG_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1")])
 
-#: Events per block when a record is scanned for delays or written out:
-#: a block's temporaries stay in cache and far below the record's size.
+#: Events per block when a record is scanned for delays or order, or
+#: written out or read in: a block's temporaries stay in cache and far
+#: below the record's size.
 _EVENT_BLOCK = 1 << 14
 
 
@@ -76,9 +77,12 @@ class TimeTagStream:
             raise ValueError("t_ps and channel must be matching 1-d arrays")
         if channel.size and channel.max() > 1:
             raise ValueError("channel must be 0 or 1")
-        # a bool temporary, not np.diff's int64 one
-        if t_ps.size > 1 and not np.all(t_ps[1:] >= t_ps[:-1]):
-            raise ValueError("timestamps must be non-decreasing")
+        # block by block, each block overlapping the next by one event, so
+        # no temporary as long as the record
+        for start in range(0, t_ps.size - 1, _EVENT_BLOCK):
+            block = t_ps[start:start + _EVENT_BLOCK + 1]
+            if not np.all(block[1:] >= block[:-1]):
+                raise ValueError("timestamps must be non-decreasing")
         self.t_ps = t_ps
         self.channel = channel
 
@@ -109,15 +113,35 @@ def write_ttag(stream: TimeTagStream, path) -> None:
 
 
 def read_ttag(path) -> TimeTagStream:
-    data = Path(path).read_bytes()
-    if not data.startswith(TTAG_MAGIC):
-        raise ValueError(f"{path}: not a TTAG1 file")
-    if (len(data) - len(TTAG_MAGIC)) % _TTAG_DTYPE.itemsize:
-        raise ValueError(f"{path}: truncated record")
-    # records are views into data; both fields are copied out, so the file
-    # buffer is freed on return
-    records = np.frombuffer(data, dtype=_TTAG_DTYPE, offset=len(TTAG_MAGIC))
-    return TimeTagStream(records["t"].astype(np.int64), records["ch"].copy())
+    """The stream that write_ttag stored at path.
+
+    The file is the magic 'TTAG1\\0', then packed 9-byte records (u64
+    timestamp_ps, u8 channel).  A file that does not start with the magic,
+    or whose size is not the magic plus whole records, raises ValueError
+    before anything is allocated; a read that ends early raises it too, and
+    the stream's own checks (channels 0 or 1, non-decreasing timestamps)
+    then apply.  The record count comes from the file's size, so the stream's
+    arrays (9 bytes per event) are allocated once and filled _EVENT_BLOCK
+    records at a time through one reused buffer: the read holds the
+    returned stream plus one block, never the whole file.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(TTAG_MAGIC)) != TTAG_MAGIC:
+            raise ValueError(f"{path}: not a TTAG1 file")
+        n, rest = divmod(os.fstat(fh.fileno()).st_size - len(TTAG_MAGIC),
+                         _TTAG_DTYPE.itemsize)
+        if rest:
+            raise ValueError(f"{path}: truncated record")
+        t_ps = np.empty(n, dtype=np.int64)
+        channel = np.empty(n, dtype=np.uint8)
+        records = np.empty(min(n, _EVENT_BLOCK), dtype=_TTAG_DTYPE)
+        for start in range(0, n, _EVENT_BLOCK):
+            block = records[:min(_EVENT_BLOCK, n - start)]
+            if fh.readinto(block) != block.nbytes:
+                raise ValueError(f"{path}: truncated record")
+            t_ps[start:start + block.size] = block["t"]
+            channel[start:start + block.size] = block["ch"]
+    return TimeTagStream(t_ps, channel)
 
 
 def pair_rate(src: SourceRate) -> float:
@@ -159,21 +183,6 @@ def car_optimal_rate(chain: DetectionChain) -> float:
 #: Pairs drawn per chunk: a chunk's buffers and temporaries (a few hundred
 #: kB) stay in a core's L2 cache while its four streams are read.
 _DRAW_CHUNK = 1 << 14
-
-
-def _nonzero_uniforms(rng, n: int) -> np.ndarray:
-    """The next n nonzero values of rng.random().
-
-    Generator.laplace redraws a uniform that is exactly 0.0 in place, so a
-    zero is dropped here and the missing values come from the draws that
-    follow, in order; the generator ends in the same state as laplace(n)
-    would leave it.
-    """
-    u = rng.random(n)
-    while np.count_nonzero(u) < n:
-        u = u[u != 0.0]
-        u = np.concatenate([u, rng.random(n - u.size)])
-    return u
 
 
 def _laplace_from_uniforms(u: np.ndarray, scale: float) -> np.ndarray:
@@ -221,7 +230,8 @@ def _read_range(at, n: int, lo: int, hi: int, skipped: int, z: int,
         m = min(_DRAW_CHUNK, hi - start)
         t_pair = pair.random(out=t_buf[:m])
         u_delay = delay.random(out=d_buf[:m])
-        # as _nonzero_uniforms: a zero is dropped and the next draws follow
+        # as Generator.laplace redraws an exact 0.0: it is dropped and the
+        # next draws follow
         while u_delay.min() == 0.0:
             kept = u_delay[u_delay != 0.0]
             redrawn += m - kept.size
@@ -477,6 +487,23 @@ def count_coincidences(stream: TimeTagStream, center_ns: float, window_ns: float
     return count
 
 
+def _car_counts(
+    stream: TimeTagStream,
+    chain: DetectionChain,
+    accidental_offset_ns: float,
+) -> tuple[int, int]:
+    """Cross-channel pairs in the zero-delay window and in an equal window
+    displaced by accidental_offset_ns, from one scan of the record."""
+    if len(stream) == 0:
+        raise ValueError("empty stream")
+    if accidental_offset_ns <= 2.0 * chain.window_ns:
+        raise ValueError("accidental offset must far exceed the window")
+    peak, accidental = _window_counts(
+        stream, chain.window_ns * 1e3 / 2.0, 0.0, accidental_offset_ns * 1e3
+    )
+    return peak, accidental
+
+
 def car_from_stream(
     stream: TimeTagStream,
     chain: DetectionChain,
@@ -488,13 +515,5 @@ def car_from_stream(
     equal window displaced by accidental_offset_ns.  Returns +inf when the
     accidental window is empty.
     """
-    if len(stream) == 0:
-        raise ValueError("empty stream")
-    if accidental_offset_ns <= 2.0 * chain.window_ns:
-        raise ValueError("accidental offset must far exceed the window")
-    peak, accidental = _window_counts(
-        stream, chain.window_ns * 1e3 / 2.0, 0.0, accidental_offset_ns * 1e3
-    )
-    if accidental == 0:
-        return math.inf
-    return peak / accidental
+    peak, accidental = _car_counts(stream, chain, accidental_offset_ns)
+    return peak / accidental if accidental else math.inf

@@ -64,12 +64,27 @@ class ScriptedStream:
         return out
 
 
+def nonzero_uniforms(rng, n):
+    """The next n nonzero values of rng.random().
+
+    Generator.laplace redraws a uniform that is exactly 0.0 in place, so a
+    zero is dropped here and the missing values come from the draws that
+    follow, in order; the generator ends in the same state as laplace(n)
+    would leave it.
+    """
+    u = rng.random(n)
+    while np.count_nonzero(u) < n:
+        u = u[u != 0.0]
+        u = np.concatenate([u, rng.random(n - u.size)])
+    return u
+
+
 def sequential_survivors(rng, n, eta_s, eta_i, duration_ps, scale_ps):
     """The record's four uniform blocks drawn one after the other, as the
     generator drew them before it read them side by side: the reference
     for photostats._read_ranges."""
     t_pair = rng.random(n) * duration_ps
-    u_delay = photostats._nonzero_uniforms(rng, n)
+    u_delay = nonzero_uniforms(rng, n)
     keep_s = rng.random(n) < eta_s
     keep_i = rng.random(n) < eta_i
     t_idler = t_pair[keep_i]
@@ -222,6 +237,30 @@ class TestTimeTagStream:
         assert back == stream
         assert retained <= 9 * n + 4096
 
+    @pytest.mark.parametrize("records, message", [
+        ([(5, 0), (9, 1), (7, 0)], "non-decreasing"),
+        ([(5, 0), (9, 2)], "channel must be 0 or 1"),
+    ])
+    def test_read_ttag_checks_the_stream(self, tmp_path, records, message):
+        path = tmp_path / "bad.ttag"
+        path.write_bytes(TTAG_MAGIC + np.array(records, dtype=photostats._TTAG_DTYPE).tobytes())
+        with pytest.raises(ValueError, match=message):
+            read_ttag(path)
+
+    def test_magic_alone_reads_as_empty_stream(self, tmp_path):
+        path = tmp_path / "empty.ttag"
+        path.write_bytes(TTAG_MAGIC)
+        back = read_ttag(path)
+        assert len(back) == 0
+        assert back == TimeTagStream([], [])
+
+    def test_order_check_finds_an_inversion_at_a_block_edge(self):
+        edge = photostats._EVENT_BLOCK
+        t = np.arange(3 * edge, dtype=np.int64)
+        t[edge - 1], t[edge] = t[edge], t[edge - 1]
+        with pytest.raises(ValueError, match="non-decreasing"):
+            TimeTagStream(t, np.zeros(t.size, dtype=np.uint8))
+
     def test_write_ttag_peaks_at_one_file(self, tmp_path):
         n = 200_000
         stream = TimeTagStream(np.arange(n, dtype=np.int64) * 7, np.arange(n, dtype=np.uint8) & 1)
@@ -359,7 +398,7 @@ class TestSimulateTimetags:
         # the draws simulate_timetags has always made, in order
         n = ref.poisson(pair_rate(source_150mw) * 1.0)
         ref.random(n)
-        photostats._nonzero_uniforms(ref, n)
+        nonzero_uniforms(ref, n)
         n_s = np.count_nonzero(ref.random(n) < chain.eta_s)
         n_i = np.count_nonzero(ref.random(n) < chain.eta_i)
         ref.normal(0.0, chain.jitter_sigma_ps, n_s)
@@ -387,7 +426,7 @@ class TestSimulateTimetags:
 class TestDelayDraws:
     def test_exact_zero_is_redrawn_from_the_next_draws(self):
         rng = ScriptedRandom([0.3, 0.0, 0.7, 0.0], [0.0, 0.9], [0.2])
-        u = photostats._nonzero_uniforms(rng, 4)
+        u = nonzero_uniforms(rng, 4)
         assert u.tolist() == [0.3, 0.7, 0.9, 0.2]
         assert rng.blocks == []
 
@@ -395,7 +434,7 @@ class TestDelayDraws:
     def test_matches_generator_laplace(self, seed):
         scale, n = 52.6, 200_000
         mine_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        u = photostats._nonzero_uniforms(mine_rng, n)
+        u = nonzero_uniforms(mine_rng, n)
         mine = photostats._laplace_from_uniforms(u, scale)
         ref = ref_rng.laplace(0.0, scale, n)
         assert np.all(np.abs(mine - ref) <= 4.0 * np.spacing(np.abs(ref)))
@@ -637,6 +676,14 @@ class TestEventBlocks:
         # no int64 difference per event: 9 B per event before the blocks
         assert traced_peak(coincidence_histogram, record, 20.0, 25.0) <= 3.0 * len(record)
         assert traced_peak(car_from_stream, record, chain) <= 3.0 * len(record)
+
+    def test_read_peak_per_event(self, record, tmp_path):
+        # the returned stream's 9 B per event and one reused block of
+        # records, not the file beside the stream (19 B per event)
+        path = tmp_path / "tags.ttag"
+        write_ttag(record, path)
+        block_bytes = photostats._TTAG_DTYPE.itemsize * photostats._EVENT_BLOCK
+        assert traced_peak(read_ttag, path) <= 9 * len(record) + 2 * block_bytes
 
     def test_write_peak_per_event(self, record, tmp_path):
         # the records are filled and written a block at a time, not all at once
