@@ -4,7 +4,6 @@ detector time-tag streams (jitter, dark counts, coincidence windows)."""
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import threading
@@ -118,9 +117,10 @@ def read_ttag(path) -> TimeTagStream:
     The file is the magic 'TTAG1\\0', then packed 9-byte records (u64
     timestamp_ps, u8 channel).  A file that does not start with the magic,
     or whose size is not the magic plus whole records, raises ValueError
-    before anything is allocated; a read that ends early raises it too, and
-    the stream's own checks (channels 0 or 1, non-decreasing timestamps)
-    then apply.  The record count comes from the file's size, so the stream's
+    before anything is allocated; a read that ends early raises it too, so
+    does a timestamp at or above 2**63 ps, which int64 cannot hold, and the
+    stream's own checks (channels 0 or 1, non-decreasing timestamps) then
+    apply.  The record count comes from the file's size, so the stream's
     arrays (9 bytes per event) are allocated once and filled _EVENT_BLOCK
     records at a time through one reused buffer: the read holds the
     returned stream plus one block, never the whole file.
@@ -140,6 +140,9 @@ def read_ttag(path) -> TimeTagStream:
             if fh.readinto(block) != block.nbytes:
                 raise ValueError(f"{path}: truncated record")
             t_ps[start:start + block.size] = block["t"]
+            # the cast to int64 wraps a time at or above 2**63 to a negative one
+            if t_ps[start:start + block.size].min() < 0:
+                raise ValueError(f"{path}: timestamp at or above 2**63 ps")
             channel[start:start + block.size] = block["ch"]
     return TimeTagStream(t_ps, channel)
 
@@ -186,10 +189,10 @@ _DRAW_CHUNK = 1 << 14
 
 
 def _laplace_from_uniforms(u: np.ndarray, scale: float) -> np.ndarray:
-    """numpy's Laplace(0, scale) transform of nonzero uniforms u:
-    -scale*log(2 - u - u) for u >= 0.5, else scale*log(u + u)."""
+    """numpy's Laplace(0, scale) transform of uniforms u, with u + u floored at
+    2**-52: -scale*log(2 - u - u) for u >= 0.5, else scale*log(u + u)."""
     upper = u >= 0.5
-    log_u = np.log(np.where(upper, 2.0 - u - u, u + u))
+    log_u = np.log(np.where(upper, 2.0 - u - u, np.maximum(u + u, 2.0**-52)))
     np.negative(log_u, out=log_u, where=upper)
     return scale * log_u
 
@@ -206,37 +209,26 @@ def _streams_from(rng):
     return at
 
 
-def _read_range(at, n: int, lo: int, hi: int, skipped: int, z: int,
+def _read_range(at, n: int, lo: int, hi: int,
                 eta_s: float, eta_i: float, duration_ps: float, scale_ps: float):
     """The detected photons' times of pairs [lo, hi) of a record of n pairs.
 
     at(k) gives a generator k draws into the record's uniforms.  Pair j's
-    time is duration_ps * u from the block at 0, its delay uniform the j-th
-    nonzero draw of the block at n, and its signal and idler survival
-    uniforms (u < eta survives) come from the blocks at 2n + z and 3n + z,
-    where z counts the exact-zero delay uniforms redrawn in the whole
-    record and skipped those redrawn before pair lo.  The four blocks are
+    time (duration_ps * u), delay and signal and idler survival (u < eta
+    survives) uniforms are the j-th draws of the blocks at 0, n, 2n and 3n,
     read side by side, _DRAW_CHUNK pairs at a time, into reused buffers;
     only the survivors are scaled and given their Laplace(scale_ps) delay.
-    Returns the signal and the idler times, each a list of per-chunk
-    arrays, and the zero delay uniforms this range redrew.
+    Returns the signal and the idler times, each a list of per-chunk arrays.
     """
-    pair, delay = at(lo), at(n + skipped + lo)
-    survival_s, survival_i = at(2 * n + z + lo), at(3 * n + z + lo)
+    pair, delay = at(lo), at(n + lo)
+    survival_s, survival_i = at(2 * n + lo), at(3 * n + lo)
     size = min(hi - lo, _DRAW_CHUNK)
     t_buf, u_buf, d_buf = np.empty(size), np.empty(size), np.empty(size)
-    signal, idler, redrawn = [], [], 0
+    signal, idler = [], []
     for start in range(lo, hi, _DRAW_CHUNK):
         m = min(_DRAW_CHUNK, hi - start)
         t_pair = pair.random(out=t_buf[:m])
         u_delay = delay.random(out=d_buf[:m])
-        # as Generator.laplace redraws an exact 0.0: it is dropped and the
-        # next draws follow
-        while u_delay.min() == 0.0:
-            kept = u_delay[u_delay != 0.0]
-            redrawn += m - kept.size
-            u_delay[:kept.size] = kept
-            delay.random(out=u_delay[kept.size:])
         keep = np.flatnonzero(survival_s.random(out=u_buf[:m]) < eta_s)
         t_signal = t_pair.take(keep)
         t_signal *= duration_ps
@@ -246,35 +238,22 @@ def _read_range(at, n: int, lo: int, hi: int, skipped: int, z: int,
         t_idler *= duration_ps
         t_idler += _laplace_from_uniforms(u_delay.take(keep), scale_ps)
         idler.append(t_idler)
-    return signal, idler, redrawn
+    return signal, idler
 
 
 def _read_ranges(at, n: int, bounds, eta_s: float, eta_i: float,
                  duration_ps: float, scale_ps: float):
-    """_read_range over the contiguous ranges bounds[k] to bounds[k + 1],
-    which split [0, n): the first on the calling thread, each later one on
-    its own thread.  numpy's fills and ufuncs release the GIL, and every
-    range reads its own generators, so the record is the same for any split.
-
-    Each range's delay block starts after the zeros redrawn before it, and
-    the survival blocks after all of them, which are known only once the
-    delays are drawn: the ranges are read assuming none, and read again at
-    the offsets found until those agree (a zero has probability about
-    n * 2**-53).  Returns the signal and the idler times as per-chunk lists
-    in range order, and z.
-    """
-    skipped, z = [0] * (len(bounds) - 1), 0
-    while True:
-        reads = [functools.partial(_read_range, at, n, lo, hi, before, z,
-                                   eta_s, eta_i, duration_ps, scale_ps)
-                 for lo, hi, before in zip(bounds, bounds[1:], skipped)]
-        parts = _call_in_threads(reads)
-        redrawn = [part[2] for part in parts]
-        found = list(itertools.accumulate(redrawn[:-1], initial=0))
-        if found == skipped and sum(redrawn) == z:
-            return ([t for part in parts for t in part[0]],
-                    [t for part in parts for t in part[1]], z)
-        skipped, z = found, sum(redrawn)
+    """_read_range over the ranges bounds[k] to bounds[k + 1], which split
+    [0, n), the first on the calling thread and each later one on its own
+    (numpy's fills and ufuncs release the GIL).  Every range reads its own
+    generators, so the signal and the idler times, per-chunk lists in range
+    order, are the same for any split."""
+    parts = _call_in_threads([
+        functools.partial(_read_range, at, n, lo, hi, eta_s, eta_i, duration_ps, scale_ps)
+        for lo, hi in zip(bounds, bounds[1:])
+    ])
+    return ([t for signal, _ in parts for t in signal],
+            [t for _, idler in parts for t in idler])
 
 
 def _call_in_threads(calls):
@@ -314,40 +293,35 @@ def simulate_timetags(
     delay is drawn from the two-sided exponential matching the pair
     correlation function; each photon independently survives with its arm
     efficiency; surviving timestamps get Gaussian jitter; independent dark
-    counts are added per channel.  Fixed seed gives a bit-reproducible
-    stream.  If a negative delay or jitter pushes the earliest event below
-    zero the whole record is translated so timestamps stay non-negative.
+    counts are added per channel.  If a negative delay or jitter pushes the
+    earliest event below zero, the whole record is translated to start at 0.
 
     The draw order from default_rng(seed) is the stream's contract:
     Poisson(rate * duration) pairs n; n pair times duration_ps * u; n
     delay uniforms; n signal and then n idler survival uniforms (u < eta
     survives); signal then idler jitter normals for the survivors; the
     signal then idler dark-count Poisson numbers; the signal then idler
-    dark times duration_ps * u.  A delay uniform that is exactly 0.0 is
-    replaced by the next draw, as Generator.laplace does, and only the
-    surviving idlers' uniforms are transformed into delays.  The record is
-    the one rng.uniform and rng.laplace calls in that order give, up to
-    the last-place difference between np.log and the C library's log,
+    dark times duration_ps * u.  Only the surviving idlers' delay uniforms
+    become delays, and one that is exactly 0.0 is read as 2**-53, the
+    smallest nonzero draw, where Generator.laplace would redraw it.  So a
+    record without such a zero (n pairs hold one with probability about
+    n * 2**-53) is the one rng.uniform and rng.laplace calls in that order
+    give, up to np.log's last-place difference from the C library's log,
     which the rounding to integer picoseconds absorbs.
 
-    That order is unchanged, but the four blocks of n uniforms are not
-    drawn one after the other: each rng.random() double is one 64-bit
-    draw, so each block is read from its own generator, placed at the
-    block's offset by the bit generator's advance, and the blocks are
-    consumed side by side in fixed chunks of pairs.  The pairs are read in
-    two contiguous ranges of whole chunks, the second on a worker thread
-    while the calling thread reads the first; every range places its own
-    generators, so the record is the same for any split and any number of
-    CPUs.  No array as long as the pair count is held; memory grows with
-    the detected events only.  The generator (the one passed as seed, if
-    it is one) is then advanced past the blocks and draws the rest in
-    order.  This needs a bit generator whose advance counts single draws:
-    an int, SeedSequence or None seed gives PCG64; a Generator passed as
-    seed must use PCG64 or PCG64DXSM, and any other (MT19937, Philox,
-    SFC64) raises ValueError.
+    The four blocks of n uniforms are read side by side, each from its own
+    generator placed by the bit generator's advance (one rng.random() double
+    is one 64-bit draw), in fixed chunks of pairs and in two contiguous
+    ranges of whole chunks, the second on a worker thread: the record is the
+    same for any split and any number of CPUs, and memory grows with the
+    detected events only.  The generator (the one passed as seed, if it is
+    one) then stands 4n draws on.  This needs a bit generator whose advance
+    counts single draws: an int, SeedSequence or None seed gives PCG64; a
+    Generator passed as seed must use PCG64 or PCG64DXSM, and any other
+    (MT19937, Philox, SFC64) raises ValueError.
     """
-    if duration_s <= 0.0:
-        raise ValueError("duration_s must be > 0")
+    if not (math.isfinite(duration_s) and duration_s > 0.0):
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s!r}")
     rng = np.random.default_rng(seed)
     # advance(k) of these skips exactly k rng.random() doubles; named here,
     # not at module level, so that importing the package loads no numpy.random
@@ -361,13 +335,13 @@ def simulate_timetags(
     # two ranges of whole chunks, the second read on a worker thread
     half = -(-n_pairs // (2 * _DRAW_CHUNK)) * _DRAW_CHUNK
     bounds = [0, half, n_pairs] if half < n_pairs else [0, n_pairs]
-    t_signal, t_idler, z = _read_ranges(
+    t_signal, t_idler = _read_ranges(
         at, n_pairs, bounds, chain.eta_s, chain.eta_i, duration_ps, coherence_scale_ps(bp)
     )
     # advance resets the bit generator's buffered 32-bit half, which the
     # blocks' double draws would not have touched
     state = rng.bit_generator.state
-    rng.bit_generator.state = {**at(4 * n_pairs + z).bit_generator.state,
+    rng.bit_generator.state = {**at(4 * n_pairs).bit_generator.state,
                                "has_uint32": state["has_uint32"],
                                "uinteger": state["uinteger"]}
     if chain.jitter_sigma_ps > 0.0:
@@ -483,6 +457,10 @@ def coincidence_histogram(stream: TimeTagStream, range_ns: float, bin_ps: float)
 
 def count_coincidences(stream: TimeTagStream, center_ns: float, window_ns: float) -> int:
     """Cross-channel pairs with (t_ch1 - t_ch0) within +-window/2 of center."""
+    if not math.isfinite(center_ns):
+        raise ValueError(f"center_ns must be finite, got {center_ns!r}")
+    if not (math.isfinite(window_ns) and window_ns >= 0.0):
+        raise ValueError(f"window_ns must be finite and >= 0, got {window_ns!r}")
     (count,) = _window_counts(stream, window_ns * 1e3 / 2.0, center_ns * 1e3)
     return count
 
@@ -496,8 +474,10 @@ def _car_counts(
     displaced by accidental_offset_ns, from one scan of the record."""
     if len(stream) == 0:
         raise ValueError("empty stream")
-    if accidental_offset_ns <= 2.0 * chain.window_ns:
-        raise ValueError("accidental offset must far exceed the window")
+    if not (math.isfinite(accidental_offset_ns)
+            and accidental_offset_ns > 2.0 * chain.window_ns):
+        raise ValueError("accidental_offset_ns must be finite and far exceed the "
+                         f"window, got {accidental_offset_ns!r}")
     peak, accidental = _window_counts(
         stream, chain.window_ns * 1e3 / 2.0, 0.0, accidental_offset_ns * 1e3
     )

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -430,6 +431,18 @@ class TestCli:
         ).read_bytes()
         meta = json.loads((out_a / "metadata.json").read_text())
         assert meta["seed"] == 7 and meta["seed_source"] == "cli"
+
+    def test_simulate_artifacts_are_pinned(self, tmp_path):
+        # digests of the files this seed has always written, so a change to
+        # the time tags, their write path or the histogram CSV cannot pass unseen
+        assert main(["--seed", "5", "--out", str(tmp_path), "simulate",
+                     "--duration", "5"]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("timetags.ttag", "histogram.csv")}
+        assert digests == {
+            "timetags.ttag": "b54f7800e81260436c11d29653fa9d21c24b2eb2e8010d6cc2ac6f6b0d1ab75c",
+            "histogram.csv": "b79a3cecd8501ad94c968fe8526e5ca8fb6c277f6d7cc5b00c507b4d48ede2e9",
+        }
 
     @pytest.mark.parametrize("duration", ["-1", "0", "nan", "inf"])
     def test_simulate_bad_duration_is_one_line_error(self, tmp_path, capsys, duration):

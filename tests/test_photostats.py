@@ -36,18 +36,6 @@ def quiet_chain(**overrides):
     return DetectionChain(**base)
 
 
-class ScriptedRandom:
-    """Stands in for a Generator: random(k) returns the next scripted block."""
-
-    def __init__(self, *blocks):
-        self.blocks = [np.asarray(block, dtype=float) for block in blocks]
-
-    def random(self, k):
-        block = self.blocks.pop(0)
-        assert block.size == k
-        return block
-
-
 class ScriptedStream:
     """Stands in for a Generator reading one scripted run of uniforms."""
 
@@ -64,27 +52,12 @@ class ScriptedStream:
         return out
 
 
-def nonzero_uniforms(rng, n):
-    """The next n nonzero values of rng.random().
-
-    Generator.laplace redraws a uniform that is exactly 0.0 in place, so a
-    zero is dropped here and the missing values come from the draws that
-    follow, in order; the generator ends in the same state as laplace(n)
-    would leave it.
-    """
-    u = rng.random(n)
-    while np.count_nonzero(u) < n:
-        u = u[u != 0.0]
-        u = np.concatenate([u, rng.random(n - u.size)])
-    return u
-
-
 def sequential_survivors(rng, n, eta_s, eta_i, duration_ps, scale_ps):
     """The record's four uniform blocks drawn one after the other, as the
     generator drew them before it read them side by side: the reference
     for photostats._read_ranges."""
     t_pair = rng.random(n) * duration_ps
-    u_delay = nonzero_uniforms(rng, n)
+    u_delay = rng.random(n)
     keep_s = rng.random(n) < eta_s
     keep_i = rng.random(n) < eta_i
     t_idler = t_pair[keep_i]
@@ -247,6 +220,20 @@ class TestTimeTagStream:
         with pytest.raises(ValueError, match=message):
             read_ttag(path)
 
+    @pytest.mark.parametrize("times", [
+        [2**63 + 5, 2**63 + 9],
+        # small times fill the first block; the huge one opens the second
+        list(range(photostats._EVENT_BLOCK)) + [2**63 + 9],
+    ], ids=["huge", "mixed"])
+    def test_read_ttag_rejects_times_beyond_int64(self, tmp_path, times):
+        path = tmp_path / "huge.ttag"
+        records = np.zeros(len(times), dtype=photostats._TTAG_DTYPE)
+        records["t"] = times
+        path.write_bytes(TTAG_MAGIC + records.tobytes())
+        with pytest.raises(ValueError, match=r"huge\.ttag: timestamp at or above 2\*\*63") as info:
+            read_ttag(path)
+        assert "\n" not in str(info.value)
+
     def test_magic_alone_reads_as_empty_stream(self, tmp_path):
         path = tmp_path / "empty.ttag"
         path.write_bytes(TTAG_MAGIC)
@@ -398,7 +385,7 @@ class TestSimulateTimetags:
         # the draws simulate_timetags has always made, in order
         n = ref.poisson(pair_rate(source_150mw) * 1.0)
         ref.random(n)
-        nonzero_uniforms(ref, n)
+        ref.random(n)
         n_s = np.count_nonzero(ref.random(n) < chain.eta_s)
         n_i = np.count_nonzero(ref.random(n) < chain.eta_i)
         ref.normal(0.0, chain.jitter_sigma_ps, n_s)
@@ -424,17 +411,11 @@ class TestSimulateTimetags:
 
 
 class TestDelayDraws:
-    def test_exact_zero_is_redrawn_from_the_next_draws(self):
-        rng = ScriptedRandom([0.3, 0.0, 0.7, 0.0], [0.0, 0.9], [0.2])
-        u = nonzero_uniforms(rng, 4)
-        assert u.tolist() == [0.3, 0.7, 0.9, 0.2]
-        assert rng.blocks == []
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_generator_laplace(self, seed):
         scale, n = 52.6, 200_000
         mine_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        u = nonzero_uniforms(mine_rng, n)
+        u = mine_rng.random(n)
         mine = photostats._laplace_from_uniforms(u, scale)
         ref = ref_rng.laplace(0.0, scale, n)
         assert np.all(np.abs(mine - ref) <= 4.0 * np.spacing(np.abs(ref)))
@@ -449,29 +430,11 @@ class TestBlockDraws:
     def test_matches_sequential_draws(self, n):
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
         at = photostats._streams_from(rng)
-        signal, idler, z = photostats._read_ranges(at, n, [0, n], 0.3, 0.6, 2e12, 52.6)
+        signal, idler = photostats._read_ranges(at, n, [0, n], 0.3, 0.6, 2e12, 52.6)
         ref_signal, ref_idler = sequential_survivors(ref, n, 0.3, 0.6, 2e12, 52.6)
-        assert z == 0
         assert np.array_equal(joined(signal), ref_signal)
         assert np.array_equal(joined(idler), ref_idler)
         assert at(4 * n).bit_generator.state == ref.bit_generator.state
-
-    def test_exact_zero_delay_moves_the_survival_blocks(self):
-        pair, delay = [0.1, 0.5, 0.9], [0.3, 0.0, 0.7, 0.8]
-        survival_s, survival_i = [0.1, 0.9, 0.1], [0.9, 0.1, 0.1]
-        values = pair + delay + survival_s + survival_i
-        opened = []
-
-        def at(k):
-            opened.append(k)
-            return ScriptedStream(values[k:])
-
-        signal, idler, z = photostats._read_ranges(at, 3, [0, 3], 0.5, 0.5, 10.0, 2.0)
-        assert z == 1
-        assert opened[4:] == [0, 3, 7, 10]  # the second pass, moved by z
-        assert joined(signal).tolist() == [1.0, 9.0]
-        delays = photostats._laplace_from_uniforms(np.array([0.7, 0.8]), 2.0)
-        assert joined(idler).tolist() == (np.array([5.0, 9.0]) + delays).tolist()
 
     @pytest.mark.parametrize("ranges", [2, 3])
     @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
@@ -481,9 +444,8 @@ class TestBlockDraws:
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
         at = photostats._streams_from(rng)
         bounds = [n * k // ranges for k in range(ranges + 1)]
-        signal, idler, z = photostats._read_ranges(at, n, bounds, 0.3, 0.6, 2e12, 52.6)
+        signal, idler = photostats._read_ranges(at, n, bounds, 0.3, 0.6, 2e12, 52.6)
         ref_signal, ref_idler = sequential_survivors(ref, n, 0.3, 0.6, 2e12, 52.6)
-        assert z == 0
         assert np.array_equal(joined(signal), ref_signal)
         assert np.array_equal(joined(idler), ref_idler)
         assert at(4 * n).bit_generator.state == ref.bit_generator.state
@@ -495,7 +457,7 @@ class TestBlockDraws:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            signal, idler, _ = photostats._read_ranges(
+            signal, idler = photostats._read_ranges(
                 photostats._streams_from(rng), n, bounds, 0.3, 0.6, 2e12, 52.6)
         finally:
             sys.setswitchinterval(interval)
@@ -503,16 +465,12 @@ class TestBlockDraws:
         assert np.array_equal(joined(signal), ref_signal)
         assert np.array_equal(joined(idler), ref_idler)
 
-    @pytest.mark.parametrize("zero_in, delay_offsets", [
-        # the second range's own later delays move
-        ("second", [4, 6]),
-        # the second range's delays start one draw later
-        ("first", [4, 7]),
-    ])
-    def test_exact_zero_delay_in_one_range_moves_every_range(self, zero_in, delay_offsets):
-        pair = [0.1, 0.3, 0.6, 0.9]
-        delay = {"first": [0.3, 0.0, 0.7, 0.8, 0.4],
-                 "second": [0.3, 0.7, 0.0, 0.8, 0.4]}[zero_in]
+    @pytest.mark.parametrize("zero_in", [0, 1])
+    def test_exact_zero_delay_is_read_in_one_pass(self, zero_in):
+        # the delay uniform of pair 1 (first range) or pair 2 (second range)
+        # is exactly 0.0
+        pair, delay = [0.1, 0.3, 0.6, 0.9], [0.3, 0.7, 0.8, 0.4]
+        delay[1 + zero_in] = 0.0
         survival_s, survival_i = [0.1, 0.9, 0.1, 0.1], [0.9, 0.1, 0.1, 0.1]
         values = pair + delay + survival_s + survival_i
         opened = []
@@ -521,18 +479,14 @@ class TestBlockDraws:
             opened.append(k)
             return ScriptedStream(values[k:])
 
-        signal, idler, z = photostats._read_ranges(at, 4, [0, 2, 4], 0.5, 0.5, 10.0, 2.0)
-        ref_signal, ref_idler = sequential_survivors(
-            ScriptedStream(values), 4, 0.5, 0.5, 10.0, 2.0)
-        assert z == 1
-        # the second pass: both survival blocks of both ranges moved by z
-        (first_delay, second_delay) = delay_offsets
-        assert sorted(opened[8:]) == sorted([0, first_delay, 9, 13, 2, second_delay, 11, 15])
-        assert joined(signal).tolist() == ref_signal.tolist() == [1.0, 6.0, 9.0]
-        assert joined(idler).tolist() == ref_idler.tolist()
-        nonzero = [u for u in delay if u != 0.0]
-        delays = photostats._laplace_from_uniforms(np.array(nonzero[1:4]), 2.0)
-        assert ref_idler.tolist() == (np.array([3.0, 6.0, 9.0]) + delays).tolist()
+        signal, idler = photostats._read_ranges(at, 4, [0, 2, 4], 0.5, 0.5, 10.0, 2.0)
+        # each range opens its blocks at lo, n + lo, 2n + lo and 3n + lo, once
+        assert sorted(opened) == sorted([0, 4, 8, 12, 2, 6, 10, 14])
+        assert joined(signal).tolist() == [1.0, 6.0, 9.0]
+        delays = photostats._laplace_from_uniforms(np.array(delay[1:]), 2.0)
+        assert joined(idler).tolist() == (np.array([3.0, 6.0, 9.0]) + delays).tolist()
+        # the zero reads as 2**-53: a finite delay of scale * log(2**-52)
+        assert delays[zero_in] == pytest.approx(2.0 * math.log(2.0**-52), rel=1e-15)
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch, source_150mw, bp0, chain):
         read_range, failed_on = photostats._read_range, []
@@ -596,6 +550,23 @@ class TestCoincidenceHistogram:
         fit = fit_exp_g2(hist)
         assert fit.converged
         assert fit.derived["t_fwhm_ns"] == pytest.approx(t_fwhm_ns(bp0), rel=0.10)
+
+
+@pytest.mark.parametrize("argument, value", [
+    *[(name, value) for name in ("center_ns", "window_ns", "accidental_offset_ns", "duration_s")
+      for value in (math.nan, math.inf, -math.inf)],
+    ("window_ns", -3.2),
+])
+def test_argument_checks_reject_non_finite_values(source_150mw, bp0, chain, argument, value):
+    stream = TimeTagStream([100, 150], [0, 1])
+    call = {
+        "center_ns": lambda: count_coincidences(stream, value, 3.2),
+        "window_ns": lambda: count_coincidences(stream, 0.0, value),
+        "accidental_offset_ns": lambda: car_from_stream(stream, chain, value),
+        "duration_s": lambda: simulate_timetags(source_150mw, bp0, chain, value, seed=0),
+    }[argument]
+    with pytest.raises(ValueError, match=f"^{argument} must be finite"):
+        call()
 
 
 class TestCarFromStream:
