@@ -421,10 +421,11 @@ _COMMANDS = {
 }
 
 
-#: Subcommand options checked before any work: option -> (rule, holds).
+#: Options checked before any work: option -> (rule, holds).
 _OPTION_RULES = {
     "duration": ("finite and > 0", lambda v: math.isfinite(v) and v > 0.0),
     "points": (">= 2", lambda v: v >= 2),
+    "seed": (">= 0", lambda v: v >= 0),
 }
 
 

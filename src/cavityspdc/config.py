@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .cavity import CavitySpec
 from .fitting import _MIN_G2_BINS
-from .photostats import DetectionChain, SourceRate, histogram_k_max
+from .photostats import DetectionChain, SourceRate, histogram_k_max, pair_rate
 from .polarization import BD, HWP, QWP, CrystalSource, ElementNet, Mirror
 
 
@@ -65,8 +65,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.ppktp0.name == self.ppktp1.name:
             raise ConfigError(f"ppktp1.name {self.ppktp1.name!r} must differ from ppktp0.name")
-        if self.seed is not None and not _is_int(self.seed):
-            raise ConfigError("seed must be an integer or null")
+        if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError("seed must be an integer >= 0 or null")
         if not math.isfinite(self.pump_phase_rad):
             raise ConfigError("pump_phase_rad must be finite")
         if not 0.0 <= self.coherence <= 1.0:
@@ -83,6 +83,20 @@ class ExperimentConfig:
         k_max = histogram_k_max(self.histogram_range_ns, self.chain.bin_ps)
         if 2 * k_max + 1 < _MIN_G2_BINS:
             raise ConfigError(f"histogram_range_ns must span at least {_MIN_G2_BINS} bins")
+        # the lag scan lists every cross-channel delay up to its limit, so it
+        # stays linear in events only while the limit is short against the
+        # mean spacing of detected events
+        chain, rate = self.chain, pair_rate(self.source)
+        events_per_ns = (chain.eta_s * rate + chain.dark_s_per_s
+                         + chain.eta_i * rate + chain.dark_i_per_s) * 1e-9
+        for name, limit_ns in (
+            ("accidental_offset_ns", offset + chain.window_ns / 2.0),
+            ("histogram_range_ns", self.histogram_range_ns / 2.0 + chain.bin_ps / 2e3),
+        ):
+            if limit_ns * events_per_ns >= 1.0:
+                raise ConfigError(f"{name} must keep the delay scan ({limit_ns:g} ns) "
+                                  "short of the mean spacing of detected events "
+                                  f"({1.0 / events_per_ns:g} ns)")
 
 
 def default_config() -> ExperimentConfig:

@@ -3,7 +3,6 @@ detector time-tag streams (jitter, dark counts, coincidence windows)."""
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -241,45 +240,6 @@ def _read_range(at, n: int, lo: int, hi: int,
     return signal, idler
 
 
-def _read_ranges(at, n: int, bounds, eta_s: float, eta_i: float,
-                 duration_ps: float, scale_ps: float):
-    """_read_range over the ranges bounds[k] to bounds[k + 1], which split
-    [0, n), the first on the calling thread and each later one on its own
-    (numpy's fills and ufuncs release the GIL).  Every range reads its own
-    generators, so the signal and the idler times, per-chunk lists in range
-    order, are the same for any split."""
-    parts = _call_in_threads([
-        functools.partial(_read_range, at, n, lo, hi, eta_s, eta_i, duration_ps, scale_ps)
-        for lo, hi in zip(bounds, bounds[1:])
-    ])
-    return ([t for signal, _ in parts for t in signal],
-            [t for _, idler in parts for t in idler])
-
-
-def _call_in_threads(calls):
-    """The results of calls, the first made here, each later one on its own
-    thread.  Every thread is joined before the first call's exception that
-    was raised, in call order, is raised here."""
-    results, errors = [None] * len(calls), [None] * len(calls)
-
-    def run(k):
-        try:
-            results[k] = calls[k]()
-        except BaseException as exc:  # raised below, once every thread is joined
-            errors[k] = exc
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(calls))]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
-    return results
-
-
 def simulate_timetags(
     src: SourceRate,
     bp: BiphotonParams,
@@ -309,41 +269,50 @@ def simulate_timetags(
     give, up to np.log's last-place difference from the C library's log,
     which the rounding to integer picoseconds absorbs.
 
-    The four blocks of n uniforms are read side by side, each from its own
-    generator placed by the bit generator's advance (one rng.random() double
-    is one 64-bit draw), in fixed chunks of pairs and in two contiguous
-    ranges of whole chunks, the second on a worker thread: the record is the
-    same for any split and any number of CPUs, and memory grows with the
-    detected events only.  The generator (the one passed as seed, if it is
-    one) then stands 4n draws on.  This needs a bit generator whose advance
-    counts single draws: an int, SeedSequence or None seed gives PCG64; a
-    Generator passed as seed must use PCG64 or PCG64DXSM, and any other
-    (MT19937, Philox, SFC64) raises ValueError.
+    The seed is an int, a SeedSequence or None, and the generator is
+    PCG64(seed), the one default_rng(seed) builds; a Generator passed as
+    seed raises TypeError.  The four blocks of n uniforms are read side by
+    side, each from its own generator placed by PCG64's advance (one
+    rng.random() double is one 64-bit draw), in fixed chunks of pairs.
+    Pairs [0, half), n / 2 rounded up to whole chunks, are read on the
+    calling thread and the rest, if any, on one worker thread, so the record
+    is the same for any number of CPUs, and memory grows with the detected
+    events only.
     """
     if not (math.isfinite(duration_s) and duration_s > 0.0):
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s!r}")
-    rng = np.random.default_rng(seed)
-    # advance(k) of these skips exactly k rng.random() doubles; named here,
-    # not at module level, so that importing the package loads no numpy.random
-    if not isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise ValueError("seed: simulate_timetags needs a PCG64 or PCG64DXSM "
-                         f"bit generator, got {type(rng.bit_generator).__name__}")
+    # named here, not at module level, so that importing the package loads
+    # no numpy.random
+    rng = np.random.Generator(np.random.PCG64(seed))
     duration_ps = duration_s * 1e12
 
     n_pairs = int(rng.poisson(pair_rate(src) * duration_s))
     at = _streams_from(rng)
-    # two ranges of whole chunks, the second read on a worker thread
-    half = -(-n_pairs // (2 * _DRAW_CHUNK)) * _DRAW_CHUNK
-    bounds = [0, half, n_pairs] if half < n_pairs else [0, n_pairs]
-    t_signal, t_idler = _read_ranges(
-        at, n_pairs, bounds, chain.eta_s, chain.eta_i, duration_ps, coherence_scale_ps(bp)
-    )
-    # advance resets the bit generator's buffered 32-bit half, which the
-    # blocks' double draws would not have touched
-    state = rng.bit_generator.state
-    rng.bit_generator.state = {**at(4 * n_pairs).bit_generator.state,
-                               "has_uint32": state["has_uint32"],
-                               "uinteger": state["uinteger"]}
+    half = min(-(-n_pairs // (2 * _DRAW_CHUNK)) * _DRAW_CHUNK, n_pairs)
+    args = (chain.eta_s, chain.eta_i, duration_ps, coherence_scale_ps(bp))
+    second, error = [[], []], []
+
+    def read_second_half():
+        try:
+            second[:] = _read_range(at, n_pairs, half, n_pairs, *args)
+        except BaseException as exc:  # raised below, once the worker is joined
+            error.append(exc)
+
+    # numpy's fills and ufuncs release the GIL, so the halves read in
+    # parallel; a record of one chunk has no second half and starts no thread
+    worker = threading.Thread(target=read_second_half)
+    if half < n_pairs:
+        worker.start()
+    try:
+        t_signal, t_idler = _read_range(at, n_pairs, 0, half, *args)
+    finally:
+        if half < n_pairs:
+            worker.join()
+    if error:
+        raise error[0]
+    t_signal, t_idler = t_signal + second[0], t_idler + second[1]
+
+    rng = at(4 * n_pairs)
     if chain.jitter_sigma_ps > 0.0:
         for part in t_signal + t_idler:
             part += rng.normal(0.0, chain.jitter_sigma_ps, part.size)

@@ -391,6 +391,10 @@ class TestCli:
             ({"ppktp1": {"name": "ppktp0"}}, "ppktp1.name"),
             ({"ppktp0": {"name": "a/b"}}, "config.ppktp0: name"),
             ({"ppktp0": {"name": ""}}, "config.ppktp0: name"),
+            # delay scans reaching the 82 us mean spacing of detected events
+            ({"accidental_offset_ns": 5e8}, "accidental_offset_ns"),
+            ({"histogram_range_ns": 2e5}, "histogram_range_ns"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
@@ -641,6 +645,14 @@ class TestCli:
         assert main(["--out", str(out), "car", "--points", points]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: --points") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["tomo", "biphoton"])
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main(["--seed", "-3", "--out", str(out), command]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed") and err.count("\n") == 1
         assert not out.exists()
 
 
