@@ -33,11 +33,8 @@ class CavitySpec:
     fsr_v_ghz: float
     fwhm_h_mhz: float
     fwhm_v_mhz: float
-    degenerate_freq_thz: float
     pm_fwhm_thz: float
     length_mm: float
-    out_coupler_reflectivity: float
-    poling_period_um: float  # metadata only, never used in computations
 
     def __post_init__(self):
         # the name is part of the output file names
@@ -49,10 +46,8 @@ class CavitySpec:
             fsr_v_ghz=self.fsr_v_ghz,
             fwhm_h_mhz=self.fwhm_h_mhz,
             fwhm_v_mhz=self.fwhm_v_mhz,
-            degenerate_freq_thz=self.degenerate_freq_thz,
             pm_fwhm_thz=self.pm_fwhm_thz,
             length_mm=self.length_mm,
-            poling_period_um=self.poling_period_um,
         )
         if self.fwhm_h_mhz >= self.fsr_h_ghz * 1e3:
             raise ValueError(f"{self.name}: fwhm_h must be below fsr_h")
@@ -61,10 +56,6 @@ class CavitySpec:
         if self.fsr_h_ghz == self.fsr_v_ghz:
             raise ValueError(f"{self.name}: fsr_h_ghz must differ from fsr_v_ghz "
                              "(degenerate Vernier)")
-        if not 0.0 < self.out_coupler_reflectivity < 1.0:
-            raise ValueError(
-                f"{self.name}: out_coupler_reflectivity must lie in (0, 1)"
-            )
 
     def fsr_ghz(self, pol: str) -> float:
         if pol == "H":

@@ -34,17 +34,6 @@ class DwdmFilter:
             raise ConfigError("dwdm.width_ghz must be finite and > 0")
 
 
-#: Reference tolerances used by the comparison report.
-DEFAULT_TOLERANCES = {
-    "cluster_spacing_rel": 0.01,
-    "t_fwhm_rel": 0.005,
-    "overlap_abs": 0.005,
-    "chsh_abs": 1e-3,
-    "visibility_abs": 1e-6,
-    "fidelity_abs": 1e-6,
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     ppktp0: CavitySpec
@@ -60,7 +49,6 @@ class ExperimentConfig:
     accidental_offset_ns: float
     histogram_range_ns: float
     network: ElementNet | None
-    tolerances: dict
 
     def __post_init__(self):
         if self.ppktp0.name == self.ppktp1.name:
@@ -108,11 +96,8 @@ def default_config() -> ExperimentConfig:
             fsr_v_ghz=54.91,
             fwhm_h_mhz=454.0,
             fwhm_v_mhz=462.0,
-            degenerate_freq_thz=193.3895,
             pm_fwhm_thz=2.04,
             length_mm=1.47,
-            out_coupler_reflectivity=0.96,
-            poling_period_um=46.2,
         ),
         ppktp1=CavitySpec(
             name="ppktp1",
@@ -120,11 +105,8 @@ def default_config() -> ExperimentConfig:
             fsr_v_ghz=54.91,
             fwhm_h_mhz=422.0,
             fwhm_v_mhz=384.0,
-            degenerate_freq_thz=193.3895,
             pm_fwhm_thz=2.04,
             length_mm=1.47,
-            out_coupler_reflectivity=0.96,
-            poling_period_um=46.2,
         ),
         source=SourceRate(
             brightness_per_s_mw_mhz=0.7, power_mw=150.0, bandwidth_mhz=458.0
@@ -147,7 +129,6 @@ def default_config() -> ExperimentConfig:
         accidental_offset_ns=50.0,
         histogram_range_ns=20.0,
         network=None,
-        tolerances=dict(DEFAULT_TOLERANCES),
     )
 
 
@@ -204,7 +185,7 @@ def _build(base, payload: dict, path: str):
         return dataclasses.replace(base, **payload)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -212,9 +193,8 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     """Overlay a JSON payload onto ``default_config()``.
 
     Dataclass-valued sections merge key by key onto their defaults,
-    ``tolerances`` merges onto the reference tolerances, ``network``
-    replaces the built-in displacer network, and any other field is taken
-    as given.
+    ``network`` replaces the built-in displacer network, and any other
+    field is taken as given.
     """
     if not isinstance(payload, dict):
         raise ConfigError("config: expected a JSON object")
@@ -227,18 +207,6 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         default, value, path = getattr(base, key), payload[key], f"config.{key}"
         if dataclasses.is_dataclass(default):
             kwargs[key] = _build(default, value, path)
-        elif key == "tolerances":
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path}: expected an object")
-            kwargs[key] = dict(default)
-            for name, tol in value.items():
-                if name not in default:
-                    raise ConfigError(f"{path}.{name}: unknown key")
-                if not (_is_int(tol) or isinstance(tol, float)):
-                    raise ConfigError(f"{path}.{name}: expected a number")
-                if not (math.isfinite(tol) and tol >= 0):
-                    raise ConfigError(f"{path}.{name}: must be finite and >= 0, got {tol!r}")
-                kwargs[key][name] = float(tol)
         elif key == "network" and value is not None:
             if not isinstance(value, list):
                 raise ConfigError(f"{path}: expected a list of elements")

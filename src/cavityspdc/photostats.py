@@ -396,9 +396,9 @@ def histogram_k_max(range_ns: float, bin_ps: float) -> int:
     """
     if not all(math.isfinite(v) and v > 0.0 for v in (range_ns, bin_ps)):
         raise ValueError("range and bin must be finite and > 0")
-    if abs(bin_ps - round(bin_ps)) > 1e-9:
+    if bin_ps < 1.0 or abs(bin_ps - round(bin_ps)) > 1e-9:
         # timestamps are integer picoseconds; fractional bins would alias
-        raise ValueError("bin_ps must be a whole number of picoseconds")
+        raise ValueError("bin_ps must be a whole number of picoseconds, at least 1")
     range_ps = range_ns * 1e3
     n_bins_f = range_ps / bin_ps
     if abs(n_bins_f - round(n_bins_f)) > 1e-9:

@@ -16,7 +16,6 @@ import numpy as np
 
 #: Order of the two-photon basis kets indexing every 4x4 density matrix.
 BASIS = ("HH", "HV", "VH", "VV")
-BD_STEP_MM = 4.0
 
 Rail = tuple[int, int]
 
@@ -130,15 +129,12 @@ class BD:
 
     axis: str  # "x" or "y"
     moves: str  # "H" or "V"
-    displacement_mm: float = BD_STEP_MM
 
     def __post_init__(self):
         if self.axis not in ("x", "y"):
             raise ValueError("BD axis must be 'x' or 'y'")
         if self.moves not in ("H", "V"):
             raise ValueError("BD moves must be 'H' or 'V'")
-        if self.displacement_mm != BD_STEP_MM:
-            raise ValueError(f"BD displacement is fixed at {BD_STEP_MM} mm")
 
 
 @dataclass(frozen=True)

@@ -90,9 +90,7 @@ class TestModeComb:
     def test_mode_count_formula(self, span, fsr):
         spec = CavitySpec(
             name="t", fsr_h_ghz=fsr, fsr_v_ghz=fsr * 0.95,
-            fwhm_h_mhz=400.0, fwhm_v_mhz=400.0, degenerate_freq_thz=193.0,
-            pm_fwhm_thz=2.0, length_mm=1.5, out_coupler_reflectivity=0.9,
-            poling_period_um=46.0,
+            fwhm_h_mhz=400.0, fwhm_v_mhz=400.0, pm_fwhm_thz=2.0, length_mm=1.5,
         )
         comb = build_mode_comb(spec, "H", span)
         assert len(comb) == 2 * math.floor(span / (2.0 * fsr)) + 1
@@ -143,8 +141,7 @@ class TestSingleModeMargin:
         spec = CavitySpec(
             name="flat", fsr_h_ghz=55.0, fsr_v_ghz=55.2,
             fwhm_h_mhz=454.0, fwhm_v_mhz=462.0,
-            degenerate_freq_thz=193.39, pm_fwhm_thz=2.04, length_mm=1.47,
-            out_coupler_reflectivity=0.96, poling_period_um=46.2,
+            pm_fwhm_thz=2.04, length_mm=1.47,
         )
         assert single_mode_margin(spec) < 0.0
 
@@ -218,20 +215,10 @@ class TestCavitySpecValidation:
             CavitySpec(
                 name="bad", fsr_h_ghz=0.4, fsr_v_ghz=54.91,
                 fwhm_h_mhz=454.0, fwhm_v_mhz=462.0,
-                degenerate_freq_thz=193.39, pm_fwhm_thz=2.04, length_mm=1.47,
-                out_coupler_reflectivity=0.96, poling_period_um=46.2,
+                pm_fwhm_thz=2.04, length_mm=1.47,
             )
 
     def test_equal_fsrs_rejected(self, ppktp0):
         # a degenerate Vernier: the clusters would sit infinitely far apart
         with pytest.raises(ValueError, match="degenerate Vernier"):
             replace(ppktp0, fsr_v_ghz=ppktp0.fsr_h_ghz)
-
-    def test_reflectivity_open_interval(self):
-        with pytest.raises(ValueError):
-            CavitySpec(
-                name="bad", fsr_h_ghz=57.91, fsr_v_ghz=54.91,
-                fwhm_h_mhz=454.0, fwhm_v_mhz=462.0,
-                degenerate_freq_thz=193.39, pm_fwhm_thz=2.04, length_mm=1.47,
-                out_coupler_reflectivity=1.0, poling_period_um=46.2,
-            )

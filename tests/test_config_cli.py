@@ -79,14 +79,14 @@ class TestConfig:
     def test_network_round_trip(self, tmp_path):
         base = config_to_dict(default_config())
         base["network"] = [
-            {"type": "bd", "axis": "x", "moves": "V", "displacement_mm": 4.0},
+            {"type": "bd", "axis": "x", "moves": "V"},
             {"type": "hwp", "angle_deg": 45.0, "rail": [1, 0]},
             {"type": "crystal", "label": "c0", "rail": [0, 0]},
             {"type": "crystal", "label": "c1", "rail": [1, 0]},
-            {"type": "bd", "axis": "y", "moves": "V", "displacement_mm": 4.0},
+            {"type": "bd", "axis": "y", "moves": "V"},
             {"type": "hwp", "angle_deg": 45.0, "rail": [0, 1]},
             {"type": "hwp", "angle_deg": 45.0, "rail": [1, 0]},
-            {"type": "bd", "axis": "x", "moves": "H", "displacement_mm": 4.0},
+            {"type": "bd", "axis": "x", "moves": "H"},
         ]
         path = tmp_path / "net.json"
         path.write_text(json.dumps(base))
@@ -120,12 +120,8 @@ class TestConfig:
         restored = dataclasses.replace(getattr(cfg, section), **{name: value})
         assert dataclasses.replace(cfg, **{section: restored}) == DEFAULT
 
-    def test_round_trip_with_network_and_tolerances(self):
-        cfg = dataclasses.replace(
-            DEFAULT,
-            network=displacer_network(),
-            tolerances={**DEFAULT.tolerances, "chsh_abs": 2e-3},
-        )
+    def test_round_trip_with_network(self):
+        cfg = dataclasses.replace(DEFAULT, network=displacer_network())
         payload = json.loads(json.dumps(config_to_dict(cfg)))
         assert config_from_dict(payload) == cfg
 
@@ -154,7 +150,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
         payload = json.loads((tmp_path / "report.json").read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["all_passed"] is True
         names = {row["quantity"] for row in payload["rows"]}
         assert {"cluster_spacing_ppktp0_ghz", "t_fwhm_ppktp0_ns",
@@ -357,16 +353,20 @@ class TestCli:
             ({"seed": "x"}, "seed"),
             ({"seed": 1.5}, "seed"),
             ({"seed": True}, "seed"),
-            ({"tolerances": {"chsh_abs": "x"}}, "config.tolerances.chsh_abs"),
-            ({"tolerances": {"chsh_abs": True}}, "config.tolerances.chsh_abs"),
+            # removed keys: a crystal's poling period, out-coupler reflectivity
+            # and degeneracy frequency, a displacer's step and the tolerances
+            ({"ppktp0": {"poling_period_um": 46.2}}, "config.ppktp0.poling_period_um"),
+            ({"ppktp1": {"out_coupler_reflectivity": 0.96}},
+             "config.ppktp1.out_coupler_reflectivity"),
             ({"tolerances": []}, "config.tolerances"),
             ({"network": [{"type": "crystal", "label": "c", "rail": ["a", 0]}]},
              "config.network[0].rail"),
             ({"network": [{"type": "crystal", "label": "c", "rail": [0.5, 0]}]},
              "config.network[0].rail"),
-            ({"tolerances": {"chsh_abs": -1}}, "config.tolerances.chsh_abs"),
-            ({"tolerances": {"chsh_abs": math.nan}}, "config.tolerances.chsh_abs"),
-            ({"tolerances": {"fidelity_abs": math.inf}}, "config.tolerances.fidelity_abs"),
+            ({"ppktp0": {"degenerate_freq_thz": 193.3895}}, "config.ppktp0.degenerate_freq_thz"),
+            ({"network": [{"type": "bd", "axis": "x", "moves": "V", "displacement_mm": 4.0}]},
+             "config.network[0].displacement_mm"),
+            ({"tolerances": {"chsh_abs": 2e-3}}, "config.tolerances"),
             ({"bootstrap_resamples": 150.5}, "bootstrap_resamples"),
             ({"bootstrap_resamples": True}, "bootstrap_resamples"),
             ({"tomo_counts_per_setting": 150.5}, "tomo_counts_per_setting"),
@@ -395,6 +395,11 @@ class TestCli:
             ({"accidental_offset_ns": 5e8}, "accidental_offset_ns"),
             ({"histogram_range_ns": 2e5}, "histogram_range_ns"),
             ({"seed": -1}, "seed"),
+            # bins below one picosecond
+            ({"chain": {"bin_ps": 5e-324}}, "bin_ps"),
+            ({"chain": {"bin_ps": 1e-10}}, "bin_ps"),
+            # an overflow in a cross-field check
+            ({"histogram_range_ns": 1e308}, "config: cannot convert float infinity"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
@@ -406,6 +411,28 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert names in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "payload, command, message",
+        [
+            ({"chain": {"eta_s": 5e-324}}, "car", "ZeroDivisionError: float division by zero"),
+            ({"ppktp0": {"length_mm": 5e-324}}, "cavity", "ZeroDivisionError: "),
+            ({"ppktp0": {"fwhm_h_mhz": 1e-300}}, "cavity", "OverflowError: "),
+        ],
+        ids=["car-eta", "cavity-length", "cavity-linewidth"],
+    )
+    def test_unexpected_error_is_one_line_error(self, tmp_path, capsys, payload, command,
+                                                message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        code = main(["--config", str(path), "--seed", "5", "--out", str(out), command])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        meta = json.loads((out / "metadata.json").read_text())
+        assert (meta["status"], meta["exit_status"]) == ("failed", EXIT_RUNTIME)
+        assert err == f"error: {meta['error']}\n"
+        assert meta["error"].startswith(message)
 
     def test_config_seed_is_used(self, tmp_path):
         path = tmp_path / "seed.json"
@@ -739,3 +766,78 @@ def test_import_loads_no_numpy_random():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def _leaves(payload, prefix=""):
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+SIMULATE = ["simulate", "--duration", "2"]
+
+#: For every config leaf but ``seed`` and ``network``: a valid value other than
+#: the default, and the subcommand whose artifacts that value changes.
+KNOBS = {
+    **{f"{crystal}.{name}": (value, ["cavity"])
+       for crystal in ("ppktp0", "ppktp1")
+       for name, value in (("name", f"{crystal}_b"), ("fsr_h_ghz", 57.0),
+                           ("fsr_v_ghz", 54.0), ("fwhm_h_mhz", 400.0),
+                           ("fwhm_v_mhz", 400.0), ("pm_fwhm_thz", 1.5),
+                           ("length_mm", 1.2))},
+    "source.brightness_per_s_mw_mhz": (0.5, ["car"]),
+    "source.power_mw": (100.0, ["car"]),
+    "source.bandwidth_mhz": (400.0, ["car"]),
+    "chain.eta_s": (0.1, ["car"]),
+    "chain.eta_i": (0.1, ["car"]),
+    "chain.dark_s_per_s": (50.0, ["car"]),
+    "chain.dark_i_per_s": (50.0, ["car"]),
+    "chain.window_ns": (2.0, ["car"]),
+    "chain.jitter_sigma_ps": (30.0, SIMULATE),
+    "chain.bin_ps": (50.0, SIMULATE),
+    # a passband that misses the central cluster; a wider one also takes in
+    # the side clusters, which lie outside the default span
+    "dwdm.center_offset_ghz": (600.0, ["cavity"]),
+    "dwdm.width_ghz": (2200.0, ["cavity", "--span-ghz", "4000"]),
+    "pump_phase_rad": (0.0, ["interference"]),
+    "coherence": (0.5, ["interference"]),
+    "tomo_counts_per_setting": (5000, ["chsh"]),
+    "bootstrap_resamples": (150, ["chsh"]),
+    # at seed 5 the 2 s record holds 2 accidentals at 50 ns and 1 at 20 ns
+    "accidental_offset_ns": (20.0, SIMULATE),
+    "histogram_range_ns": (10.0, SIMULATE),
+}
+LEAVES = [leaf for leaf in _leaves(config_to_dict(DEFAULT)) if leaf not in ("seed", "network")]
+
+
+def _artifacts(out, argv, config=None):
+    options = [] if config is None else ["--config", str(config)]
+    assert main([*options, "--seed", "5", "--out", str(out), *argv]) == EXIT_OK
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "metadata.json"}
+
+
+@pytest.fixture(scope="module")
+def default_artifacts(tmp_path_factory):
+    """Artifacts of a default-config run of a subcommand, one run per subcommand."""
+    runs = {}
+
+    def artifacts(argv):
+        if tuple(argv) not in runs:
+            runs[tuple(argv)] = _artifacts(tmp_path_factory.mktemp("default"), argv)
+        return runs[tuple(argv)]
+
+    return artifacts
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_no_config_leaf_is_dead(tmp_path, default_artifacts, leaf):
+    value, argv = KNOBS[leaf]
+    *sections, name = leaf.split(".")
+    payload = {name: value}
+    for section in reversed(sections):
+        payload = {section: payload}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    assert _artifacts(tmp_path / "out", argv, path) != default_artifacts(argv)

@@ -180,10 +180,6 @@ class TestDisplacerNetwork:
         with pytest.raises(NonInterferingNetworkError, match="pump"):
             propagate_network(net, 0.0)
 
-    def test_displacement_is_locked(self):
-        with pytest.raises(ValueError, match="4"):
-            BD(axis="x", moves="V", displacement_mm=3.0)
-
     def test_crystals_must_be_adjacent(self):
         with pytest.raises(ValueError, match="adjacent"):
             ElementNet(
