@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # Decay-rate-to-FWHM factor of the two-sided exponential; rounded 2*ln(2),
 # kept at the conventional 1.39 used for bandwidth bookkeeping.
 FWHM_FACTOR = 1.39
@@ -35,16 +33,6 @@ class BiphotonParams:
 def gamma_prime_mhz(p: BiphotonParams) -> float:
     """Geometric mean of the signal and idler widths."""
     return math.sqrt(p.gamma_s_mhz * p.gamma_i_mhz)
-
-
-def g2_model(t_ns, p: BiphotonParams):
-    """Normalized cross-correlation exp(-2*pi*gamma'*|t|), gamma' in GHz."""
-    t_ns = np.asarray(t_ns, dtype=float)
-    if not np.all(np.isfinite(t_ns)):
-        raise ValueError("t must be finite")
-    gamma_ghz = gamma_prime_mhz(p) * 1e-3
-    out = np.exp(-2.0 * np.pi * gamma_ghz * np.abs(t_ns))
-    return float(out) if out.ndim == 0 else out
 
 
 def t_fwhm_ns(p: BiphotonParams) -> float:

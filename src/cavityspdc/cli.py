@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, biphoton, cavity, fitting, measurement, photostats, polarization
 from .config import ConfigError, ExperimentConfig, config_to_dict, default_config, load_config
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -163,7 +163,7 @@ def _cmd_biphoton(cfg, args, seed, seed_source):
 def _cmd_car(cfg, args, seed, seed_source):
     chain = cfg.chain
     powers = np.logspace(math.log10(0.5), math.log10(250.0), args.points)
-    k = cfg.source.brightness_per_s_mw_mhz * cfg.source.bandwidth_mhz
+    k = photostats.pair_rate(cfg.source, 1.0)
     cars = [photostats.car_model(k * p, chain) for p in powers]
     # CAR has an interior maximum only with dark counts and a nonzero
     # efficiency in both arms; the optimum's power and the reduced curve's
@@ -204,9 +204,9 @@ def _cmd_car(cfg, args, seed, seed_source):
 
 
 def _cmd_simulate(cfg, args, seed, seed_source):
-    bp0, _ = _biphoton_params(cfg)
+    bp = biphoton.BiphotonParams.from_cavity(cfg.pair_crystal)
     stream = photostats.simulate_timetags(
-        cfg.source, bp0, cfg.chain, args.duration, seed
+        cfg.source, bp, cfg.chain, args.duration, seed
     )
     hist = photostats.coincidence_histogram(
         stream, cfg.histogram_range_ns, cfg.chain.bin_ps

@@ -50,9 +50,17 @@ class ExperimentConfig:
     histogram_range_ns: float
     network: ElementNet | None
 
+    @property
+    def pair_crystal(self) -> CavitySpec:
+        """The crystal whose pairs simulate draws; its mean linewidth is the
+        pair bandwidth of ``source``."""
+        return self.ppktp0
+
     def __post_init__(self):
         if self.ppktp0.name == self.ppktp1.name:
             raise ConfigError(f"ppktp1.name {self.ppktp1.name!r} must differ from ppktp0.name")
+        object.__setattr__(self, "source", dataclasses.replace(
+            self.source, bandwidth_mhz=self.pair_crystal.mean_linewidth_mhz()))
         if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError("seed must be an integer >= 0 or null")
         if not math.isfinite(self.pump_phase_rad):
@@ -66,8 +74,8 @@ class ExperimentConfig:
         offset = self.accidental_offset_ns
         if not (math.isfinite(offset) and offset > 2.0 * self.chain.window_ns):
             raise ConfigError("accidental_offset_ns must be finite and far exceed the window")
-        if not (math.isfinite(self.histogram_range_ns) and self.histogram_range_ns > 0.0):
-            raise ConfigError("histogram_range_ns must be finite and > 0")
+        if not (math.isfinite(self.histogram_range_ns * 1e3) and self.histogram_range_ns > 0.0):
+            raise ConfigError("histogram_range_ns must be > 0 and finite in picoseconds")
         k_max = histogram_k_max(self.histogram_range_ns, self.chain.bin_ps)
         if 2 * k_max + 1 < _MIN_G2_BINS:
             raise ConfigError(f"histogram_range_ns must span at least {_MIN_G2_BINS} bins")
@@ -108,9 +116,8 @@ def default_config() -> ExperimentConfig:
             pm_fwhm_thz=2.04,
             length_mm=1.47,
         ),
-        source=SourceRate(
-            brightness_per_s_mw_mhz=0.7, power_mw=150.0, bandwidth_mhz=458.0
-        ),
+        # the bandwidth is derived from ppktp0 by ExperimentConfig
+        source=SourceRate(brightness_per_s_mw_mhz=0.7, power_mw=150.0, bandwidth_mhz=0.0),
         chain=DetectionChain(
             eta_s=0.125,
             eta_i=0.125,
@@ -205,6 +212,9 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         if key not in payload:
             continue
         default, value, path = getattr(base, key), payload[key], f"config.{key}"
+        if key == "source" and isinstance(value, dict) and "bandwidth_mhz" in value:
+            raise ConfigError(f"{path}.bandwidth_mhz: derived from ppktp0's linewidths, "
+                              "not a config key")
         if dataclasses.is_dataclass(default):
             kwargs[key] = _build(default, value, path)
         elif key == "network" and value is not None:
@@ -219,6 +229,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     payload = dataclasses.asdict(cfg)
+    del payload["source"]["bandwidth_mhz"]  # derived, not a key
     if cfg.network is not None:
         payload["network"] = [_element_to_dict(e) for e in cfg.network.elements]
     return payload

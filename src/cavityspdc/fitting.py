@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .biphoton import FWHM_FACTOR
+from .photostats import pair_rate
 
 _FD_REL_STEP = 1e-6
 _MAX_ITER = 200
@@ -310,7 +311,7 @@ def car_curve(power_mw, norm_per_mw: float, knee_s_mw: float, knee_i_mw: float):
 
 def car_curve_reference(source, chain):
     """True reduced parameters implied by a source/detection description."""
-    k = source.brightness_per_s_mw_mhz * source.bandwidth_mhz  # pairs/s/mW
+    k = pair_rate(source, 1.0)  # pairs/s/mW
     norm = k * chain.window_ns * 1e-9
     knee_s = chain.dark_s_per_s / (chain.eta_s * k)
     knee_i = chain.dark_i_per_s / (chain.eta_i * k)

@@ -146,9 +146,11 @@ def read_ttag(path) -> TimeTagStream:
     return TimeTagStream(t_ps, channel)
 
 
-def pair_rate(src: SourceRate) -> float:
-    """Generated pair rate in pairs/s."""
-    return src.brightness_per_s_mw_mhz * src.power_mw * src.bandwidth_mhz
+def pair_rate(src: SourceRate, power_mw: float | None = None) -> float:
+    """Generated pair rate in pairs/s at power_mw, src.power_mw if None;
+    pair_rate(src, 1.0) is the pairs/s per mW."""
+    power = src.power_mw if power_mw is None else power_mw
+    return src.brightness_per_s_mw_mhz * power * src.bandwidth_mhz
 
 
 def car_model(rate: float, chain: DetectionChain) -> float:
@@ -394,12 +396,12 @@ def histogram_k_max(range_ns: float, bin_ps: float) -> int:
     Raises ValueError unless bin_ps is a whole number of picoseconds that
     divides the range evenly.
     """
-    if not all(math.isfinite(v) and v > 0.0 for v in (range_ns, bin_ps)):
-        raise ValueError("range and bin must be finite and > 0")
+    range_ps = range_ns * 1e3
+    if not all(math.isfinite(v) and v > 0.0 for v in (range_ps, bin_ps)):
+        raise ValueError("range and bin must be finite and > 0 in picoseconds")
     if bin_ps < 1.0 or abs(bin_ps - round(bin_ps)) > 1e-9:
         # timestamps are integer picoseconds; fractional bins would alias
         raise ValueError("bin_ps must be a whole number of picoseconds, at least 1")
-    range_ps = range_ns * 1e3
     n_bins_f = range_ps / bin_ps
     if abs(n_bins_f - round(n_bins_f)) > 1e-9:
         raise ValueError("bin_ps must divide range_ns evenly")

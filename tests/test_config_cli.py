@@ -26,7 +26,6 @@ from cavityspdc.cli import (
 )
 from cavityspdc.config import (
     ConfigError,
-    ExperimentConfig,
     config_from_dict,
     config_to_dict,
 )
@@ -34,10 +33,9 @@ from cavityspdc.polarization import BD, HWP, CrystalSource, displacer_network
 
 DEFAULT = default_config()
 SECTION_FIELDS = [
-    (section.name, field.name)
-    for section in dataclasses.fields(ExperimentConfig)
-    if dataclasses.is_dataclass(getattr(DEFAULT, section.name))
-    for field in dataclasses.fields(getattr(DEFAULT, section.name))
+    (section, name)
+    for section, fields in config_to_dict(DEFAULT).items() if isinstance(fields, dict)
+    for name in fields
 ]
 
 
@@ -69,7 +67,7 @@ class TestConfig:
     def test_invalid_field_value_points_at_field(self):
         with pytest.raises(ConfigError, match="config.source"):
             config_from_dict({"source": {"brightness_per_s_mw_mhz": -1.0,
-                                         "power_mw": 1.0, "bandwidth_mhz": 1.0}})
+                                         "power_mw": 1.0}})
 
     def test_partial_override_keeps_defaults(self):
         cfg = config_from_dict({"coherence": 0.5})
@@ -101,6 +99,14 @@ class TestConfig:
         state = propagate_network(cfg.network, math.pi)
         expected = degraded_state(math.pi, 1.0)
         assert np.linalg.norm(state.rho - expected.rho) < 1e-12
+
+    def test_pair_bandwidth_is_derived_from_ppktp0(self):
+        wider = dataclasses.replace(DEFAULT.ppktp0, fwhm_h_mhz=500.0)
+        for cfg in (DEFAULT, config_from_dict({"ppktp0": {"fwhm_v_mhz": 400.0}}),
+                    dataclasses.replace(DEFAULT, ppktp0=wider)):
+            assert cfg.source.bandwidth_mhz == cfg.ppktp0.mean_linewidth_mhz()
+        assert DEFAULT.source.bandwidth_mhz == 458.0
+        assert "bandwidth_mhz" not in config_to_dict(DEFAULT)["source"]
 
     def test_sections_are_walked(self):
         assert {section for section, _ in SECTION_FIELDS} == {
@@ -150,7 +156,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
         payload = json.loads((tmp_path / "report.json").read_text())
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["all_passed"] is True
         names = {row["quantity"] for row in payload["rows"]}
         assert {"cluster_spacing_ppktp0_ghz", "t_fwhm_ppktp0_ns",
@@ -398,8 +404,10 @@ class TestCli:
             # bins below one picosecond
             ({"chain": {"bin_ps": 5e-324}}, "bin_ps"),
             ({"chain": {"bin_ps": 1e-10}}, "bin_ps"),
-            # an overflow in a cross-field check
-            ({"histogram_range_ns": 1e308}, "config: cannot convert float infinity"),
+            # a range that overflows in picoseconds
+            ({"histogram_range_ns": 1e308}, "histogram_range_ns"),
+            # the pair bandwidth is ppktp0's mean linewidth, not a key
+            ({"source": {"bandwidth_mhz": 458}}, "config.source.bandwidth_mhz: derived"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
@@ -789,7 +797,6 @@ KNOBS = {
                            ("length_mm", 1.2))},
     "source.brightness_per_s_mw_mhz": (0.5, ["car"]),
     "source.power_mw": (100.0, ["car"]),
-    "source.bandwidth_mhz": (400.0, ["car"]),
     "chain.eta_s": (0.1, ["car"]),
     "chain.eta_i": (0.1, ["car"]),
     "chain.dark_s_per_s": (50.0, ["car"]),
@@ -841,3 +848,18 @@ def test_no_config_leaf_is_dead(tmp_path, default_artifacts, leaf):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
     assert _artifacts(tmp_path / "out", argv, path) != default_artifacts(argv)
+
+
+def test_car_follows_only_the_pair_crystal(tmp_path, default_artifacts):
+    runs = {}
+    for crystal in ("ppktp0", "ppktp1"):
+        path = tmp_path / f"{crystal}.json"
+        path.write_text(json.dumps({crystal: {"fwhm_h_mhz": 400.0}}))
+        runs[crystal] = _artifacts(tmp_path / crystal, ["car"], path)
+    # the pair bandwidth is ppktp0's mean linewidth, (400 + 462) / 2 = 431 MHz
+    rate = DEFAULT.source.brightness_per_s_mw_mhz * DEFAULT.source.power_mw * 431.0
+    summary = json.loads(runs["ppktp0"]["car_summary.json"])
+    assert summary["car_at_config_power"] == pytest.approx(
+        cavityspdc.car_model(rate, DEFAULT.chain), rel=1e-12)
+    assert summary["car_at_config_power"] == pytest.approx(6667.50, abs=0.01)
+    assert runs["ppktp1"] == default_artifacts(["car"])

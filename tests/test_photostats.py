@@ -509,6 +509,11 @@ class TestCoincidenceHistogram:
         with pytest.raises(ValueError, match="divide"):
             coincidence_histogram(stream, 10.0, 33.0)
 
+    def test_range_must_be_finite_in_picoseconds(self):
+        stream = TimeTagStream([0, 10], [0, 1])
+        with pytest.raises(ValueError, match="finite"):
+            coincidence_histogram(stream, 1e308, 25.0)
+
     def test_dark_only_channels_are_flat(self, bp0):
         chain = quiet_chain(eta_s=0.0, eta_i=0.0, dark_s_per_s=5000.0,
                             dark_i_per_s=5000.0, bin_ps=100.0)
