@@ -28,7 +28,6 @@ class CavitySpec:
     frequencies.
     """
 
-    name: str
     fsr_h_ghz: float
     fsr_v_ghz: float
     fwhm_h_mhz: float
@@ -37,10 +36,6 @@ class CavitySpec:
     length_mm: float
 
     def __post_init__(self):
-        # the name is part of the output file names
-        if not isinstance(self.name, str) or not self.name or {"/", "\\"} & set(self.name):
-            raise ValueError(f"name must be a non-empty string without a path separator, "
-                             f"got {self.name!r}")
         _require_positive(
             fsr_h_ghz=self.fsr_h_ghz,
             fsr_v_ghz=self.fsr_v_ghz,
@@ -50,12 +45,11 @@ class CavitySpec:
             length_mm=self.length_mm,
         )
         if self.fwhm_h_mhz >= self.fsr_h_ghz * 1e3:
-            raise ValueError(f"{self.name}: fwhm_h must be below fsr_h")
+            raise ValueError("fwhm_h must be below fsr_h")
         if self.fwhm_v_mhz >= self.fsr_v_ghz * 1e3:
-            raise ValueError(f"{self.name}: fwhm_v must be below fsr_v")
+            raise ValueError("fwhm_v must be below fsr_v")
         if self.fsr_h_ghz == self.fsr_v_ghz:
-            raise ValueError(f"{self.name}: fsr_h_ghz must differ from fsr_v_ghz "
-                             "(degenerate Vernier)")
+            raise ValueError("fsr_h_ghz must differ from fsr_v_ghz (degenerate Vernier)")
 
     def fsr_ghz(self, pol: str) -> float:
         if pol == "H":

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, biphoton, cavity, fitting, measurement, photostats, polarization
 from .config import ConfigError, ExperimentConfig, config_to_dict, default_config, load_config
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -80,10 +80,7 @@ def _state_from_config(cfg: ExperimentConfig) -> polarization.TwoPhotonState:
 
 
 def _biphoton_params(cfg: ExperimentConfig):
-    return (
-        biphoton.BiphotonParams.from_cavity(cfg.ppktp0),
-        biphoton.BiphotonParams.from_cavity(cfg.ppktp1),
-    )
+    return tuple(biphoton.BiphotonParams.from_cavity(spec) for _, spec in cfg.crystals())
 
 
 # ---------------------------------------------------------------------------
@@ -110,21 +107,22 @@ def _cmd_cavity(cfg, args, seed, seed_source):
     rng = np.random.default_rng(seed)
     header = cavity.MODE_COMB_CSV_HEADER
     artifacts, summary_specs = {}, []
-    for spec in (cfg.ppktp0, cfg.ppktp1):
+    for name, spec in cfg.crystals():
         sweep_fits = {}
         for pol in ("H", "V"):
             comb = cavity.build_mode_comb(spec, pol, span)
-            artifacts[f"modes_{spec.name}_{pol}.csv"] = (header, comb.csv_rows())
-            artifacts[f"sweep_{spec.name}_{pol}.csv"], sweep_fits[pol] = _sweep_fit(spec, pol, rng)
+            artifacts[f"modes_{name}_{pol}.csv"] = (header, comb.csv_rows())
+            artifacts[f"sweep_{name}_{pol}.csv"], sweep_fits[pol] = _sweep_fit(spec, pol, rng)
         clusters = cavity.cluster_comb(spec, span)
-        selected = cavity.dwdm_select(
-            clusters, cfg.dwdm.center_offset_ghz, cfg.dwdm.width_ghz
-        )
-        artifacts[f"clusters_{spec.name}.csv"] = (header, clusters.csv_rows())
+        # select from a comb that spans the passband, whatever --span-ghz is
+        center, width = cfg.dwdm.center_offset_ghz, cfg.dwdm.width_ghz
+        passband_comb = cavity.cluster_comb(spec, 2.0 * abs(center) + width)
+        selected = cavity.dwdm_select(passband_comb, center, width)
+        artifacts[f"clusters_{name}.csv"] = (header, clusters.csv_rows())
         spacing = cavity.cluster_spacing(spec.fsr_h_ghz, spec.fsr_v_ghz)
         summary_specs.append(
             {
-                "name": spec.name,
+                "name": name,
                 "cluster_spacing_ghz": spacing,
                 "single_mode_margin_ghz": cavity.single_mode_margin(spec),
                 "effective_index_h": cavity.effective_index(
@@ -149,11 +147,11 @@ def _cmd_biphoton(cfg, args, seed, seed_source):
     payload = {
         "crystals": [
             {
-                "name": spec.name,
+                "name": name,
                 "gamma_prime_mhz": biphoton.gamma_prime_mhz(bp),
                 "t_fwhm_ns": biphoton.t_fwhm_ns(bp),
             }
-            for spec, bp in ((cfg.ppktp0, bp0), (cfg.ppktp1, bp1))
+            for (name, _), bp in zip(cfg.crystals(), (bp0, bp1))
         ],
         "spectral_overlap": biphoton.spectral_overlap(bp0, bp1),
     }

@@ -11,7 +11,7 @@ from pathlib import Path
 from .cavity import CavitySpec
 from .fitting import _MIN_G2_BINS
 from .photostats import DetectionChain, SourceRate, histogram_k_max, pair_rate
-from .polarization import BD, HWP, QWP, CrystalSource, ElementNet, Mirror
+from .polarization import BD, HWP, QWP, CrystalSource, ElementNet
 
 
 class ConfigError(ValueError):
@@ -50,6 +50,10 @@ class ExperimentConfig:
     histogram_range_ns: float
     network: ElementNet | None
 
+    def crystals(self) -> tuple[tuple[str, CavitySpec], ...]:
+        """Each crystal with its name, the key of its config section."""
+        return ("ppktp0", self.ppktp0), ("ppktp1", self.ppktp1)
+
     @property
     def pair_crystal(self) -> CavitySpec:
         """The crystal whose pairs simulate draws; its mean linewidth is the
@@ -57,8 +61,6 @@ class ExperimentConfig:
         return self.ppktp0
 
     def __post_init__(self):
-        if self.ppktp0.name == self.ppktp1.name:
-            raise ConfigError(f"ppktp1.name {self.ppktp1.name!r} must differ from ppktp0.name")
         object.__setattr__(self, "source", dataclasses.replace(
             self.source, bandwidth_mhz=self.pair_crystal.mean_linewidth_mhz()))
         if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
@@ -99,7 +101,6 @@ def default_config() -> ExperimentConfig:
     """Bundled two-crystal telecom source description."""
     return ExperimentConfig(
         ppktp0=CavitySpec(
-            name="ppktp0",
             fsr_h_ghz=57.91,
             fsr_v_ghz=54.91,
             fwhm_h_mhz=454.0,
@@ -108,7 +109,6 @@ def default_config() -> ExperimentConfig:
             length_mm=1.47,
         ),
         ppktp1=CavitySpec(
-            name="ppktp1",
             fsr_h_ghz=57.41,
             fsr_v_ghz=54.91,
             fwhm_h_mhz=422.0,
@@ -142,8 +142,7 @@ def default_config() -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # JSON round trip
 
-_ELEMENT_TYPES = {"bd": BD, "hwp": HWP, "qwp": QWP, "mirror": Mirror,
-                  "crystal": CrystalSource}
+_ELEMENT_TYPES = {"bd": BD, "hwp": HWP, "qwp": QWP, "crystal": CrystalSource}
 
 
 def _element_to_dict(element) -> dict:

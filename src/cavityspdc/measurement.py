@@ -433,21 +433,22 @@ _ENTRY_MU = 1e-2
 _MU_SHRINK = 20.0
 #: Squared Newton decrement at or below which an iterate counts as centred.
 _CENTRED = 0.1
+#: Certificate gap at which a fit stops, and the Newton steps allowed to reach it.
+_GAP_TOL = 1e-10
+_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
 class MleFit:
     """A certified maximum-likelihood state with its Newton step count and
-    the final certificate gap, lambda_max(R) - 1 <= tol."""
+    the final certificate gap, lambda_max(R) - 1 <= _GAP_TOL."""
 
     state: TwoPhotonState
     steps: int
     gap: float
 
 
-def tomo_mle(
-    rec: TomographyRecord, max_iter: int = 200, tol: float = 1e-10
-) -> TwoPhotonState:
+def tomo_mle(rec: TomographyRecord) -> TwoPhotonState:
     """Maximum-likelihood reconstruction over physical density matrices.
 
     The 16 settings, each weighted by its integration time t_k, do not sum
@@ -478,15 +479,15 @@ def tomo_mle(
     The log-likelihood is concave with gradient R = sum_k (f_k / p_k) P~_k,
     f_k = n_k / N, and tr(R sigma) = 1, so gap = lambda_max(R) - 1 bounds
     the distance of the per-count log-likelihood from its maximum.  At the
-    centre for mu the gap is below 4 mu / N, so mu stops at tol N / 8 and the
-    remaining Newton steps converge quadratically.  The iteration stops once
-    gap <= tol and raises TomographyError if max_iter steps do not get there.
-    tomo_mle_fit returns the same fit with its diagnostics.
+    centre for mu the gap is below 4 mu / N, so mu stops at _GAP_TOL N / 8 and
+    the remaining Newton steps converge quadratically.  The iteration stops
+    once gap <= _GAP_TOL and raises TomographyError if _MAX_STEPS steps do not
+    get there.  tomo_mle_fit returns the same fit with its diagnostics.
     """
-    return tomo_mle_fit(rec, max_iter, tol).state
+    return tomo_mle_fit(rec).state
 
 
-def tomo_mle_fit(rec: TomographyRecord, max_iter: int = 200, tol: float = 1e-10) -> MleFit:
+def tomo_mle_fit(rec: TomographyRecord) -> MleFit:
     """The fit of tomo_mle, with its Newton steps and final certificate gap."""
     povm = rec._complete_povm()
     counts, total = _counts_and_total(rec)
@@ -502,8 +503,8 @@ def tomo_mle_fit(rec: TomographyRecord, max_iter: int = 200, tol: float = 1e-10)
     val = np.maximum(val, _ENTRY_MU)
     x = _coordinates((vec * (val / val.sum())) @ vec.conj().T)
     mu = _ENTRY_MU * total
-    mu_floor = tol * total / 8.0
-    for iterations in range(max_iter + 1):
+    mu_floor = _GAP_TOL * total / 8.0
+    for iterations in range(_MAX_STEPS + 1):
         sigma = _sigma(x)
         inv = np.linalg.inv(sigma)
         p = offset + coords @ x
@@ -519,12 +520,12 @@ def tomo_mle_fit(rec: TomographyRecord, max_iter: int = 200, tol: float = 1e-10)
         lam2 = -(grad @ step) / mu
         if lam2 <= _CENTRED:
             gap = certificate_gap(q)
-            if gap <= tol:
+            if gap <= _GAP_TOL:
                 break
-        if iterations == max_iter:
+        if iterations == _MAX_STEPS:
             raise TomographyError(
                 "barrier Newton iteration did not converge: "
-                f"{iterations} iterations, gap {certificate_gap(q):.3e} > tol {tol:.1e}"
+                f"{iterations} iterations, gap {certificate_gap(q):.3e} > tol {_GAP_TOL:.1e}"
             )
         if lam2 > _CENTRED or mu <= mu_floor:
             x = x + (step if lam2 < 1.0 else step / (1.0 + math.sqrt(lam2)))

@@ -158,17 +158,9 @@ class QWP:
 
 
 @dataclass(frozen=True)
-class Mirror:
-    """Beam steering only; acts as identity on (rail, polarization)."""
-
-    rail: Rail | None = None
-
-
-@dataclass(frozen=True)
 class CrystalSource:
     """Pair emitter pumped by the H amplitude present on its rail."""
 
-    label: str
     rail: Rail = (0, 0)
 
 
@@ -202,12 +194,11 @@ def displacer_network() -> ElementNet:
         (
             BD(axis="x", moves="V"),  # pump splitter
             HWP(45.0, rail=(1, 0)),  # displaced pump back to H
-            CrystalSource("crystal0", rail=(0, 0)),
-            CrystalSource("crystal1", rail=(1, 0)),
+            CrystalSource(rail=(0, 0)),
+            CrystalSource(rail=(1, 0)),
             BD(axis="y", moves="V"),  # idler photons up
             HWP(45.0, rail=(0, 1)),  # relabel upper-left V -> H
             HWP(45.0, rail=(1, 0)),  # relabel lower-right H -> V
-            Mirror(rail=(1, 0)),
             BD(axis="x", moves="H"),  # recombine into two ports
         )
     )
@@ -241,8 +232,6 @@ def _single_photon_map(element, key, amp):
             coeff = jones[row, col]
             if abs(coeff) > _PRUNE:
                 yield (rail, out_pol), amp * coeff
-    elif isinstance(element, Mirror):
-        yield key, amp
     else:
         raise TypeError(f"cannot propagate through {element!r}")
 

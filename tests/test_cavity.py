@@ -89,7 +89,7 @@ class TestModeComb:
     @settings(max_examples=60)
     def test_mode_count_formula(self, span, fsr):
         spec = CavitySpec(
-            name="t", fsr_h_ghz=fsr, fsr_v_ghz=fsr * 0.95,
+            fsr_h_ghz=fsr, fsr_v_ghz=fsr * 0.95,
             fwhm_h_mhz=400.0, fwhm_v_mhz=400.0, pm_fwhm_thz=2.0, length_mm=1.5,
         )
         comb = build_mode_comb(spec, "H", span)
@@ -139,7 +139,7 @@ class TestSingleModeMargin:
         # equal FSRs are rejected (TestCavitySpecValidation); FSRs closer
         # than a linewidth leave no single-mode margin
         spec = CavitySpec(
-            name="flat", fsr_h_ghz=55.0, fsr_v_ghz=55.2,
+            fsr_h_ghz=55.0, fsr_v_ghz=55.2,
             fwhm_h_mhz=454.0, fwhm_v_mhz=462.0,
             pm_fwhm_thz=2.04, length_mm=1.47,
         )
@@ -213,7 +213,7 @@ class TestCavitySpecValidation:
     def test_linewidth_must_fit_inside_fsr(self):
         with pytest.raises(ValueError):
             CavitySpec(
-                name="bad", fsr_h_ghz=0.4, fsr_v_ghz=54.91,
+                fsr_h_ghz=0.4, fsr_v_ghz=54.91,
                 fwhm_h_mhz=454.0, fwhm_v_mhz=462.0,
                 pm_fwhm_thz=2.04, length_mm=1.47,
             )

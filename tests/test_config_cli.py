@@ -79,8 +79,8 @@ class TestConfig:
         base["network"] = [
             {"type": "bd", "axis": "x", "moves": "V"},
             {"type": "hwp", "angle_deg": 45.0, "rail": [1, 0]},
-            {"type": "crystal", "label": "c0", "rail": [0, 0]},
-            {"type": "crystal", "label": "c1", "rail": [1, 0]},
+            {"type": "crystal", "rail": [0, 0]},
+            {"type": "crystal", "rail": [1, 0]},
             {"type": "bd", "axis": "y", "moves": "V"},
             {"type": "hwp", "angle_deg": 45.0, "rail": [0, 1]},
             {"type": "hwp", "angle_deg": 45.0, "rail": [1, 0]},
@@ -156,7 +156,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
         payload = json.loads((tmp_path / "report.json").read_text())
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert payload["all_passed"] is True
         names = {row["quantity"] for row in payload["rows"]}
         assert {"cluster_spacing_ppktp0_ghz", "t_fwhm_ppktp0_ns",
@@ -192,6 +192,18 @@ class TestCli:
         summary = json.loads((tmp_path / "cavity_summary.json").read_text())
         assert summary["crystals"][0]["dwdm_selected_clusters"] == 1
 
+    def test_dwdm_selects_every_cluster_in_its_passband(self, tmp_path):
+        # 2200 GHz reaches ppktp0's side clusters at +-1060 GHz, not ppktp1's at
+        # +-1261 GHz; both lie outside the default span of 240 GHz
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"dwdm": {"width_ghz": 2200.0}}))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"), "cavity"]) == 0
+        summary = json.loads((tmp_path / "out" / "cavity_summary.json").read_text())
+        assert [c["dwdm_selected_clusters"] for c in summary["crystals"]] == [3, 1]
+        # the cluster table still covers --span-ghz only
+        rows = (tmp_path / "out" / "clusters_ppktp0.csv").read_text().splitlines()
+        assert rows[1:] == ["0,0.0,458.0,HV"]
+
     def test_cavity_records_adjacent_cluster_weight(self, tmp_path):
         assert main(["--out", str(tmp_path), "cavity"]) == 0
         crystals = json.loads((tmp_path / "cavity_summary.json").read_text())["crystals"]
@@ -203,9 +215,10 @@ class TestCli:
     def test_cavity_sweeps_recover_linewidths(self, tmp_path):
         assert main(["--seed", "0", "--out", str(tmp_path), "cavity"]) == 0
         summary = json.loads((tmp_path / "cavity_summary.json").read_text())
-        for spec, entry in zip((DEFAULT.ppktp0, DEFAULT.ppktp1), summary["crystals"]):
+        for (name, spec), entry in zip(DEFAULT.crystals(), summary["crystals"]):
+            assert entry["name"] == name
             for pol in ("H", "V"):
-                lines = (tmp_path / f"sweep_{spec.name}_{pol}.csv").read_text().splitlines()
+                lines = (tmp_path / f"sweep_{name}_{pol}.csv").read_text().splitlines()
                 assert lines[0] == "detuning_mhz,transmission,fit"
                 assert len(lines) == 1 + SWEEP_POINTS
                 fit = entry["sweep_fit"][pol]
@@ -365,9 +378,9 @@ class TestCli:
             ({"ppktp1": {"out_coupler_reflectivity": 0.96}},
              "config.ppktp1.out_coupler_reflectivity"),
             ({"tolerances": []}, "config.tolerances"),
-            ({"network": [{"type": "crystal", "label": "c", "rail": ["a", 0]}]},
+            ({"network": [{"type": "crystal", "rail": ["a", 0]}]},
              "config.network[0].rail"),
-            ({"network": [{"type": "crystal", "label": "c", "rail": [0.5, 0]}]},
+            ({"network": [{"type": "crystal", "rail": [0.5, 0]}]},
              "config.network[0].rail"),
             ({"ppktp0": {"degenerate_freq_thz": 193.3895}}, "config.ppktp0.degenerate_freq_thz"),
             ({"network": [{"type": "bd", "axis": "x", "moves": "V", "displacement_mm": 4.0}]},
@@ -390,13 +403,13 @@ class TestCli:
             ({"ppktp0": {"fsr_v_ghz": 57.91}}, "config.ppktp0"),
             ({"network": [{"type": "hwp", "angle_deg": math.nan}]},
              "config.network[0]: angle_deg"),
-            ({"network": [{"type": "crystal", "label": "c"},
+            ({"network": [{"type": "crystal"},
                           {"type": "qwp", "angle_deg": math.inf, "rail": [0, 0]}]},
              "config.network[1]: angle_deg"),
-            # crystal names become output file names
+            # a crystal is named by its section key, not by a name key
             ({"ppktp1": {"name": "ppktp0"}}, "ppktp1.name"),
-            ({"ppktp0": {"name": "a/b"}}, "config.ppktp0: name"),
-            ({"ppktp0": {"name": ""}}, "config.ppktp0: name"),
+            ({"ppktp0": {"name": "a/b"}}, "config.ppktp0.name"),
+            ({"ppktp0": {"name": ""}}, "config.ppktp0.name"),
             # delay scans reaching the 82 us mean spacing of detected events
             ({"accidental_offset_ns": 5e8}, "accidental_offset_ns"),
             ({"histogram_range_ns": 2e5}, "histogram_range_ns"),
@@ -408,6 +421,13 @@ class TestCli:
             ({"histogram_range_ns": 1e308}, "histogram_range_ns"),
             # the pair bandwidth is ppktp0's mean linewidth, not a key
             ({"source": {"bandwidth_mhz": 458}}, "config.source.bandwidth_mhz: derived"),
+            # removed network keys: the mirror element, which acted as the
+            # identity, and a crystal's label, which nothing read
+            ({"ppktp0": {"name": "x"}}, "config.ppktp0.name: unknown key"),
+            ({"network": [{"type": "mirror"}]},
+             "config.network[0].type: unknown element type 'mirror'"),
+            ({"network": [{"type": "crystal", "label": "c0"}]},
+             "config.network[0].label: unknown key"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
@@ -791,10 +811,9 @@ SIMULATE = ["simulate", "--duration", "2"]
 KNOBS = {
     **{f"{crystal}.{name}": (value, ["cavity"])
        for crystal in ("ppktp0", "ppktp1")
-       for name, value in (("name", f"{crystal}_b"), ("fsr_h_ghz", 57.0),
-                           ("fsr_v_ghz", 54.0), ("fwhm_h_mhz", 400.0),
-                           ("fwhm_v_mhz", 400.0), ("pm_fwhm_thz", 1.5),
-                           ("length_mm", 1.2))},
+       for name, value in (("fsr_h_ghz", 57.0), ("fsr_v_ghz", 54.0),
+                           ("fwhm_h_mhz", 400.0), ("fwhm_v_mhz", 400.0),
+                           ("pm_fwhm_thz", 1.5), ("length_mm", 1.2))},
     "source.brightness_per_s_mw_mhz": (0.5, ["car"]),
     "source.power_mw": (100.0, ["car"]),
     "chain.eta_s": (0.1, ["car"]),
@@ -804,10 +823,10 @@ KNOBS = {
     "chain.window_ns": (2.0, ["car"]),
     "chain.jitter_sigma_ps": (30.0, SIMULATE),
     "chain.bin_ps": (50.0, SIMULATE),
-    # a passband that misses the central cluster; a wider one also takes in
-    # the side clusters, which lie outside the default span
+    # a passband that misses the central cluster, and one wide enough to take
+    # in ppktp0's side clusters
     "dwdm.center_offset_ghz": (600.0, ["cavity"]),
-    "dwdm.width_ghz": (2200.0, ["cavity", "--span-ghz", "4000"]),
+    "dwdm.width_ghz": (2200.0, ["cavity"]),
     "pump_phase_rad": (0.0, ["interference"]),
     "coherence": (0.5, ["interference"]),
     "tomo_counts_per_setting": (5000, ["chsh"]),
@@ -816,12 +835,27 @@ KNOBS = {
     "accidental_offset_ns": (20.0, SIMULATE),
     "histogram_range_ns": (10.0, SIMULATE),
 }
+#: The built-in displacer network, written out as a ``network`` config.
+NETWORK = config_to_dict(dataclasses.replace(DEFAULT, network=displacer_network()))["network"]
+#: For every field of an element of ``NETWORK``: the index of the element to
+#: change, a valid value other than its own, and the exit status of ``report``
+#: with that value.
+NETWORK_KNOBS = {
+    "network.bd.axis": (0, "y", EXIT_REPORT_FAIL),
+    # a recombiner that moves V leaves the photons on four rails
+    "network.bd.moves": (7, "V", EXIT_RUNTIME),
+    "network.hwp.angle_deg": (1, 44.0, EXIT_REPORT_FAIL),
+    "network.hwp.rail": (1, None, EXIT_REPORT_FAIL),
+    "network.crystal.rail": (3, [1, 1], EXIT_REPORT_FAIL),
+}
 LEAVES = [leaf for leaf in _leaves(config_to_dict(DEFAULT)) if leaf not in ("seed", "network")]
+LEAVES += sorted({f"network.{element['type']}.{key}"
+                  for element in NETWORK for key in element if key != "type"})
 
 
-def _artifacts(out, argv, config=None):
+def _artifacts(out, argv, config=None, code=EXIT_OK):
     options = [] if config is None else ["--config", str(config)]
-    assert main([*options, "--seed", "5", "--out", str(out), *argv]) == EXIT_OK
+    assert main([*options, "--seed", "5", "--out", str(out), *argv]) == code
     return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "metadata.json"}
 
 
@@ -838,16 +872,31 @@ def default_artifacts(tmp_path_factory):
     return artifacts
 
 
+def test_default_network_written_out_is_the_default(tmp_path, default_artifacts):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"network": NETWORK}))
+    assert _artifacts(tmp_path / "out", ["report"], path) == default_artifacts(["report"])
+
+
 @pytest.mark.parametrize("leaf", LEAVES)
 def test_no_config_leaf_is_dead(tmp_path, default_artifacts, leaf):
-    value, argv = KNOBS[leaf]
-    *sections, name = leaf.split(".")
-    payload = {name: value}
-    for section in reversed(sections):
-        payload = {section: payload}
+    code = EXIT_OK
+    if leaf.startswith("network."):
+        index, value, code = NETWORK_KNOBS[leaf]
+        _, kind, name = leaf.split(".")
+        assert NETWORK[index]["type"] == kind
+        network = [dict(element) for element in NETWORK]
+        network[index][name] = value
+        payload, argv = {"network": network}, ["report"]
+    else:
+        value, argv = KNOBS[leaf]
+        *sections, name = leaf.split(".")
+        payload = {name: value}
+        for section in reversed(sections):
+            payload = {section: payload}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
-    assert _artifacts(tmp_path / "out", argv, path) != default_artifacts(argv)
+    assert _artifacts(tmp_path / "out", argv, path, code) != default_artifacts(argv)
 
 
 def test_car_follows_only_the_pair_crystal(tmp_path, default_artifacts):

@@ -23,6 +23,7 @@ from cavityspdc import (
     tomo_mle,
     tomo_simulate_counts,
 )
+from cavityspdc import measurement
 from cavityspdc.measurement import (
     TOMOGRAPHY_LABELS,
     BellSettings,
@@ -527,31 +528,36 @@ class TestTomoMle:
         # generic pure states put the optimum on the boundary of the state
         # space; the fit must still certify within a few tens of steps
         rec = tomo_simulate_counts(random_pure_state(seed), 10_000, seed=seed)
-        rho = tomo_mle(rec, max_iter=60).rho
-        assert_density_matrix(rho)
-        assert certificate_gap(rec, rho) <= 1e-10
+        fit = tomo_mle_fit(rec)
+        assert fit.steps <= 60
+        assert_density_matrix(fit.state.rho)
+        assert certificate_gap(rec, fit.state.rho) <= 1e-10
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         rec = tomo_simulate_counts(degraded_state(math.pi, 0.8709), 10_000, seed=0)
+        monkeypatch.setattr(measurement, "_MAX_STEPS", 5)
         with pytest.raises(TomographyError, match="5 iterations, gap"):
-            tomo_mle(rec, max_iter=5)
+            tomo_mle(rec)
 
     @pytest.mark.parametrize("n", [10_000, 500])
     def test_observed_records_certify_within_17_steps(self, n):
         # the benchmark's observed records; entered at mu = N at the
         # maximally mixed state they needed 21 and 19 steps
         rec = tomo_simulate_counts(degraded_state(math.pi, 0.8709), n, seed=0)
-        rho = tomo_mle(rec, max_iter=17).rho
-        assert certificate_gap(rec, rho) <= 1e-10
+        fit = tomo_mle_fit(rec)
+        assert fit.steps <= 17
+        assert certificate_gap(rec, fit.state.rho) <= 1e-10
 
-    def test_fit_reports_its_steps_and_gap(self):
+    def test_fit_reports_its_steps_and_gap(self, monkeypatch):
         rec = tomo_simulate_counts(degraded_state(math.pi, 0.8709), 10_000, seed=0)
         fit = tomo_mle_fit(rec)
         np.testing.assert_array_equal(fit.state.rho, tomo_mle(rec).rho)
         assert 0 < fit.steps <= 200 and fit.gap <= 1e-10
-        tomo_mle(rec, max_iter=fit.steps)
+        monkeypatch.setattr(measurement, "_MAX_STEPS", fit.steps)
+        tomo_mle(rec)
+        monkeypatch.setattr(measurement, "_MAX_STEPS", fit.steps - 1)
         with pytest.raises(TomographyError, match="iterations, gap"):
-            tomo_mle(rec, max_iter=fit.steps - 1)
+            tomo_mle(rec)
 
     def test_zero_count_settings_certify(self):
         rec = tomo_simulate_counts(PHI_MINUS, 100, seed=0)

@@ -10,7 +10,6 @@ from cavityspdc import (
     HWP,
     CrystalSource,
     ElementNet,
-    Mirror,
     NonInterferingNetworkError,
     TwoPhotonState,
     concurrence,
@@ -151,15 +150,6 @@ class TestDisplacerNetwork:
         with pytest.raises(NonInterferingNetworkError):
             propagate_network(ElementNet(net.elements[:-1]), math.pi)
 
-    def test_mirror_is_inert(self):
-        net = displacer_network()
-        no_mirror = ElementNet(
-            tuple(e for e in net.elements if not isinstance(e, Mirror))
-        )
-        a = propagate_network(net, 1.2345)
-        b = propagate_network(no_mirror, 1.2345)
-        assert np.linalg.norm(a.rho - b.rho) < 1e-14
-
     @given(theta=phases)
     @settings(max_examples=30)
     def test_output_is_physical(self, theta):
@@ -172,7 +162,7 @@ class TestDisplacerNetwork:
         net = ElementNet(
             (
                 BD(axis="x", moves="V"),
-                CrystalSource("c0", rail=(5, 5)),
+                CrystalSource(rail=(5, 5)),
                 BD(axis="y", moves="V"),
                 BD(axis="x", moves="H"),
             )
@@ -185,8 +175,8 @@ class TestDisplacerNetwork:
             ElementNet(
                 (
                     BD(axis="x", moves="V"),
-                    CrystalSource("c0", rail=(0, 0)),
+                    CrystalSource(rail=(0, 0)),
                     BD(axis="y", moves="V"),
-                    CrystalSource("c1", rail=(1, 0)),
+                    CrystalSource(rail=(1, 0)),
                 )
             )
