@@ -114,12 +114,13 @@ def _cmd_cavity(cfg, args, seed, seed_source):
             artifacts[f"modes_{name}_{pol}.csv"] = (header, comb.csv_rows())
             artifacts[f"sweep_{name}_{pol}.csv"], sweep_fits[pol] = _sweep_fit(spec, pol, rng)
         clusters = cavity.cluster_comb(spec, span)
-        # select from a comb that spans the passband, whatever --span-ghz is
-        center, width = cfg.dwdm.center_offset_ghz, cfg.dwdm.width_ghz
-        passband_comb = cavity.cluster_comb(spec, 2.0 * abs(center) + width)
-        selected = cavity.dwdm_select(passband_comb, center, width)
         artifacts[f"clusters_{name}.csv"] = (header, clusters.csv_rows())
         spacing = cavity.cluster_spacing(spec.fsr_h_ghz, spec.fsr_v_ghz)
+        # clusters k * spacing inside the passband, whatever --span-ghz is
+        center, half = cfg.dwdm.center_offset_ghz, 0.5 * cfg.dwdm.width_ghz
+        selected = max(
+            0, math.floor((center + half) / spacing) - math.ceil((center - half) / spacing) + 1
+        )
         summary_specs.append(
             {
                 "name": name,
@@ -134,7 +135,7 @@ def _cmd_cavity(cfg, args, seed, seed_source):
                 # the neighbouring cluster's emission is not negligible, so the
                 # DWDM passband, not the envelope, selects a single cluster
                 "pm_weight_adjacent_cluster": cavity.phase_matching_envelope(spacing, spec),
-                "dwdm_selected_clusters": len(selected),
+                "dwdm_selected_clusters": selected,
                 "sweep_fit": sweep_fits,
             }
         )

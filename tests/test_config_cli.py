@@ -204,6 +204,24 @@ class TestCli:
         rows = (tmp_path / "out" / "clusters_ppktp0.csv").read_text().splitlines()
         assert rows[1:] == ["0,0.0,458.0,HV"]
 
+    @pytest.mark.parametrize(
+        "dwdm, counts",
+        [
+            ({"center_offset_ghz": 600.0}, [0, 0]),
+            ({"center_offset_ghz": 1060.0, "width_ghz": 50.0}, [1, 0]),
+            # counted in closed form, so a far-off passband costs nothing
+            ({"center_offset_ghz": 1e15}, [0, 0]),
+            # the count a comb over the passband filtered by dwdm_select gives
+            ({"center_offset_ghz": -5e4, "width_ghz": 2e5}, [189, 158]),
+        ],
+    )
+    def test_dwdm_count_off_centre(self, tmp_path, dwdm, counts):
+        path = tmp_path / "dwdm.json"
+        path.write_text(json.dumps({"dwdm": dwdm}))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"), "cavity"]) == 0
+        summary = json.loads((tmp_path / "out" / "cavity_summary.json").read_text())
+        assert [c["dwdm_selected_clusters"] for c in summary["crystals"]] == counts
+
     def test_cavity_records_adjacent_cluster_weight(self, tmp_path):
         assert main(["--out", str(tmp_path), "cavity"]) == 0
         crystals = json.loads((tmp_path / "cavity_summary.json").read_text())["crystals"]
@@ -406,10 +424,14 @@ class TestCli:
             ({"network": [{"type": "crystal"},
                           {"type": "qwp", "angle_deg": math.inf, "rail": [0, 0]}]},
              "config.network[1]: angle_deg"),
-            # a crystal is named by its section key, not by a name key
+            # removed keys: a crystal's name, which repeated its section key,
+            # the mirror element, which acted as the identity, and a crystal's
+            # label, which nothing read
             ({"ppktp1": {"name": "ppktp0"}}, "ppktp1.name"),
-            ({"ppktp0": {"name": "a/b"}}, "config.ppktp0.name"),
-            ({"ppktp0": {"name": ""}}, "config.ppktp0.name"),
+            ({"network": [{"type": "mirror"}]},
+             "config.network[0].type: unknown element type 'mirror'"),
+            ({"network": [{"type": "crystal", "label": "c0"}]},
+             "config.network[0].label: unknown key"),
             # delay scans reaching the 82 us mean spacing of detected events
             ({"accidental_offset_ns": 5e8}, "accidental_offset_ns"),
             ({"histogram_range_ns": 2e5}, "histogram_range_ns"),
@@ -421,13 +443,6 @@ class TestCli:
             ({"histogram_range_ns": 1e308}, "histogram_range_ns"),
             # the pair bandwidth is ppktp0's mean linewidth, not a key
             ({"source": {"bandwidth_mhz": 458}}, "config.source.bandwidth_mhz: derived"),
-            # removed network keys: the mirror element, which acted as the
-            # identity, and a crystal's label, which nothing read
-            ({"ppktp0": {"name": "x"}}, "config.ppktp0.name: unknown key"),
-            ({"network": [{"type": "mirror"}]},
-             "config.network[0].type: unknown element type 'mirror'"),
-            ({"network": [{"type": "crystal", "label": "c0"}]},
-             "config.network[0].label: unknown key"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
