@@ -70,37 +70,17 @@ class CavitySpec:
 
 
 @dataclass(frozen=True)
-class Mode:
-    index: int
-    offset_ghz: float
+class ModeComb:
+    """Modes k * spacing_ghz for k in ``indices``, offsets relative to degeneracy."""
+
+    spacing_ghz: float
+    indices: range
     linewidth_mhz: float
     pol: str
 
-
-@dataclass(frozen=True)
-class ModeComb:
-    """Ordered set of cavity modes, offsets relative to degeneracy."""
-
-    modes: tuple[Mode, ...]
-
-    def __post_init__(self):
-        by_pol: dict[str, list[float]] = {}
-        for m in self.modes:
-            by_pol.setdefault(m.pol, []).append(m.offset_ghz)
-        for pol, offsets in by_pol.items():
-            if any(b <= a for a, b in zip(offsets, offsets[1:])):
-                raise ValueError(
-                    f"mode centers must be strictly increasing for pol {pol}"
-                )
-
-    def __len__(self):
-        return len(self.modes)
-
     def csv_rows(self):
         """Rows matching the (index, offset_GHz, linewidth_MHz, pol) export."""
-        return [
-            (m.index, m.offset_ghz, m.linewidth_mhz, m.pol) for m in self.modes
-        ]
+        return [(k, k * self.spacing_ghz, self.linewidth_mhz, self.pol) for k in self.indices]
 
 
 MODE_COMB_CSV_HEADER = ("index", "offset_GHz", "linewidth_MHz", "pol")
@@ -124,14 +104,16 @@ def airy_transmission(detuning_ghz, fsr_ghz: float, fwhm_mhz: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _indices(spacing_ghz: float, lo_ghz: float, hi_ghz: float) -> range:
+    """Every k whose offset k * spacing lies in [lo, hi], edges included."""
+    return range(math.ceil(lo_ghz / spacing_ghz), math.floor(hi_ghz / spacing_ghz) + 1)
+
+
 def _comb(spacing_ghz: float, span_ghz: float, linewidth_mhz: float, pol: str) -> ModeComb:
     """Modes k * spacing for every k whose offset lies within +-span/2."""
     _require_positive(span_ghz=span_ghz)
-    k_max = int(math.floor(span_ghz / (2.0 * spacing_ghz)))
-    return ModeComb(tuple(
-        Mode(index=k, offset_ghz=k * spacing_ghz, linewidth_mhz=linewidth_mhz, pol=pol)
-        for k in range(-k_max, k_max + 1)
-    ))
+    half = 0.5 * span_ghz
+    return ModeComb(spacing_ghz, _indices(spacing_ghz, -half, half), linewidth_mhz, pol)
 
 
 def build_mode_comb(spec: CavitySpec, pol: str, span_ghz: float) -> ModeComb:
@@ -155,14 +137,17 @@ def single_mode_margin(spec: CavitySpec) -> float:
     return abs(spec.fsr_h_ghz - spec.fsr_v_ghz) - spec.mean_linewidth_mhz() * 1e-3
 
 
-def dwdm_select(comb: ModeComb, center_offset_ghz: float, width_ghz: float) -> ModeComb:
-    """Modes whose centers fall inside a rectangular passband."""
+def dwdm_cluster_count(spec: CavitySpec, center_offset_ghz: float, width_ghz: float) -> int:
+    """Clusters whose centers fall inside a rectangular passband, edges included.
+
+    Counted from the index range, so the cost does not grow with the passband.
+    """
     _require_positive(width_ghz=width_ghz)
+    spacing = cluster_spacing(spec.fsr_h_ghz, spec.fsr_v_ghz)
     half = 0.5 * width_ghz
-    kept = tuple(
-        m for m in comb.modes if abs(m.offset_ghz - center_offset_ghz) <= half
-    )
-    return ModeComb(kept)
+    ks = _indices(spacing, center_offset_ghz - half, center_offset_ghz + half)
+    # not len(ks), which raises OverflowError past sys.maxsize
+    return max(0, ks.stop - ks.start)
 
 
 def effective_index(length_mm: float, fsr_ghz: float) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import secrets
@@ -116,11 +117,6 @@ def _cmd_cavity(cfg, args, seed, seed_source):
         clusters = cavity.cluster_comb(spec, span)
         artifacts[f"clusters_{name}.csv"] = (header, clusters.csv_rows())
         spacing = cavity.cluster_spacing(spec.fsr_h_ghz, spec.fsr_v_ghz)
-        # clusters k * spacing inside the passband, whatever --span-ghz is
-        center, half = cfg.dwdm.center_offset_ghz, 0.5 * cfg.dwdm.width_ghz
-        selected = max(
-            0, math.floor((center + half) / spacing) - math.ceil((center - half) / spacing) + 1
-        )
         summary_specs.append(
             {
                 "name": name,
@@ -135,7 +131,10 @@ def _cmd_cavity(cfg, args, seed, seed_source):
                 # the neighbouring cluster's emission is not negligible, so the
                 # DWDM passband, not the envelope, selects a single cluster
                 "pm_weight_adjacent_cluster": cavity.phase_matching_envelope(spacing, spec),
-                "dwdm_selected_clusters": selected,
+                # clusters inside the passband, whatever --span-ghz is
+                "dwdm_selected_clusters": cavity.dwdm_cluster_count(
+                    spec, cfg.dwdm.center_offset_ghz, cfg.dwdm.width_ghz
+                ),
                 "sweep_fit": sweep_fits,
             }
         )
@@ -197,7 +196,7 @@ def _cmd_car(cfg, args, seed, seed_source):
         if data.shape[1] < 2:
             raise ValueError(f"{args.fit_csv}: need two columns, power_mw and car")
         fit = fitting.fit_car_curve(data[:, 0], data[:, 1])
-        artifacts["car_fit.json"] = summary["fit"] = fit.to_json_payload()
+        artifacts["car_fit.json"] = summary["fit"] = dataclasses.asdict(fit)
     artifacts["car_summary.json"] = summary
     return EXIT_OK, artifacts
 

@@ -157,15 +157,18 @@ def _element_to_dict(element) -> dict:
 
 
 def _element_from_dict(payload: dict, path: str):
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: expected an object")
     if "type" not in payload:
         raise ConfigError(f"{path}.type is required")
     kind = payload["type"]
-    cls = _ELEMENT_TYPES.get(kind)
+    cls = _ELEMENT_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"{path}.type: unknown element type {kind!r}")
     kwargs = {k: v for k, v in payload.items() if k != "type"}
-    if kwargs.get("rail") is not None:
-        rail = kwargs["rail"]
+    rail = kwargs.get("rail")
+    # a null rail means every rail for a wave plate; a crystal sits on one
+    if rail is not None or ("rail" in kwargs and cls is CrystalSource):
         if not (isinstance(rail, (list, tuple)) and len(rail) == 2
                 and all(map(_is_int, rail))):
             raise ConfigError(f"{path}.rail: expected two integers")

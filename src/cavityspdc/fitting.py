@@ -37,18 +37,6 @@ class FitResult:
     message: str = ""
     derived: dict[str, float] = field(default_factory=dict)
 
-    def to_json_payload(self) -> dict:
-        return {
-            "parameters": self.parameters,
-            "errors": self.errors,
-            "covariance": self.covariance.tolist(),
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "message": self.message,
-            "derived": self.derived,
-        }
-
 
 def _fd_jacobian(residual_fn, params: np.ndarray, r0: np.ndarray) -> np.ndarray:
     jac = np.empty((r0.size, params.size))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cavityspdc
-from cavityspdc import default_config, load_config, measurement, save_config
+from cavityspdc import cluster_spacing, default_config, load_config, measurement, save_config
 from cavityspdc.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -211,8 +211,13 @@ class TestCli:
             ({"center_offset_ghz": 1060.0, "width_ghz": 50.0}, [1, 0]),
             # counted in closed form, so a far-off passband costs nothing
             ({"center_offset_ghz": 1e15}, [0, 0]),
-            # the count a comb over the passband filtered by dwdm_select gives
+            # a passband far wider than the default listing span
             ({"center_offset_ghz": -5e4, "width_ghz": 2e5}, [189, 158]),
+            # a count far past sys.maxsize, which len() of a range cannot give
+            ({"width_ghz": 1e300}, [
+                2 * math.floor(5e299 / cluster_spacing(spec.fsr_h_ghz, spec.fsr_v_ghz)) + 1
+                for spec in (DEFAULT.ppktp0, DEFAULT.ppktp1)
+            ]),
         ],
     )
     def test_dwdm_count_off_centre(self, tmp_path, dwdm, counts):
@@ -443,6 +448,14 @@ class TestCli:
             ({"histogram_range_ns": 1e308}, "histogram_range_ns"),
             # the pair bandwidth is ppktp0's mean linewidth, not a key
             ({"source": {"bandwidth_mhz": 458}}, "config.source.bandwidth_mhz: derived"),
+            # a network element that is not an object, a type that is not a
+            # string, and a crystal without a rail
+            ({"network": [5]}, "config.network[0]: expected an object"),
+            ({"network": [None]}, "config.network[0]: expected an object"),
+            ({"network": [{"type": "crystal", "rail": None},
+                          {"type": "crystal", "rail": [1, 0]}]},
+             "config.network[0].rail: expected two integers"),
+            ({"network": [{"type": []}]}, "config.network[0].type: unknown element type"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):

@@ -275,13 +275,6 @@ class TestFitCarCurve:
 
 
 class TestFitResultContract:
-    def test_json_payload_is_serializable(self):
-        import json
-
-        fit = fit_lorentzian(X_MHZ, lorentzian_samples())
-        text = json.dumps(fit.to_json_payload())
-        assert "parameters" in json.loads(text)
-
     @pytest.mark.parametrize("fitter", ["lorentzian", "exp_g2", "car_curve"])
     @pytest.mark.parametrize("noise", [0.0, 0.05])
     def test_errors_are_the_covariance_diagonal(self, fitter, noise):
