@@ -8,7 +8,7 @@ import csv
 import dataclasses
 import json
 import math
-import secrets
+import os
 import sys
 import time
 import warnings
@@ -73,7 +73,7 @@ def _resolve_seed(args, cfg: ExperimentConfig):
         return args.seed, "cli"
     if cfg.seed is not None:
         return cfg.seed, "config"
-    return secrets.randbits(32), "generated"
+    return int.from_bytes(os.urandom(4), "little"), "generated"
 
 
 def _state_from_config(cfg: ExperimentConfig) -> polarization.TwoPhotonState:
@@ -361,8 +361,7 @@ def _report_rows(cfg: ExperimentConfig):
     c = cfg.coherence
     target = polarization.entangled_ket(cfg.pump_phase_rad)
     beta = np.arange(0.0, 361.0, 15.0)
-    net = cfg.network if cfg.network is not None else polarization.displacer_network()
-    ideal = polarization.propagate_network(net, cfg.pump_phase_rad).rho
+    ideal = polarization.propagate_network(cfg.network, cfg.pump_phase_rad).rho
     pure = polarization.degraded_state(cfg.pump_phase_rad, 1.0).rho
     return (
         ("cluster_spacing_ppktp0_ghz",

@@ -11,7 +11,8 @@ from pathlib import Path
 from .cavity import CavitySpec
 from .fitting import _MIN_G2_BINS
 from .photostats import DetectionChain, SourceRate, histogram_k_max, pair_rate
-from .polarization import BD, HWP, QWP, CrystalSource, ElementNet
+from .polarization import (BD, HWP, QWP, CrystalSource, NonInterferingNetworkError,
+                           _network_ket, displacer_network)
 
 
 class ConfigError(ValueError):
@@ -48,7 +49,7 @@ class ExperimentConfig:
     bootstrap_resamples: int
     accidental_offset_ns: float
     histogram_range_ns: float
-    network: ElementNet | None
+    network: tuple
 
     def crystals(self) -> tuple[tuple[str, CavitySpec], ...]:
         """Each crystal with its name, the key of its config section."""
@@ -95,6 +96,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must keep the delay scan ({limit_ns:g} ns) "
                                   "short of the mean spacing of detected events "
                                   f"({1.0 / events_per_ns:g} ns)")
+        try:
+            _network_ket(self.network, self.pump_phase_rad)
+        except NonInterferingNetworkError as exc:
+            raise ConfigError(f"network: {exc}") from exc
 
 
 def default_config() -> ExperimentConfig:
@@ -135,7 +140,7 @@ def default_config() -> ExperimentConfig:
         bootstrap_resamples=200,
         accidental_offset_ns=50.0,
         histogram_range_ns=20.0,
-        network=None,
+        network=displacer_network(),
     )
 
 
@@ -188,6 +193,9 @@ def _build(base, payload: dict, path: str):
     unknown = set(payload) - {f.name for f in dataclasses.fields(base)}
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
+    for key, value in payload.items():
+        if isinstance(value, bool):  # a JSON true would pass as 1.0
+            raise ConfigError(f"{path}.{key}: expected a number, got {json.dumps(value)}")
     try:
         if isinstance(base, type):
             return base(**payload)
@@ -219,21 +227,19 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
                               "not a config key")
         if dataclasses.is_dataclass(default):
             kwargs[key] = _build(default, value, path)
-        elif key == "network" and value is not None:
+        elif key == "network":
             if not isinstance(value, list):
                 raise ConfigError(f"{path}: expected a list of elements")
-            elements = tuple(
+            kwargs[key] = tuple(
                 _element_from_dict(e, f"{path}[{i}]") for i, e in enumerate(value)
             )
-            kwargs[key] = _build(ElementNet, {"elements": elements}, path)
     return _build(base, kwargs, "config")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     payload = dataclasses.asdict(cfg)
     del payload["source"]["bandwidth_mhz"]  # derived, not a key
-    if cfg.network is not None:
-        payload["network"] = [_element_to_dict(e) for e in cfg.network.elements]
+    payload["network"] = [_element_to_dict(e) for e in cfg.network]
     return payload
 
 

@@ -164,24 +164,7 @@ class CrystalSource:
     rail: Rail = (0, 0)
 
 
-@dataclass(frozen=True)
-class ElementNet:
-    elements: tuple
-
-    def __post_init__(self):
-        if not self.elements:
-            raise ValueError("network needs at least one element")
-        idx = [i for i, e in enumerate(self.elements) if isinstance(e, CrystalSource)]
-        if not idx:
-            raise ValueError("network needs at least one CrystalSource")
-        if idx != list(range(idx[0], idx[0] + len(idx))):
-            raise ValueError("crystal sources must be adjacent in the element list")
-
-    def crystals(self):
-        return [e for e in self.elements if isinstance(e, CrystalSource)]
-
-
-def displacer_network() -> ElementNet:
+def displacer_network() -> tuple:
     """The canonical two-crystal displacer interferometer.
 
     BD1 splits the diagonal pump onto two rails, the displaced rail is
@@ -190,17 +173,15 @@ def displacer_network() -> ElementNet:
     upper-left rail and H->V on the lower-right rail, and BD3 merges each
     height into a single output port.
     """
-    return ElementNet(
-        (
-            BD(axis="x", moves="V"),  # pump splitter
-            HWP(45.0, rail=(1, 0)),  # displaced pump back to H
-            CrystalSource(rail=(0, 0)),
-            CrystalSource(rail=(1, 0)),
-            BD(axis="y", moves="V"),  # idler photons up
-            HWP(45.0, rail=(0, 1)),  # relabel upper-left V -> H
-            HWP(45.0, rail=(1, 0)),  # relabel lower-right H -> V
-            BD(axis="x", moves="H"),  # recombine into two ports
-        )
+    return (
+        BD(axis="x", moves="V"),  # pump splitter
+        HWP(45.0, rail=(1, 0)),  # displaced pump back to H
+        CrystalSource(rail=(0, 0)),
+        CrystalSource(rail=(1, 0)),
+        BD(axis="y", moves="V"),  # idler photons up
+        HWP(45.0, rail=(0, 1)),  # relabel upper-left V -> H
+        HWP(45.0, rail=(1, 0)),  # relabel lower-right H -> V
+        BD(axis="x", moves="H"),  # recombine into two ports
     )
 
 
@@ -253,38 +234,38 @@ def _apply_to_pairs(element, pairs: dict) -> dict:
     return {k: a for k, a in out.items() if abs(a) > _PRUNE}
 
 
-def propagate_network(net: ElementNet, pump_phase_rad: float) -> TwoPhotonState:
+def propagate_network(elements: tuple, pump_phase_rad: float) -> TwoPhotonState:
     """Trace both photons of each pair through the displacer network.
 
-    The pump enters diagonally polarized on rail (0, 0).  Crystal k
-    converts the H pump amplitude on its rail into an (H, V) pair carrying
-    an extra phase factor e^{i k pump_phase}; the relative pump phase
-    absorbs all path-length phases.  The output must interfere: every
-    surviving pair term has to place its two photons on the same two exit
-    rails, otherwise the network is rejected.
+    The pump enters diagonally polarized on rail (0, 0).  Every element but
+    a crystal acts on the pump and on the pairs made so far; crystal k turns
+    the H pump amplitude on its rail into an (H, V) pair with the phase
+    e^{i k pump_phase}, which absorbs all path-length phases.  The output
+    must interfere: every pair term has to place its two photons on the
+    same two exit rails, otherwise the network is rejected.
     """
-    elements = list(net.elements)
-    first = next(i for i, e in enumerate(elements) if isinstance(e, CrystalSource))
-    crystals = net.crystals()
-    pre, post = elements[:first], elements[first + len(crystals):]
+    return TwoPhotonState.from_pure(_network_ket(elements, pump_phase_rad))
 
+
+def _network_ket(elements: tuple, pump_phase_rad: float) -> np.ndarray:
+    """Normalised output ket of ``propagate_network``, which raises as it does."""
     pump = {((0, 0), "H"): 1.0 / math.sqrt(2.0), ((0, 0), "V"): 1.0 / math.sqrt(2.0)}
-    for element in pre:
-        pump = _apply_to_beam(element, pump)
-
     pairs: dict = {}
-    for k, crystal in enumerate(crystals):
-        amp = pump.get((tuple(crystal.rail), "H"), 0.0)
-        if abs(amp) <= _PRUNE:
+    k, pumped = 0, False  # pairs may cancel later; that is not an unpumped network
+    for element in elements:
+        if not isinstance(element, CrystalSource):
+            pump = _apply_to_beam(element, pump)
+            pairs = _apply_to_pairs(element, pairs)
             continue
-        phase = np.exp(1j * pump_phase_rad * k)
-        key = ((tuple(crystal.rail), "H"), (tuple(crystal.rail), "V"))
-        pairs[key] = pairs.get(key, 0.0) + amp * phase
-    if not pairs:
+        rail = tuple(element.rail)
+        amp = pump.get((rail, "H"), 0.0)
+        if abs(amp) > _PRUNE:
+            pumped = True
+            key = ((rail, "H"), (rail, "V"))
+            pairs[key] = pairs.get(key, 0.0) + amp * np.exp(1j * pump_phase_rad * k)
+        k += 1
+    if not pumped:
         raise NonInterferingNetworkError("no pump amplitude reaches a crystal")
-
-    for element in post:
-        pairs = _apply_to_pairs(element, pairs)
 
     rails = {key_a[0] for key_a, _ in pairs} | {key_b[0] for _, key_b in pairs}
     if len(rails) != 2:
@@ -312,5 +293,4 @@ def propagate_network(net: ElementNet, pump_phase_rad: float) -> TwoPhotonState:
         raise NonInterferingNetworkError(
             "non-interfering network: no coincident amplitude at the output ports"
         )
-    ket /= norm
-    return TwoPhotonState.from_pure(ket)
+    return ket / norm

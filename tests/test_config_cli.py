@@ -89,7 +89,7 @@ class TestConfig:
         path = tmp_path / "net.json"
         path.write_text(json.dumps(base))
         cfg = load_config(path)
-        elements = cfg.network.elements
+        elements = cfg.network
         assert isinstance(elements[0], BD)
         assert isinstance(elements[1], HWP) and elements[1].rail == (1, 0)
         assert isinstance(elements[2], CrystalSource)
@@ -456,6 +456,12 @@ class TestCli:
                           {"type": "crystal", "rail": [1, 0]}]},
              "config.network[0].rail: expected two integers"),
             ({"network": [{"type": []}]}, "config.network[0].type: unknown element type"),
+            # a null or empty network, one whose photons do not interfere, and
+            # a boolean where a number belongs
+            ({"network": None}, "config.network: expected a list of elements"),
+            ({"network": []}, "network: no pump amplitude reaches a crystal"),
+            ({"network": [{"type": "crystal"}]}, "network: non-interfering network"),
+            ({"coherence": True}, "config.coherence: expected a number, got true"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
@@ -870,8 +876,9 @@ NETWORK = config_to_dict(dataclasses.replace(DEFAULT, network=displacer_network(
 #: with that value.
 NETWORK_KNOBS = {
     "network.bd.axis": (0, "y", EXIT_REPORT_FAIL),
-    # a recombiner that moves V leaves the photons on four rails
-    "network.bd.moves": (7, "V", EXIT_RUNTIME),
+    # a recombiner that moves V leaves the photons on four rails, which the
+    # config check rejects
+    "network.bd.moves": (7, "V", EXIT_CONFIG),
     "network.hwp.angle_deg": (1, 44.0, EXIT_REPORT_FAIL),
     "network.hwp.rail": (1, None, EXIT_REPORT_FAIL),
     "network.crystal.rail": (3, [1, 1], EXIT_REPORT_FAIL),
@@ -884,6 +891,9 @@ LEAVES += sorted({f"network.{element['type']}.{key}"
 def _artifacts(out, argv, config=None, code=EXIT_OK):
     options = [] if config is None else ["--config", str(config)]
     assert main([*options, "--seed", "5", "--out", str(out), *argv]) == code
+    if code == EXIT_CONFIG:
+        assert not out.exists()
+        return {}
     return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "metadata.json"}
 
 

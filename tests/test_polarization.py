@@ -9,7 +9,6 @@ from cavityspdc import (
     BD,
     HWP,
     CrystalSource,
-    ElementNet,
     NonInterferingNetworkError,
     TwoPhotonState,
     concurrence,
@@ -139,16 +138,16 @@ class TestDisplacerNetwork:
     def test_missing_relabel_plate_breaks_interference(self):
         net = displacer_network()
         pruned = tuple(
-            e for e in net.elements
+            e for e in net
             if not (isinstance(e, HWP) and e.rail == (0, 1))
         )
         with pytest.raises(NonInterferingNetworkError, match="non-interfering"):
-            propagate_network(ElementNet(pruned), math.pi)
+            propagate_network(pruned, math.pi)
 
     def test_missing_final_displacer_breaks_interference(self):
         net = displacer_network()
         with pytest.raises(NonInterferingNetworkError):
-            propagate_network(ElementNet(net.elements[:-1]), math.pi)
+            propagate_network(net[:-1], math.pi)
 
     @given(theta=phases)
     @settings(max_examples=30)
@@ -159,24 +158,21 @@ class TestDisplacerNetwork:
 
     def test_unpumped_network_rejected(self):
         # crystals sit on rails the pump never reaches
-        net = ElementNet(
-            (
-                BD(axis="x", moves="V"),
-                CrystalSource(rail=(5, 5)),
-                BD(axis="y", moves="V"),
-                BD(axis="x", moves="H"),
-            )
+        net = (
+            BD(axis="x", moves="V"),
+            CrystalSource(rail=(5, 5)),
+            BD(axis="y", moves="V"),
+            BD(axis="x", moves="H"),
         )
         with pytest.raises(NonInterferingNetworkError, match="pump"):
             propagate_network(net, 0.0)
 
-    def test_crystals_must_be_adjacent(self):
-        with pytest.raises(ValueError, match="adjacent"):
-            ElementNet(
-                (
-                    BD(axis="x", moves="V"),
-                    CrystalSource(rail=(0, 0)),
-                    BD(axis="y", moves="V"),
-                    CrystalSource(rail=(1, 0)),
-                )
-            )
+    def test_plate_between_crystals_acts_on_the_pump(self):
+        # the rail-(1, 0) pump plate after the first crystal still turns the
+        # displaced pump back to H before the second crystal
+        net = displacer_network()
+        assert isinstance(net[2], CrystalSource) and net[1] == HWP(45.0, rail=(1, 0))
+        swapped = (net[0], net[2], net[1], *net[3:])
+        for theta in (0.0, math.pi, 1.234):
+            got = propagate_network(swapped, theta).rho
+            assert np.array_equal(got, propagate_network(net, theta).rho)
