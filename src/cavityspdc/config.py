@@ -181,6 +181,10 @@ def _element_from_dict(payload: dict, path: str):
     return _build(cls, kwargs, path)
 
 
+#: What a field takes, by its annotation, where that is not a number.
+_KINDS = {"str": "a string", "int": "an integer", "int | None": "an integer or null"}
+
+
 def _build(base, payload: dict, path: str):
     """Dataclass ``base`` with the fields given in ``payload``.
 
@@ -190,12 +194,14 @@ def _build(base, payload: dict, path: str):
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected an object")
-    unknown = set(payload) - {f.name for f in dataclasses.fields(base)}
+    annotations = {f.name: f.type for f in dataclasses.fields(base)}
+    unknown = set(payload) - set(annotations)
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
     for key, value in payload.items():
         if isinstance(value, bool):  # a JSON true would pass as 1.0
-            raise ConfigError(f"{path}.{key}: expected a number, got {json.dumps(value)}")
+            kind = _KINDS.get(annotations[key], "a number")
+            raise ConfigError(f"{path}.{key}: expected {kind}, got {json.dumps(value)}")
     try:
         if isinstance(base, type):
             return base(**payload)

@@ -272,14 +272,14 @@ _MIXED = np.eye(4) / 4.0
 
 
 def _sigma(x) -> np.ndarray:
-    """The unit-trace Hermitian matrix I/4 + sum_j x_j B_j."""
-    return _MIXED + (x @ _TRACELESS).reshape(4, 4)
+    """The unit-trace Hermitian matrices I/4 + sum_j x_j B_j, one per row of x."""
+    return _MIXED + (x @ _TRACELESS).reshape(*x.shape[:-1], 4, 4)
 
 
 def _coordinates(matrix) -> np.ndarray:
-    """tr(B_j M) of a Hermitian M, the x of _sigma(x) = M when tr M = 1;
-    B_j^T = conj(B_j)."""
-    return np.real(_TRACELESS_CONJ @ matrix.ravel())
+    """tr(B_j M) of Hermitian matrices M (..., 4, 4), the x of _sigma(x) = M
+    when tr M = 1; B_j^T = conj(B_j)."""
+    return np.real(matrix.reshape(*matrix.shape[:-2], 16) @ _TRACELESS_CONJ.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,16 +306,18 @@ class _WhitenedPovm:
         return cls(g_isqrt, rows, offset, coords, np.linalg.solve(coords.T @ coords, coords.T))
 
     def linear_inversion(self, freqs) -> np.ndarray:
-        """x with p_k = f_k for every setting.  The offsets and the frequencies
-        both sum to 1 and each coords column to 0, and 16 complete settings
-        give coords rank 15, so the system solves exactly."""
-        return self.inverse @ (freqs - self.offset)
+        """x with p_k = f_k for every setting, one x per row of freqs.  The
+        offsets and the frequencies both sum to 1 and each coords column to 0,
+        and 16 complete settings give coords rank 15, so the system solves
+        exactly."""
+        return (freqs - self.offset) @ self.inverse.T
 
     def unwhiten(self, sigma) -> np.ndarray:
-        """The unit-trace rho proportional to G^{-1/2} sigma G^{-1/2}."""
+        """The unit-trace rho proportional to G^{-1/2} sigma G^{-1/2}, for
+        each 4x4 matrix of a stack."""
         rho = self.g_isqrt @ sigma @ self.g_isqrt
-        rho /= np.trace(rho).real
-        return 0.5 * (rho + rho.conj().T)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+        return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def _checked_counts(counts) -> np.ndarray:
@@ -337,7 +339,7 @@ class TomographyRecord:
     while CHSH's rank-9 Bell settings need no such check and build nothing.
     """
 
-    __slots__ = ("settings", "seconds", "_counts", "_projectors", "_povm")
+    __slots__ = ("settings", "seconds", "_counts", "_projectors", "_povm", "_block")
 
     def __init__(self, settings, seconds, counts):
         self.settings = tuple(settings)
@@ -350,6 +352,8 @@ class TomographyRecord:
             raise ValueError(f"integration time must be finite and > 0, got {self.seconds[~ok]}")
         self.seconds.flags.writeable = False
         self._counts = _checked_counts(counts)
+        # (_FitBlock, row) of a bootstrap resample, fitted with its block
+        self._block = None
         # (16, 4, 4) stack of the settings' projectors, each times its
         # integration time, shared by records that differ only in counts
         kets = np.stack([s.product_ket() for s in self.settings])
@@ -363,8 +367,11 @@ class TomographyRecord:
     def with_counts(self, counts) -> "TomographyRecord":
         """The same settings and times with new counts, sharing this record's
         projector stack and whitened POVM."""
+        return self._sibling(_checked_counts(counts), None)
+
+    def _sibling(self, counts, block) -> "TomographyRecord":
         rec = copy.copy(self)
-        rec._counts = _checked_counts(counts)
+        rec._counts, rec._block = counts, block
         return rec
 
     def _complete_povm(self) -> "_WhitenedPovm":
@@ -405,11 +412,14 @@ def tomo_simulate_counts(
     return TomographyRecord(settings, np.ones(16), counts)
 
 
+_NO_COUNTS = "record contains no counts"
+
+
 def _counts_and_total(rec: TomographyRecord) -> tuple[np.ndarray, float]:
     counts = rec.counts()
     total = counts.sum()
     if total <= 0:
-        raise TomographyError("record contains no counts")
+        raise TomographyError(_NO_COUNTS)
     return counts, total
 
 
@@ -483,66 +493,127 @@ def tomo_mle(rec: TomographyRecord) -> TwoPhotonState:
     the remaining Newton steps converge quadratically.  The iteration stops
     once gap <= _GAP_TOL and raises TomographyError if _MAX_STEPS steps do not
     get there.  tomo_mle_fit returns the same fit with its diagnostics.
+
+    One fitter runs this iteration on a stack of count rows that share the
+    whitened POVM, each row with its own mu, damping and certificate.  A
+    record made by bootstrap_errors is fitted with the other resamples of
+    its block, on the first tomo_mle of any of them; any other record is a
+    stack of one row.
     """
     return tomo_mle_fit(rec).state
 
 
 def tomo_mle_fit(rec: TomographyRecord) -> MleFit:
-    """The fit of tomo_mle, with its Newton steps and final certificate gap."""
-    povm = rec._complete_povm()
-    counts, total = _counts_and_total(rec)
-    seen = counts > 0
-    n_seen = counts[seen]
-    rows, offset, coords = povm.rows[seen], povm.offset[seen], povm.coords[seen]
+    """The fit of tomo_mle, with its Newton steps and final certificate gap.
 
-    def certificate_gap(q):
-        return np.linalg.eigvalsh((q @ rows).reshape(4, 4))[-1] / total - 1.0
+    A record made by bootstrap_errors is fitted with its block: the first
+    call on any record of the block fits every row of it at once.  Any other
+    record is a block of one."""
+    block, row = rec._block or (_FitBlock(rec, rec._counts[None]), 0)
+    return block.fit(row)
+
+
+class _FitBlock:
+    """Records that share one projector stack, with one row of counts each,
+    fitted together on first use; each row keeps its MleFit or the message
+    of its TomographyError."""
+
+    __slots__ = ("rec", "counts", "fits")
+
+    def __init__(self, rec: TomographyRecord, counts: np.ndarray):
+        self.rec, self.counts, self.fits = rec, counts, None
+
+    def fit(self, row: int) -> MleFit:
+        if self.fits is None:
+            self.fits = _fit_rows(self.rec._complete_povm(), self.counts)
+        fit = self.fits[row]
+        if isinstance(fit, str):
+            raise TomographyError(fit)
+        return fit
+
+
+def _fit_rows(povm: _WhitenedPovm, counts: np.ndarray) -> list:
+    """The barrier-Newton fit of tomo_mle on each row of a (B, 16) count
+    array: an MleFit, or the message of the TomographyError, per row.
+
+    Each row runs the iteration of tomo_mle with its own mu, damping and
+    certificate; a row leaves the active set once certified.  A setting with
+    no counts weighs zero in its row."""
+    counts = counts.astype(float)
+    totals = counts.sum(axis=1)
+    out = [_NO_COUNTS] * len(counts)
+    live = np.flatnonzero(totals > 0)
+    if not live.size:
+        return out
+    n, total = counts[live], totals[live]
+    seen = n > 0
+    coords_t = povm.coords.T
+
+    def certificate_gaps(q, total):
+        return np.linalg.eigvalsh((q @ povm.rows).reshape(-1, 4, 4))[:, -1] / total - 1.0
 
     # enter at the linear inversion, its eigenvalues floored at _ENTRY_MU
-    val, vec = np.linalg.eigh(_sigma(povm.linear_inversion(counts / total)))
+    val, vec = np.linalg.eigh(_sigma(povm.linear_inversion(n / total[:, None])))
     val = np.maximum(val, _ENTRY_MU)
-    x = _coordinates((vec * (val / val.sum())) @ vec.conj().T)
+    val /= val.sum(axis=1, keepdims=True)
+    x = _coordinates((vec * val[:, None, :]) @ vec.conj().swapaxes(1, 2))
     mu = _ENTRY_MU * total
     mu_floor = _GAP_TOL * total / 8.0
-    for iterations in range(_MAX_STEPS + 1):
+    for steps in range(_MAX_STEPS + 1):
         sigma = _sigma(x)
         inv = np.linalg.inv(sigma)
-        p = offset + coords @ x
-        q = n_seen / p
+        # an unseen setting gets p = 1, so that it adds q = 0 and no Hessian term
+        p = np.where(seen, povm.offset + x @ coords_t, 1.0)
+        q = n / p
         barrier_grad = _coordinates(inv)
-        grad = -(q @ coords) - mu * barrier_grad
+        grad = -(q @ povm.coords) - mu[:, None] * barrier_grad
         # tr(S B_i S B_j) = B_i . K . B_j with K[(b, c), (d, a)] = S_ab S_cd
-        kron = (inv.T[:, None, None, :] * inv[None, :, :, None]).reshape(16, 16)
-        hess = (coords.T * (q / p)) @ coords + mu * np.real(
-            _TRACELESS @ kron @ _TRACELESS.T
+        kron = (inv.swapaxes(1, 2)[:, :, None, None, :] * inv[:, None, :, :, None]).reshape(-1, 16)
+        hess = (coords_t * (q / p)[:, None, :]) @ povm.coords + mu[:, None, None] * np.real(
+            _TRACELESS @ (kron @ _TRACELESS.T).reshape(-1, 16, 15)
         )
-        step = np.linalg.solve(hess, -grad)
-        lam2 = -(grad @ step) / mu
-        if lam2 <= _CENTRED:
-            gap = certificate_gap(q)
-            if gap <= _GAP_TOL:
-                break
-        if iterations == _MAX_STEPS:
-            raise TomographyError(
-                "barrier Newton iteration did not converge: "
-                f"{iterations} iterations, gap {certificate_gap(q):.3e} > tol {_GAP_TOL:.1e}"
-            )
-        if lam2 > _CENTRED or mu <= mu_floor:
-            x = x + (step if lam2 < 1.0 else step / (1.0 + math.sqrt(lam2)))
-            continue
+        step = np.linalg.solve(hess, -grad[..., None])[..., 0]
+        lam2 = -np.einsum("bj,bj->b", grad, step) / mu
+        centred = lam2 <= _CENTRED
+        if centred.any():
+            gap = certificate_gaps(q, total)
+            done = centred & (gap <= _GAP_TOL)
+            if done.any():
+                rhos = povm.unwhiten(sigma[done])
+                for i, rho, g in zip(live[done].tolist(), rhos, gap[done].tolist()):
+                    out[i] = MleFit(TwoPhotonState(rho), steps, g)
+                if done.all():
+                    break
+                keep = ~done
+                live, n, total, seen, x, mu, mu_floor = (
+                    a[keep] for a in (live, n, total, seen, x, mu, mu_floor))
+                sigma, q, barrier_grad, hess, step, lam2, centred = (
+                    a[keep] for a in (sigma, q, barrier_grad, hess, step, lam2, centred))
+        if steps == _MAX_STEPS:
+            for i, g in zip(live.tolist(), certificate_gaps(q, total).tolist()):
+                out[i] = ("barrier Newton iteration did not converge: "
+                          f"{steps} iterations, gap {g:.3e} > tol {_GAP_TOL:.1e}")
+            break
+        newton = ~centred | (mu <= mu_floor)
+        damping = np.where(lam2 < 1.0, 1.0, 1.0 + np.sqrt(np.maximum(lam2, 1.0)))
+        x[newton] += step[newton] / damping[newton, None]
         # predictor: at the centre, dx/dmu = H^-1 barrier_grad; keep the
         # smallest eigenvalue above a quarter of its predicted value
-        mu_next = max(mu / _MU_SHRINK, mu_floor)
-        move = (mu - mu_next) * np.linalg.solve(hess, barrier_grad)
-        floor = np.linalg.eigvalsh(sigma)[0] * mu_next / (4.0 * mu)
+        ahead = np.flatnonzero(~newton)
+        if not ahead.size:
+            continue
+        mu_next = np.maximum(mu[ahead] / _MU_SHRINK, mu_floor[ahead])
+        move = (mu[ahead] - mu_next)[:, None] * np.linalg.solve(
+            hess[ahead], barrier_grad[ahead][..., None])[..., 0]
+        floor = np.linalg.eigvalsh(sigma[ahead])[:, 0] * mu_next / (4.0 * mu[ahead])
+        mu[ahead] = mu_next
         for _ in range(30):
-            if np.linalg.eigvalsh(_sigma(x - move))[0] > floor:
-                x = x - move
+            ok = np.linalg.eigvalsh(_sigma(x[ahead] - move))[:, 0] > floor
+            x[ahead[ok]] -= move[ok]
+            ahead, move, floor = ahead[~ok], move[~ok] / 2.0, floor[~ok]
+            if not ahead.size:
                 break
-            move = move / 2.0
-        mu = mu_next
-
-    return MleFit(TwoPhotonState(povm.unwhiten(sigma)), iterations, float(gap))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +648,12 @@ class BootstrapResult:
     resamples: int
 
 
+#: Resamples that bootstrap_errors draws and fits together.  Only one block
+#: is held at a time, so the bootstrap's memory does not grow with its
+#: number of resamples.
+_FIT_BLOCK = 32
+
+
 def bootstrap_errors(
     rec: TomographyRecord, resamples: int, statistic, seed=None
 ) -> BootstrapResult:
@@ -586,15 +663,24 @@ def bootstrap_errors(
     statistic(record); returns the sample mean and standard deviation.
     Resample i draws from its own child of SeedSequence(seed), so each
     resample is reproducible on its own.
+
+    The resamples are drawn in blocks of _FIT_BLOCK, and statistic is called
+    on each record of a block in order.  The records of a block share one
+    fit: the first tomo_mle or tomo_mle_fit on any of them fits the whole
+    block at once, and a statistic that never asks for the MLE fits nothing.
     """
     if resamples < 100:
         raise ValueError("need at least 100 resamples")
     observed = rec.counts()
-    children = np.random.SeedSequence(seed).spawn(resamples)
-    values = np.array([
-        statistic(rec.with_counts(np.random.default_rng(child).poisson(observed)))
-        for child in children
-    ])
+    root = np.random.SeedSequence(seed)
+    values = np.empty(resamples)
+    for start in range(0, resamples, _FIT_BLOCK):
+        # spawning block by block gives the children one spawn(resamples) would
+        children = root.spawn(min(_FIT_BLOCK, resamples - start))
+        counts = np.array([np.random.default_rng(child).poisson(observed) for child in children])
+        block = _FitBlock(rec, counts)
+        for row, row_counts in enumerate(counts):
+            values[start + row] = statistic(rec._sibling(row_counts, (block, row)))
     return BootstrapResult(float(values.mean()), float(values.std(ddof=1)), resamples)
 
 

@@ -462,6 +462,9 @@ class TestCli:
             ({"network": []}, "network: no pump amplitude reaches a crystal"),
             ({"network": [{"type": "crystal"}]}, "network: non-interfering network"),
             ({"coherence": True}, "config.coherence: expected a number, got true"),
+            # a boolean where a string belongs is named as such
+            ({"network": [{"type": "bd", "axis": True, "moves": "V"}]},
+             "config.network[0].axis: expected a string, got true"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
