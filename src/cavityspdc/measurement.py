@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -267,7 +268,8 @@ def chsh_from_counts(counts) -> float:
 #: The 15 two-qubit Pauli products other than the identity, over 2: an
 #: orthonormal basis of the traceless Hermitian 4x4 matrices, one per row.
 _TRACELESS = _PAULI_PRODUCTS[1:] / 2.0
-_TRACELESS_CONJ = _TRACELESS.conj()
+_PAULI_CONJ = _PAULI_PRODUCTS.conj()
+_TRACELESS_CONJ = _PAULI_CONJ[1:] / 2.0
 _MIXED = np.eye(4) / 4.0
 
 
@@ -282,18 +284,43 @@ def _coordinates(matrix) -> np.ndarray:
     return np.real(matrix.reshape(*matrix.shape[:-2], 16) @ _TRACELESS_CONJ.T)
 
 
+#: The 136 pairs a <= b of Pauli products, the barrier features s_a s_b.
+_PAIR_A, _PAIR_B = np.triu_indices(16)
+
+
+@functools.cache
+def _barrier_map() -> np.ndarray:
+    """The (136, 225) rows M with tr(S B_i S B_j) = sum_{a<=b} s_a s_b M[ab, ij]
+    for Hermitian S = sum_a s_a P_a / 4, s_a = tr(P_a S): the barrier rows of
+    _WhitenedPovm.hess_map.
+
+    Row ab is tr(P_a B_i P_b B_j) / 16, symmetrised in a and b (which makes
+    it real) and doubled off the diagonal.  Built on first use, which keeps
+    it out of the import."""
+    pb = (_PAULI_PRODUCTS.reshape(16, 1, 4, 4) @ _TRACELESS.reshape(1, 15, 4, 4)).reshape(240, 16)
+    # tr(X Y) = X . Y^T, raveled; t[a, b, ij] = tr(P_a B_i P_b B_j)
+    t = np.real(pb @ pb.reshape(240, 4, 4).swapaxes(1, 2).reshape(240, 16).T)
+    t = t.reshape(16, 15, 16, 15).transpose(0, 2, 1, 3).reshape(16, 16, 225)
+    rows = (t + t.swapaxes(0, 1))[_PAIR_A, _PAIR_B]
+    rows /= np.where(_PAIR_A == _PAIR_B, 32.0, 16.0)[:, None]
+    rows.flags.writeable = False  # one cached array for every POVM
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class _WhitenedPovm:
     """The settings' projectors t_k P_k whitened by G = sum_k t_k P_k, so that
     the rows P~_k = G^{-1/2} t_k P_k G^{-1/2} sum to the identity, with the
     probabilities p_k = tr(P~_k sigma) = offset_k + coords_k . x of
-    sigma = _sigma(x)."""
+    sigma = _sigma(x); hess_map turns a fit's q_k / p_k and the Pauli
+    coordinates of sigma^-1 into its Hessian (see _hessians)."""
 
     g_isqrt: np.ndarray  # G^{-1/2}
     rows: np.ndarray  # (16, 16), P~_k raveled
     offset: np.ndarray  # (16,)
     coords: np.ndarray  # (16, 15)
     inverse: np.ndarray  # (15, 16), pseudo-inverse of coords
+    hess_map: np.ndarray  # (225, 152): columns coords_k x coords_k, then _barrier_map()
 
     @classmethod
     def of(cls, projectors: np.ndarray) -> "_WhitenedPovm":
@@ -303,7 +330,10 @@ class _WhitenedPovm:
         offset = np.real(np.einsum("kii->k", rows.reshape(16, 4, 4))) / 4.0
         coords = np.real(rows @ _TRACELESS_CONJ.T)
         # coords has full column rank, so its pseudo-inverse is (C^T C)^-1 C^T
-        return cls(g_isqrt, rows, offset, coords, np.linalg.solve(coords.T @ coords, coords.T))
+        inverse = np.linalg.solve(coords.T @ coords, coords.T)
+        hess_map = np.concatenate(
+            [(coords[:, :, None] * coords[:, None, :]).reshape(16, 225), _barrier_map()]).T
+        return cls(g_isqrt, rows, offset, coords, inverse, hess_map)
 
     def linear_inversion(self, freqs) -> np.ndarray:
         """x with p_k = f_k for every setting, one x per row of freqs.  The
@@ -532,6 +562,42 @@ class _FitBlock:
         return fit
 
 
+def _hessians(povm: _WhitenedPovm, q, p, s, mu) -> np.ndarray:
+    """The (B, 15, 15) Hessians sum_k (q_k / p_k) coords_k x coords_k +
+    mu tr(S B_i S B_j) of the barrier objective, with s_a = tr(P_a S) the
+    Pauli coordinates of S = sigma^-1, one row of q, p, s and mu per fit.
+
+    They are one GEMM, povm.hess_map @ feats, over one column
+    feats = (q_k / p_k, mu s_a s_b for a <= b) per fit, written in place so
+    that each block of rows is contiguous."""
+    feats = np.empty((povm.hess_map.shape[1], len(mu)))
+    np.divide(q.T, p.T, out=feats[:16])
+    pairs = feats[16:]
+    pairs[...] = s.T[_PAIR_A]
+    pairs *= s.T[_PAIR_B]
+    pairs *= mu
+    return (povm.hess_map @ feats).T.reshape(-1, 15, 15)
+
+
+def _newton_system(povm: _WhitenedPovm, x, n, seen, mu):
+    """sigma = _sigma(x), q_k = n_k / p_k, the solutions (B, 15, 2) of
+    H [step, tangent] = [-grad, barrier_grad] and the squared Newton
+    decrement lam2 = -grad . step / mu, one row per fit.
+
+    The step and the predictor's tangent share one solve.  Only these four
+    outlive the call, so a block holds one step's temporaries at a time."""
+    sigma = _sigma(x)
+    # an unseen setting gets p = 1, so that it adds q = 0 and no Hessian term
+    p = np.where(seen, povm.offset + x @ povm.coords.T, 1.0)
+    q = n / p
+    s = np.real(np.linalg.inv(sigma).reshape(-1, 16) @ _PAULI_CONJ.T)
+    barrier_grad = s[:, 1:] / 2.0  # tr(B_j S)
+    minus_grad = q @ povm.coords + mu[:, None] * barrier_grad
+    rhs = np.array([minus_grad, barrier_grad]).transpose(1, 2, 0)
+    sol = np.linalg.solve(_hessians(povm, q, p, s, mu), rhs)
+    return sigma, q, sol, np.einsum("bj,bj->b", minus_grad, sol[:, :, 0]) / mu
+
+
 def _fit_rows(povm: _WhitenedPovm, counts: np.ndarray) -> list:
     """The barrier-Newton fit of tomo_mle on each row of a (B, 16) count
     array: an MleFit, or the message of the TomographyError, per row.
@@ -539,15 +605,13 @@ def _fit_rows(povm: _WhitenedPovm, counts: np.ndarray) -> list:
     Each row runs the iteration of tomo_mle with its own mu, damping and
     certificate; a row leaves the active set once certified.  A setting with
     no counts weighs zero in its row."""
-    counts = counts.astype(float)
     totals = counts.sum(axis=1)
     out = [_NO_COUNTS] * len(counts)
     live = np.flatnonzero(totals > 0)
     if not live.size:
         return out
-    n, total = counts[live], totals[live]
+    n, total = counts[live].astype(float), totals[live].astype(float)
     seen = n > 0
-    coords_t = povm.coords.T
 
     def certificate_gaps(q, total):
         return np.linalg.eigvalsh((q @ povm.rows).reshape(-1, 4, 4))[:, -1] / total - 1.0
@@ -560,35 +624,24 @@ def _fit_rows(povm: _WhitenedPovm, counts: np.ndarray) -> list:
     mu = _ENTRY_MU * total
     mu_floor = _GAP_TOL * total / 8.0
     for steps in range(_MAX_STEPS + 1):
-        sigma = _sigma(x)
-        inv = np.linalg.inv(sigma)
-        # an unseen setting gets p = 1, so that it adds q = 0 and no Hessian term
-        p = np.where(seen, povm.offset + x @ coords_t, 1.0)
-        q = n / p
-        barrier_grad = _coordinates(inv)
-        grad = -(q @ povm.coords) - mu[:, None] * barrier_grad
-        # tr(S B_i S B_j) = B_i . K . B_j with K[(b, c), (d, a)] = S_ab S_cd
-        kron = (inv.swapaxes(1, 2)[:, :, None, None, :] * inv[:, None, :, :, None]).reshape(-1, 16)
-        hess = (coords_t * (q / p)[:, None, :]) @ povm.coords + mu[:, None, None] * np.real(
-            _TRACELESS @ (kron @ _TRACELESS.T).reshape(-1, 16, 15)
-        )
-        step = np.linalg.solve(hess, -grad[..., None])[..., 0]
-        lam2 = -np.einsum("bj,bj->b", grad, step) / mu
+        sigma, q, sol, lam2 = _newton_system(povm, x, n, seen, mu)
         centred = lam2 <= _CENTRED
         if centred.any():
-            gap = certificate_gaps(q, total)
-            done = centred & (gap <= _GAP_TOL)
+            # only a centred row can stop, so only its certificate is needed
+            gap = np.full(len(lam2), np.inf)
+            gap[centred] = certificate_gaps(q[centred], total[centred])
+            done = gap <= _GAP_TOL
             if done.any():
-                rhos = povm.unwhiten(sigma[done])
-                for i, rho, g in zip(live[done].tolist(), rhos, gap[done].tolist()):
-                    out[i] = MleFit(TwoPhotonState(rho), steps, g)
+                states = TwoPhotonState.stack(povm.unwhiten(sigma[done]))
+                for i, state, g in zip(live[done].tolist(), states, gap[done].tolist()):
+                    out[i] = MleFit(state, steps, g)
                 if done.all():
                     break
                 keep = ~done
                 live, n, total, seen, x, mu, mu_floor = (
                     a[keep] for a in (live, n, total, seen, x, mu, mu_floor))
-                sigma, q, barrier_grad, hess, step, lam2, centred = (
-                    a[keep] for a in (sigma, q, barrier_grad, hess, step, lam2, centred))
+                sigma, q, sol, lam2, centred = (
+                    a[keep] for a in (sigma, q, sol, lam2, centred))
         if steps == _MAX_STEPS:
             for i, g in zip(live.tolist(), certificate_gaps(q, total).tolist()):
                 out[i] = ("barrier Newton iteration did not converge: "
@@ -596,15 +649,14 @@ def _fit_rows(povm: _WhitenedPovm, counts: np.ndarray) -> list:
             break
         newton = ~centred | (mu <= mu_floor)
         damping = np.where(lam2 < 1.0, 1.0, 1.0 + np.sqrt(np.maximum(lam2, 1.0)))
-        x[newton] += step[newton] / damping[newton, None]
+        x[newton] += sol[newton, :, 0] / damping[newton, None]
         # predictor: at the centre, dx/dmu = H^-1 barrier_grad; keep the
         # smallest eigenvalue above a quarter of its predicted value
         ahead = np.flatnonzero(~newton)
         if not ahead.size:
             continue
         mu_next = np.maximum(mu[ahead] / _MU_SHRINK, mu_floor[ahead])
-        move = (mu[ahead] - mu_next)[:, None] * np.linalg.solve(
-            hess[ahead], barrier_grad[ahead][..., None])[..., 0]
+        move = (mu[ahead] - mu_next)[:, None] * sol[ahead, :, 1]
         floor = np.linalg.eigvalsh(sigma[ahead])[:, 0] * mu_next / (4.0 * mu[ahead])
         mu[ahead] = mu_next
         for _ in range(30):
@@ -650,8 +702,9 @@ class BootstrapResult:
 
 #: Resamples that bootstrap_errors draws and fits together.  Only one block
 #: is held at a time, so the bootstrap's memory does not grow with its
-#: number of resamples.
-_FIT_BLOCK = 32
+#: number of resamples; a block of 128 holds about 6 kB per resample at its
+#: peak, the Hessians and their features.
+_FIT_BLOCK = 128
 
 
 def bootstrap_errors(
@@ -664,9 +717,9 @@ def bootstrap_errors(
     Resample i draws from its own child of SeedSequence(seed), so each
     resample is reproducible on its own.
 
-    The resamples are drawn in blocks of _FIT_BLOCK, and statistic is called
-    on each record of a block in order.  The records of a block share one
-    fit: the first tomo_mle or tomo_mle_fit on any of them fits the whole
+    The resamples are drawn in blocks of _FIT_BLOCK (128), and statistic is
+    called on each record of a block in order.  The records of a block share
+    one fit: the first tomo_mle or tomo_mle_fit on any of them fits the whole
     block at once, and a statistic that never asks for the MLE fits nothing.
     """
     if resamples < 100:
@@ -676,8 +729,8 @@ def bootstrap_errors(
     values = np.empty(resamples)
     for start in range(0, resamples, _FIT_BLOCK):
         # spawning block by block gives the children one spawn(resamples) would
-        children = root.spawn(min(_FIT_BLOCK, resamples - start))
-        counts = np.array([np.random.default_rng(child).poisson(observed) for child in children])
+        counts = np.array([np.random.default_rng(child).poisson(observed)
+                           for child in root.spawn(min(_FIT_BLOCK, resamples - start))])
         block = _FitBlock(rec, counts)
         for row, row_counts in enumerate(counts):
             values[start + row] = statistic(rec._sibling(row_counts, (block, row)))

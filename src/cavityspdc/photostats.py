@@ -203,7 +203,8 @@ def _streams_from(rng):
     kind, state = type(rng.bit_generator), rng.bit_generator.state
 
     def at(k):
-        bit_gen = kind()
+        # a fixed seed, not OS entropy: the state is overwritten at once
+        bit_gen = kind(0)
         bit_gen.state = state
         return np.random.Generator(bit_gen.advance(k))
 

@@ -54,6 +54,18 @@ def qwp_matrix(theta_deg: float) -> np.ndarray:
 # States
 
 
+def _check_density(rho: np.ndarray) -> None:
+    """Raise ValueError unless every 4x4 matrix of rho (..., 4, 4) is
+    Hermitian and of unit trace to 1e-12 with no eigenvalue below -1e-9."""
+    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > 1e-12:
+        raise ValueError("rho must be Hermitian")
+    trace = rho.trace(axis1=-2, axis2=-1)
+    if np.abs(trace.real - 1.0).max() > 1e-12 or np.abs(trace.imag).max() > 1e-12:
+        raise ValueError("rho must have unit trace")
+    if np.linalg.eigvalsh(rho).min() < -1e-9:
+        raise ValueError("rho must be positive semidefinite")
+
+
 class TwoPhotonState:
     """4x4 density matrix over the ordered basis (HH, HV, VH, VV)."""
 
@@ -63,13 +75,23 @@ class TwoPhotonState:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError("rho must be 4x4")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-            raise ValueError("rho must be Hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
-            raise ValueError("rho must have unit trace")
-        if np.linalg.eigvalsh(rho).min() < -1e-9:
-            raise ValueError("rho must be positive semidefinite")
+        _check_density(rho)
         self.rho = rho
+
+    @classmethod
+    def stack(cls, rhos) -> list["TwoPhotonState"]:
+        """One state per matrix of an (n, 4, 4) stack, all checked as the
+        constructor checks one, with one batched eigvalsh."""
+        rhos = np.asarray(rhos, dtype=complex)
+        if rhos.shape[1:] != (4, 4):
+            raise ValueError("rho must be 4x4")
+        _check_density(rhos)
+        states = []
+        for rho in rhos:
+            state = cls.__new__(cls)
+            state.rho = rho
+            states.append(state)
+        return states
 
     @classmethod
     def from_pure(cls, ket) -> "TwoPhotonState":

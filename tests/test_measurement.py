@@ -676,6 +676,51 @@ class TestBatchedFit:
             assert_density_matrix(fit.state.rho)
             assert certificate_gap(lone_rec, fit.state.rho) <= 1e-10
 
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e8])
+    def test_hessian_map_matches_the_direct_traces(self, cond):
+        # hess_map @ feats against coords^T diag(q / p) coords plus
+        # mu Re tr(S B_i S B_j), S = sigma^-1, summed term by term, for random
+        # positive-definite sigma of condition number cond
+        rng = np.random.default_rng(round(math.log10(cond)))
+        times = rng.choice([0.5, 1.0, 2.0, 4.0], 16)
+        povm = TomographyRecord(tomo_simulate_counts(PHI_MINUS, 100, seed=0).settings,
+                                times, np.ones(16))._povm
+        sigmas = []
+        for _ in range(8):
+            unitary, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            val = np.geomspace(1.0, 1.0 / cond, 4)
+            sigmas.append((unitary * (val / val.sum())) @ unitary.conj().T)
+        inv = np.linalg.inv(np.array(sigmas))
+        paulis = measurement._PAULI_PRODUCTS.reshape(16, 4, 4)
+        traceless = paulis[1:] / 2.0
+        s = np.real(np.einsum("aij,bji->ba", paulis, inv))
+        barrier = np.real(np.einsum("bij,xjk,bkl,yli->bxy", inv, traceless, inv, traceless))
+        p = rng.uniform(0.01, 1.0, (8, 16))
+        mu = rng.uniform(1e-6, 1e2, 8)
+        for q in (np.zeros((8, 16)), rng.uniform(0.0, 1e4, (8, 16))):
+            data = (povm.coords.T * (q / p)[:, None, :]) @ povm.coords
+            direct = data + mu[:, None, None] * barrier
+            error = np.max(np.abs(measurement._hessians(povm, q, p, s, mu) - direct), axis=(1, 2))
+            assert np.all(error <= 1e-12 * np.max(np.abs(direct), axis=(1, 2)))
+
+    def test_stacked_state_check_rejects_a_bad_row(self, monkeypatch):
+        # the rows certified in one step are checked as one stack; a
+        # non-Hermitian row among them raises the constructor's error
+        unwhiten = measurement._WhitenedPovm.unwhiten
+
+        def last_row_bad(self, sigma):
+            rho = unwhiten(self, sigma)
+            rho[-1, 0, 1] += 1e-9
+            return rho
+
+        rec = tomo_simulate_counts(degraded_state(math.pi, 0.8709), 10_000, seed=0)
+        with pytest.raises(ValueError) as lone:
+            TwoPhotonState(last_row_bad(rec._povm, np.eye(4)[None] / 4.0)[0])
+        monkeypatch.setattr(measurement._WhitenedPovm, "unwhiten", last_row_bad)
+        with pytest.raises(ValueError) as stacked:
+            block_fits(rec, 200, seed=0)
+        assert str(stacked.value) == str(lone.value) == "rho must be Hermitian"
+
 
 class TestFidelity:
     def test_pure_state_self_fidelity(self):
@@ -763,7 +808,8 @@ class TestBootstrap:
         # only one block of resamples is held at a time.  Peak traced
         # memory of a 200-resample fidelity bootstrap at 10k counts: 102,922 B
         # when every resample was fitted alone, about 690 kB when fitted in
-        # blocks of 32; bounded here at 1 MB
+        # blocks of 32 with a complex Kronecker Hessian, about 750 kB in
+        # blocks of 128 with the Hessian by one GEMM; bounded here at 1 MB
         rec = tomo_simulate_counts(degraded_state(math.pi, 0.8709), 10_000, seed=0)
 
         def statistic(r):

@@ -74,6 +74,26 @@ class TestTwoPhotonState:
         with pytest.raises(ValueError, match="positive"):
             TwoPhotonState(rho)
 
+    @pytest.mark.parametrize("bad", [
+        np.eye(4, dtype=complex) / 4.0 + 0.1 * np.eye(4, k=1),
+        np.eye(4, dtype=complex),
+        np.diag([0.8, 0.4, -0.1, -0.1]).astype(complex),
+    ], ids=["non_hermitian", "wrong_trace", "negative_eigenvalue"])
+    def test_stack_rejects_a_bad_row_as_the_constructor_does(self, bad):
+        good = np.eye(4, dtype=complex) / 4.0
+        with pytest.raises(ValueError) as lone:
+            TwoPhotonState(bad)
+        with pytest.raises(ValueError) as stacked:
+            TwoPhotonState.stack([good, bad, good])
+        assert str(stacked.value) == str(lone.value)
+
+    def test_stack_keeps_each_row(self):
+        rhos = np.array([np.eye(4) / 4.0, np.diag([1.0, 0.0, 0.0, 0.0])], dtype=complex)
+        states = TwoPhotonState.stack(rhos)
+        assert [type(s) for s in states] == [TwoPhotonState] * 2
+        for state, rho in zip(states, rhos):
+            np.testing.assert_array_equal(state.rho, rho)
+
     def test_from_pure_normalizes(self):
         state = TwoPhotonState.from_pure([2.0, 0.0, 0.0, 2.0])
         assert np.trace(state.rho).real == pytest.approx(1.0)
