@@ -286,17 +286,6 @@ def fit_exp_g2(hist) -> FitResult:
 # CAR versus pump power
 
 
-def car_curve(power_mw, norm_per_mw: float, knee_s_mw: float, knee_i_mw: float):
-    """Identifiable reduction of the CAR model over pump power.
-
-    CAR(P) = P / (norm * (P + knee_s) * (P + knee_i)); the knees are the
-    dark-rate-to-detected-rate crossover powers of the two arms and norm
-    is the generated-rate-times-window scale.
-    """
-    p = np.asarray(power_mw, dtype=float)
-    return p / (norm_per_mw * (p + knee_s_mw) * (p + knee_i_mw))
-
-
 def car_curve_reference(source, chain):
     """True reduced parameters implied by a source/detection description."""
     k = pair_rate(source, 1.0)  # pairs/s/mW
@@ -307,12 +296,15 @@ def car_curve_reference(source, chain):
 
 
 def fit_car_curve(powers_mw, cars) -> FitResult:
-    """Fit the reduced CAR curve and report its peak.
+    """Fit the reduced CAR curve CAR(P) = P / (norm * (P + knee_s) *
+    (P + knee_i)) and report its peak.
 
-    The physical parameter set (efficiency-rate products and dark rates)
-    is only identifiable up to the three-parameter shape of car_curve, and
-    the two knees become exactly degenerate when they coincide, so the fit
-    runs on the log denominator coefficients of
+    The knees are the dark-rate-to-detected-rate crossover powers of the two
+    arms and norm is the generated-rate-times-window scale: the physical
+    parameter set (efficiency-rate products and dark rates) is only
+    identifiable up to this three-parameter shape.  The two knees become
+    exactly degenerate when they coincide, so the fit runs on the log
+    denominator coefficients of
     CAR = P / (c2 P^2 + c1 P + c0), which stay independent everywhere.
     The knees are recovered as the roots of the denominator and the peak as
     peak_power = sqrt(c0/c2), peak_car = 1/(c1 + 2 sqrt(c0 c2)).  The

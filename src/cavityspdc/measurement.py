@@ -322,19 +322,6 @@ class _WhitenedPovm:
     inverse: np.ndarray  # (15, 16), pseudo-inverse of coords
     hess_map: np.ndarray  # (225, 152): columns coords_k x coords_k, then _barrier_map()
 
-    @classmethod
-    def of(cls, projectors: np.ndarray) -> "_WhitenedPovm":
-        g_val, g_vec = np.linalg.eigh(projectors.sum(axis=0))
-        g_isqrt = (g_vec / np.sqrt(g_val)) @ g_vec.conj().T
-        rows = (g_isqrt @ projectors @ g_isqrt).reshape(16, 16)
-        offset = np.real(np.einsum("kii->k", rows.reshape(16, 4, 4))) / 4.0
-        coords = np.real(rows @ _TRACELESS_CONJ.T)
-        # coords has full column rank, so its pseudo-inverse is (C^T C)^-1 C^T
-        inverse = np.linalg.solve(coords.T @ coords, coords.T)
-        hess_map = np.concatenate(
-            [(coords[:, :, None] * coords[:, None, :]).reshape(16, 225), _barrier_map()]).T
-        return cls(g_isqrt, rows, offset, coords, inverse, hess_map)
-
     def linear_inversion(self, freqs) -> np.ndarray:
         """x with p_k = f_k for every setting, one x per row of freqs.  The
         offsets and the frequencies both sum to 1 and each coords column to 0,
@@ -350,6 +337,32 @@ class _WhitenedPovm:
         return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
+@functools.lru_cache(maxsize=8)
+def _whitened_povm(settings: tuple, seconds: bytes) -> _WhitenedPovm:
+    """The whitened POVM of settings integrated for seconds (float64 bytes),
+    built on first use and shared by every record with the same settings
+    stack and times; raises TomographyError unless the settings are
+    informationally complete.  ProjectorSetting compares by identity, and
+    the cache holds its keys, so no key's id is reused while it is cached."""
+    kets = np.stack([s.product_ket() for s in settings])
+    projectors = np.frombuffer(seconds)[:, None, None] * np.einsum("ki,kj->kij", kets, kets.conj())
+    if np.linalg.matrix_rank(projectors.reshape(16, 16), tol=1e-9) < 16:
+        raise TomographyError("projector settings are not informationally complete")
+    g_val, g_vec = np.linalg.eigh(projectors.sum(axis=0))
+    g_isqrt = (g_vec / np.sqrt(g_val)) @ g_vec.conj().T
+    rows = (g_isqrt @ projectors @ g_isqrt).reshape(16, 16)
+    offset = np.real(np.einsum("kii->k", rows.reshape(16, 4, 4))) / 4.0
+    coords = np.real(rows @ _TRACELESS_CONJ.T)
+    # coords has full column rank, so its pseudo-inverse is (C^T C)^-1 C^T
+    inverse = np.linalg.solve(coords.T @ coords, coords.T)
+    hess_map = np.concatenate(
+        [(coords[:, :, None] * coords[:, None, :]).reshape(16, 225), _barrier_map()]).T
+    povm = _WhitenedPovm(g_isqrt, rows, offset, coords, inverse, hess_map)
+    for array in vars(povm).values():
+        array.flags.writeable = False  # one cached POVM for many records
+    return povm
+
+
 def _checked_counts(counts) -> np.ndarray:
     counts = np.asarray(counts)
     if counts.shape != (16,):
@@ -363,13 +376,15 @@ class TomographyRecord:
     """Counts at sixteen product projector settings, each integrated for its
     own time: the one record behind tomography and the CHSH bootstrap.
 
-    Whether the settings are informationally complete is decided once, when
-    the projector stack is built, and complete settings get their whitened
-    POVM then; the state estimators refuse a record whose settings are not,
-    while CHSH's rank-9 Bell settings need no such check and build nothing.
+    The whitened POVM belongs to the settings stack and the times, not to
+    the record: an estimator builds it at its first fit, with the check that
+    the settings are informationally complete, and every record with the
+    same settings and times shares it.  A record whose settings are not
+    complete, such as CHSH's rank-9 Bell settings, builds nothing and fails
+    at its first fit.
     """
 
-    __slots__ = ("settings", "seconds", "_counts", "_projectors", "_povm", "_block")
+    __slots__ = ("settings", "seconds", "_counts", "_block")
 
     def __init__(self, settings, seconds, counts):
         self.settings = tuple(settings)
@@ -384,19 +399,13 @@ class TomographyRecord:
         self._counts = _checked_counts(counts)
         # (_FitBlock, row) of a bootstrap resample, fitted with its block
         self._block = None
-        # (16, 4, 4) stack of the settings' projectors, each times its
-        # integration time, shared by records that differ only in counts
-        kets = np.stack([s.product_ket() for s in self.settings])
-        self._projectors = self.seconds[:, None, None] * np.einsum("ki,kj->kij", kets, kets.conj())
-        rank = np.linalg.matrix_rank(self._projectors.reshape(16, 16), tol=1e-9)
-        self._povm = _WhitenedPovm.of(self._projectors) if rank == 16 else None
 
     def counts(self) -> np.ndarray:
         return self._counts.astype(float)
 
     def with_counts(self, counts) -> "TomographyRecord":
-        """The same settings and times with new counts, sharing this record's
-        projector stack and whitened POVM."""
+        """The same settings and times with new counts, so the same whitened
+        POVM."""
         return self._sibling(_checked_counts(counts), None)
 
     def _sibling(self, counts, block) -> "TomographyRecord":
@@ -405,9 +414,7 @@ class TomographyRecord:
         return rec
 
     def _complete_povm(self) -> "_WhitenedPovm":
-        if self._povm is None:
-            raise TomographyError("projector settings are not informationally complete")
-        return self._povm
+        return _whitened_povm(self.settings, self.seconds.tobytes())
 
     def csv_rows(self):
         """Rows matching TOMO_CSV_HEADER, one per setting."""
@@ -498,7 +505,7 @@ def tomo_mle(rec: TomographyRecord) -> TwoPhotonState:
     p_k = tr(P~_k sigma), over density matrices sigma proportional to
     G^{1/2} rho G^{1/2} (Hradil, PRA 55 R1561 (1997); Rehacek, Hradil &
     Jezek, PRA 63 040303(R) (2001)).  The whitened POVM is built once per
-    projector stack, with the record.
+    settings stack and times, at the first fit.
 
     It is maximised by a log-barrier Newton method (Boyd & Vandenberghe,
     Convex Optimization (2004), ch. 11).  With sigma = I/4 +

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,14 +277,17 @@ def simulate_timetags(
     side, each from its own generator placed by PCG64's advance (one
     rng.random() double is one 64-bit draw), in fixed chunks of pairs.
     Pairs [0, half), n / 2 rounded up to whole chunks, are read on the
-    calling thread and the rest, if any, on one worker thread, so the record
-    is the same for any number of CPUs, and memory grows with the detected
-    events only.
+    calling thread and the rest on one executor worker, so the record is
+    the same for any number of CPUs, and memory grows with the detected
+    events only.  A record of one chunk takes the same path: its worker
+    reads an empty range.
     """
     if not (math.isfinite(duration_s) and duration_s > 0.0):
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s!r}")
     # named here, not at module level, so that importing the package loads
-    # no numpy.random
+    # neither numpy.random nor concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = np.random.Generator(np.random.PCG64(seed))
     duration_ps = duration_s * 1e12
 
@@ -293,27 +295,13 @@ def simulate_timetags(
     at = _streams_from(rng)
     half = min(-(-n_pairs // (2 * _DRAW_CHUNK)) * _DRAW_CHUNK, n_pairs)
     args = (chain.eta_s, chain.eta_i, duration_ps, coherence_scale_ps(bp))
-    second, error = [[], []], []
-
-    def read_second_half():
-        try:
-            second[:] = _read_range(at, n_pairs, half, n_pairs, *args)
-        except BaseException as exc:  # raised below, once the worker is joined
-            error.append(exc)
-
     # numpy's fills and ufuncs release the GIL, so the halves read in
-    # parallel; a record of one chunk has no second half and starts no thread
-    worker = threading.Thread(target=read_second_half)
-    if half < n_pairs:
-        worker.start()
-    try:
+    # parallel; leaving the block waits for the worker, also on an error
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        second = pool.submit(_read_range, at, n_pairs, half, n_pairs, *args)
         t_signal, t_idler = _read_range(at, n_pairs, 0, half, *args)
-    finally:
-        if half < n_pairs:
-            worker.join()
-    if error:
-        raise error[0]
-    t_signal, t_idler = t_signal + second[0], t_idler + second[1]
+        second_signal, second_idler = second.result()
+    t_signal, t_idler = t_signal + second_signal, t_idler + second_idler
 
     rng = at(4 * n_pairs)
     if chain.jitter_sigma_ps > 0.0:

@@ -42,7 +42,7 @@ from cavityspdc import (
     tomo_mle,
     tomo_simulate_counts,
 )
-from cavityspdc.fitting import car_curve, car_curve_reference, exp_decay, lorentzian
+from cavityspdc.fitting import car_curve_reference, exp_decay, lorentzian
 from cavityspdc.measurement import bootstrap_errors
 
 CFG = default_config()
@@ -210,7 +210,8 @@ def test_c09_fit_exactness():
 
     powers = np.logspace(math.log10(0.5), math.log10(250.0), 25)
     norm, knee_s, knee_i = car_curve_reference(CFG.source, CFG.chain)
-    cfit = fit_car_curve(powers, car_curve(powers, norm, knee_s, knee_i))
+    # the exact reduced curve P / (norm (P + knee_s) (P + knee_i))
+    cfit = fit_car_curve(powers, powers / (norm * (powers + knee_s) * (powers + knee_i)))
     assert cfit.parameters["norm_per_mw"] == pytest.approx(norm, rel=1e-4)
     assert cfit.parameters["knee_s_mw"] == pytest.approx(knee_s, rel=1e-4)
     assert cfit.parameters["knee_i_mw"] == pytest.approx(knee_i, rel=1e-4)

@@ -18,7 +18,6 @@ from cavityspdc import (
 )
 from cavityspdc.fitting import (
     _fd_jacobian,
-    car_curve,
     car_curve_reference,
     damped_least_squares,
     exp_decay,
@@ -27,6 +26,13 @@ from cavityspdc.fitting import (
 
 X_MHZ = np.linspace(-2000.0, 2000.0, 201)
 CENTERS_PS = np.arange(-200, 201) * 25
+
+
+def car_curve(power_mw, norm_per_mw: float, knee_s_mw: float, knee_i_mw: float):
+    """The reduced CAR curve P / (norm * (P + knee_s) * (P + knee_i)) that
+    fit_car_curve fits."""
+    p = np.asarray(power_mw, dtype=float)
+    return p / (norm_per_mw * (p + knee_s_mw) * (p + knee_i_mw))
 
 
 def lorentzian_gradient(x, center: float, fwhm: float, amplitude: float, offset: float):

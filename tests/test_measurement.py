@@ -439,21 +439,34 @@ class TestTomographySimulation:
             with pytest.raises(TomographyError, match="informationally complete"):
                 estimator(rec)
 
-    def test_with_counts_shares_projectors_and_completeness(self):
-        complete = tomo_simulate_counts(PHI_MINUS, 100, seed=0)
+    def test_with_counts_shares_projectors_and_completeness(self, monkeypatch):
+        # the whitened POVM belongs to the settings stack and the times: it is
+        # built at the first fit, not with the record, and shared by every
+        # record with those settings and times
+        whitened_povm, built = measurement._whitened_povm, []
+
+        def counted(settings, seconds):
+            built.append(settings)
+            return whitened_povm(settings, seconds)
+
+        monkeypatch.setattr(measurement, "_whitened_povm", counted)
+        first = tomo_simulate_counts(PHI_MINUS, 100, seed=0)
+        second = tomo_simulate_counts(PHI_MINUS, 200, seed=1)
+        child = first.with_counts(range(16))
+        assert child.settings is first.settings and child.seconds is first.seconds
         bell = tomo_simulate_counts(
             PHI_MINUS, 100, seed=0, settings=bell_projector_settings(PHI_SETTINGS)
         )
-        for rec, is_complete in ((complete, True), (bell, False)):
-            child = rec.with_counts(range(16))
-            assert child._projectors is rec._projectors
-            assert child.settings is rec.settings and child.seconds is rec.seconds
-            # completeness is carried as the whitened POVM, built only for
-            # complete settings and shared, not rebuilt, by with_counts
-            assert child._povm is rec._povm
-            assert (rec._povm is not None) is is_complete
-        with pytest.raises(TomographyError, match="informationally complete"):
-            tomo_mle(bell.with_counts(range(16)))
+        bell_child = bell.with_counts(range(16))
+        assert built == []
+        povm = first._complete_povm()
+        assert second._complete_povm() is povm and child._complete_povm() is povm
+        # the rank-9 Bell settings build no POVM and fail at the fit
+        for rec in (bell, bell_child):
+            with pytest.raises(TomographyError,
+                               match="^projector settings are not informationally complete$"):
+                tomo_mle(rec)
+        assert built == [first.settings] * 3 + [bell.settings] * 2
 
 
 class TestTomoMle:
@@ -667,7 +680,7 @@ class TestBatchedFit:
         for row, setting in zip(rows[1:], np.flatnonzero(rec.counts())):
             row[setting] = 0
         assert len({tuple(row == 0) for row in rows}) == len(rows)
-        fits = measurement._fit_rows(rec._povm, rows)
+        fits = measurement._fit_rows(rec._complete_povm(), rows)
         for row, fit in zip(rows, fits):
             lone_rec = rec.with_counts(row)
             lone = tomo_mle_fit(lone_rec)
@@ -684,7 +697,7 @@ class TestBatchedFit:
         rng = np.random.default_rng(round(math.log10(cond)))
         times = rng.choice([0.5, 1.0, 2.0, 4.0], 16)
         povm = TomographyRecord(tomo_simulate_counts(PHI_MINUS, 100, seed=0).settings,
-                                times, np.ones(16))._povm
+                                times, np.ones(16))._complete_povm()
         sigmas = []
         for _ in range(8):
             unitary, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
@@ -715,7 +728,7 @@ class TestBatchedFit:
 
         rec = tomo_simulate_counts(degraded_state(math.pi, 0.8709), 10_000, seed=0)
         with pytest.raises(ValueError) as lone:
-            TwoPhotonState(last_row_bad(rec._povm, np.eye(4)[None] / 4.0)[0])
+            TwoPhotonState(last_row_bad(rec._complete_povm(), np.eye(4)[None] / 4.0)[0])
         monkeypatch.setattr(measurement._WhitenedPovm, "unwhiten", last_row_bad)
         with pytest.raises(ValueError) as stacked:
             block_fits(rec, 200, seed=0)
