@@ -63,7 +63,7 @@ class ProjectorSetting:
     def __post_init__(self):
         for name in ("ket0", "ket1"):
             ket = np.asarray(getattr(self, name), dtype=complex).reshape(2)
-            if abs(np.linalg.norm(ket) - 1.0) > 1e-9:
+            if not abs(np.linalg.norm(ket) - 1.0) <= 1e-9:  # a NaN fails too
                 raise ValueError(f"{name} must be normalized")
             object.__setattr__(self, name, ket)
 
@@ -148,6 +148,8 @@ def interference_curve(state, alpha_deg: float, beta_grid_deg) -> InterferenceCu
     not one read from the raw extrema of the sampled grid.
     """
     beta = np.asarray(beta_grid_deg, dtype=float)
+    if not (math.isfinite(alpha_deg) and np.isfinite(beta).all()):
+        raise ValueError("analyzer angles must be finite")
     if beta.size < 8 or np.ptp(beta) < 180.0 - 1e-9:
         raise ValueError("need >= 8 analyzer angles covering >= 180 degrees")
     offset, s_sin, _, c_cos = (_linear_bloch(alpha_deg) @ _pauli_table(state) / 4.0).tolist()
@@ -181,16 +183,12 @@ PHI_SETTINGS = BellSettings(0.0, -45.0, 22.5, 67.5)
 
 
 def _correlation(table: np.ndarray, a_deg: float, b_deg: float) -> float:
+    """Polarization correlation u(a)^T T[1:, 1:] u(b) / T[0, 0] of two linear
+    analyzers from the Pauli table T, u(a) = (sin 2a, 0, cos 2a) over (X, Y, Z)."""
     if table[0, 0] <= 0.0:
         raise ValueError("projector probabilities sum to zero")
     u_a, u_b = _linear_bloch(a_deg)[1:], _linear_bloch(b_deg)[1:]
     return float(u_a @ table[1:, 1:] @ u_b) / table[0, 0]
-
-
-def correlation_E(state, a_deg: float, b_deg: float) -> float:
-    """Polarization correlation u(a)^T T[1:, 1:] u(b) / T[0, 0] of two linear
-    analyzers, u(a) = (sin 2a, 0, cos 2a) over (X, Y, Z)."""
-    return _correlation(_pauli_table(state), a_deg, b_deg)
 
 
 def chsh_S(state, settings: BellSettings) -> float:
@@ -397,7 +395,7 @@ class TomographyRecord:
             raise ValueError(f"integration time must be finite and > 0, got {self.seconds[~ok]}")
         self.seconds.flags.writeable = False
         self._counts = _checked_counts(counts)
-        # (_FitBlock, row) of a bootstrap resample, fitted with its block
+        # (block fits, row) of a bootstrap resample, fitted with its block
         self._block = None
 
     def counts(self) -> np.ndarray:
@@ -452,14 +450,6 @@ def tomo_simulate_counts(
 _NO_COUNTS = "record contains no counts"
 
 
-def _counts_and_total(rec: TomographyRecord) -> tuple[np.ndarray, float]:
-    counts = rec.counts()
-    total = counts.sum()
-    if total <= 0:
-        raise TomographyError(_NO_COUNTS)
-    return counts, total
-
-
 def tomo_linear(rec: TomographyRecord) -> np.ndarray:
     """Direct linear inversion of the measured frequencies.
 
@@ -467,7 +457,10 @@ def tomo_linear(rec: TomographyRecord) -> np.ndarray:
     eigenvalues, which demonstrates why the constrained estimate is needed.
     """
     povm = rec._complete_povm()
-    counts, total = _counts_and_total(rec)
+    counts = rec.counts()
+    total = counts.sum()
+    if total <= 0:
+        raise TomographyError(_NO_COUNTS)
     # n_k = flux * tr(t_k P_k rho); the unknown flux only scales rho, which
     # unwhiten normalises to unit trace
     return povm.unwhiten(_sigma(povm.linear_inversion(counts / total)))
@@ -534,8 +527,8 @@ def tomo_mle(rec: TomographyRecord) -> TwoPhotonState:
     One fitter runs this iteration on a stack of count rows that share the
     whitened POVM, each row with its own mu, damping and certificate.  A
     record made by bootstrap_errors is fitted with the other resamples of
-    its block, on the first tomo_mle of any of them; any other record is a
-    stack of one row.
+    its block by one cached call, at the first tomo_mle of any of them; any
+    other record is a stack of one row.
     """
     return tomo_mle_fit(rec).state
 
@@ -544,29 +537,19 @@ def tomo_mle_fit(rec: TomographyRecord) -> MleFit:
     """The fit of tomo_mle, with its Newton steps and final certificate gap.
 
     A record made by bootstrap_errors is fitted with its block: the first
-    call on any record of the block fits every row of it at once.  Any other
-    record is a block of one."""
-    block, row = rec._block or (_FitBlock(rec, rec._counts[None]), 0)
-    return block.fit(row)
+    call on any record of the block fits every row of it in one cached call.
+    Any other record is a block of one."""
+    fits, row = rec._block or (_block_fits(rec, rec._counts[None]), 0)
+    fit = fits()[row]
+    if isinstance(fit, str):
+        raise TomographyError(fit)
+    return fit
 
 
-class _FitBlock:
-    """Records that share one projector stack, with one row of counts each,
-    fitted together on first use; each row keeps its MleFit or the message
-    of its TomographyError."""
-
-    __slots__ = ("rec", "counts", "fits")
-
-    def __init__(self, rec: TomographyRecord, counts: np.ndarray):
-        self.rec, self.counts, self.fits = rec, counts, None
-
-    def fit(self, row: int) -> MleFit:
-        if self.fits is None:
-            self.fits = _fit_rows(self.rec._complete_povm(), self.counts)
-        fit = self.fits[row]
-        if isinstance(fit, str):
-            raise TomographyError(fit)
-        return fit
+def _block_fits(rec: TomographyRecord, counts: np.ndarray):
+    """A cached call that fits every row of counts on rec's POVM at its first
+    call, returning an MleFit or the message of its TomographyError per row."""
+    return functools.cache(lambda: _fit_rows(rec._complete_povm(), counts))
 
 
 def _hessians(povm: _WhitenedPovm, q, p, s, mu) -> np.ndarray:
@@ -683,7 +666,7 @@ def fidelity(state, target_ket) -> float:
     """Overlap <psi|rho|psi> with a pure target state."""
     ket = np.asarray(target_ket, dtype=complex).reshape(4)
     norm = np.linalg.norm(ket)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # a NaN fails too
         raise ValueError("target state must be normalized")
     return float(np.real(ket.conj() @ _as_rho(state) @ ket))
 
@@ -726,8 +709,9 @@ def bootstrap_errors(
 
     The resamples are drawn in blocks of _FIT_BLOCK (128), and statistic is
     called on each record of a block in order.  The records of a block share
-    one fit: the first tomo_mle or tomo_mle_fit on any of them fits the whole
-    block at once, and a statistic that never asks for the MLE fits nothing.
+    one cached call: the first tomo_mle or tomo_mle_fit on any of them fits
+    every row of the block, and a statistic that never asks for the MLE
+    builds and fits nothing.
     """
     if resamples < 100:
         raise ValueError("need at least 100 resamples")
@@ -738,9 +722,9 @@ def bootstrap_errors(
         # spawning block by block gives the children one spawn(resamples) would
         counts = np.array([np.random.default_rng(child).poisson(observed)
                            for child in root.spawn(min(_FIT_BLOCK, resamples - start))])
-        block = _FitBlock(rec, counts)
+        fits = _block_fits(rec, counts)
         for row, row_counts in enumerate(counts):
-            values[start + row] = statistic(rec._sibling(row_counts, (block, row)))
+            values[start + row] = statistic(rec._sibling(row_counts, (fits, row)))
     return BootstrapResult(float(values.mean()), float(values.std(ddof=1)), resamples)
 
 

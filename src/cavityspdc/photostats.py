@@ -62,14 +62,27 @@ class DetectionChain:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
+def _exact(values, dtype, message) -> np.ndarray:
+    """values as a dtype array, not copied when they already are one; any
+    other input raises ValueError(message) unless dtype holds it exactly."""
+    array = np.asarray(values)
+    if array.dtype == dtype:
+        return array
+    with np.errstate(invalid="ignore"):  # a cast that fails is caught below
+        exact = array.astype(dtype) if array.dtype.kind in "biuf" else None
+    if exact is None or not np.array_equal(exact, array):
+        raise ValueError(message)
+    return exact
+
+
 class TimeTagStream:
     """Channel-tagged event list, timestamps in integer picoseconds."""
 
     __slots__ = ("t_ps", "channel")
 
     def __init__(self, t_ps, channel):
-        t_ps = np.asarray(t_ps, dtype=np.int64)
-        channel = np.asarray(channel, dtype=np.uint8)
+        t_ps = _exact(t_ps, np.int64, "t_ps must be whole picoseconds within int64")
+        channel = _exact(channel, np.uint8, "channel must be 0 or 1")
         if t_ps.shape != channel.shape or t_ps.ndim != 1:
             raise ValueError("t_ps and channel must be matching 1-d arrays")
         if channel.size and channel.max() > 1:

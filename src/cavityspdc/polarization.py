@@ -55,8 +55,10 @@ def qwp_matrix(theta_deg: float) -> np.ndarray:
 
 
 def _check_density(rho: np.ndarray) -> None:
-    """Raise ValueError unless every 4x4 matrix of rho (..., 4, 4) is
+    """Raise ValueError unless every 4x4 matrix of rho (..., 4, 4) is finite,
     Hermitian and of unit trace to 1e-12 with no eigenvalue below -1e-9."""
+    if not np.isfinite(rho).all():
+        raise ValueError("rho must be finite")
     if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > 1e-12:
         raise ValueError("rho must be Hermitian")
     trace = rho.trace(axis1=-2, axis2=-1)
@@ -96,6 +98,8 @@ class TwoPhotonState:
     @classmethod
     def from_pure(cls, ket) -> "TwoPhotonState":
         ket = np.asarray(ket, dtype=complex).reshape(4)
+        if not np.isfinite(ket).all():
+            raise ValueError("state vector must be finite")
         n = np.linalg.norm(ket)
         if n == 0:
             raise ValueError("zero state vector")

@@ -14,7 +14,6 @@ from cavityspdc import (
     bootstrap_errors,
     chsh_S,
     chsh_max,
-    correlation_E,
     degraded_state,
     entangled_ket,
     fidelity,
@@ -37,6 +36,13 @@ from cavityspdc.measurement import (
 )
 from cavityspdc.cli import main
 from cavityspdc.polarization import TwoPhotonState
+
+
+def correlation_E(state, a_deg, b_deg):
+    """Polarization correlation E(a, b) of two linear analyzers, read from
+    the state's Pauli table as chsh_S reads it."""
+    return measurement._correlation(measurement._pauli_table(state), a_deg, b_deg)
+
 
 PHI_MINUS = degraded_state(math.pi, 1.0)
 PHI_MINUS_KET = entangled_ket(math.pi)
@@ -184,6 +190,15 @@ def test_pauli_table_forms_match_born_rule_oracle():
 
 
 class TestCoincidenceProb:
+    @pytest.mark.parametrize("make", [
+        lambda: ProjectorSetting([math.nan, 0.0], [1.0, 0.0]),
+        lambda: ProjectorSetting([1.0, 0.0], [math.nan, 0.0]),
+        lambda: ProjectorSetting.linear(math.nan, 0.0),
+    ], ids=["ket0", "ket1", "linear"])
+    def test_setting_rejects_a_non_finite_ket(self, make):
+        with pytest.raises(ValueError, match="^ket[01] must be normalized$"):
+            make()
+
     def test_phi_minus_hh(self):
         assert _product_probs(
             PHI_MINUS, [ProjectorSetting.linear(0.0, 0.0)]
@@ -247,6 +262,11 @@ class TestInterferenceCurve:
             interference_curve(state, 0.0, np.arange(0.0, 60.0, 10.0))
         with pytest.raises(ValueError):
             interference_curve(state, 0.0, [0.0, 45.0, 90.0, 180.0])
+        grid = self.beta.copy()
+        grid[3] = math.nan
+        for alpha, beta in ((math.nan, self.beta), (0.0, grid)):
+            with pytest.raises(ValueError, match="^analyzer angles must be finite$"):
+                interference_curve(state, alpha, beta)
 
     @given(c=st.floats(0.05, 1.0), alpha=angles)
     @settings(max_examples=40)
@@ -755,6 +775,8 @@ class TestFidelity:
     def test_requires_normalized_target(self):
         with pytest.raises(ValueError):
             fidelity(PHI_MINUS, [1.0, 0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="^target state must be normalized$"):
+            fidelity(PHI_MINUS, [math.nan, 0.0, 0.0, 0.0])
 
     def test_state_fidelity_extremes(self):
         assert state_fidelity(PHI_MINUS, PHI_MINUS) == pytest.approx(1.0)

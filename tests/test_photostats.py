@@ -170,6 +170,27 @@ class TestTimeTagStream:
         with pytest.raises(ValueError, match="channel"):
             TimeTagStream([1, 2], [0, 3])
 
+    @pytest.mark.parametrize("t_ps, channel, message", [
+        ([1.7, 2.9], [0, 1], "t_ps must be whole picoseconds within int64"),
+        ([1e30], [0], "t_ps must be whole picoseconds within int64"),
+        ([math.nan], [0], "t_ps must be whole picoseconds within int64"),
+        ([2**64], [0], "t_ps must be whole picoseconds within int64"),
+        ([1, 2], [0.7, 1.2], "channel must be 0 or 1"),
+        ([1], [256], "channel must be 0 or 1"),
+        ([1], [-1], "channel must be 0 or 1"),
+        ([1, 2], np.array([0, 256]), "channel must be 0 or 1"),
+    ], ids=["fractional_time", "huge_time", "nan_time", "beyond_int64", "fractional_channel",
+            "channel_256", "negative_channel", "int64_channel_256"])
+    def test_rejects_values_that_are_not_exact_integers(self, t_ps, channel, message):
+        # a silent cast would truncate these or wrap them round
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TimeTagStream(t_ps, channel)
+
+    def test_whole_float_values_are_exact(self):
+        stream = TimeTagStream([1.0, 2.0**62], [0.0, 1.0])
+        assert stream.t_ps.tolist() == [1, 2**62]
+        assert stream.channel.tolist() == [0, 1]
+
     def test_binary_roundtrip(self, tmp_path):
         stream = TimeTagStream([0, 17, 17, 4200], [1, 0, 1, 0])
         path = tmp_path / "tags.ttag"

@@ -78,7 +78,9 @@ class TestTwoPhotonState:
         np.eye(4, dtype=complex) / 4.0 + 0.1 * np.eye(4, k=1),
         np.eye(4, dtype=complex),
         np.diag([0.8, 0.4, -0.1, -0.1]).astype(complex),
-    ], ids=["non_hermitian", "wrong_trace", "negative_eigenvalue"])
+        np.diag([math.nan, 1.0, 0.0, 0.0]),
+        np.full((4, 4), math.nan),
+    ], ids=["non_hermitian", "wrong_trace", "negative_eigenvalue", "nan_entry", "all_nan"])
     def test_stack_rejects_a_bad_row_as_the_constructor_does(self, bad):
         good = np.eye(4, dtype=complex) / 4.0
         with pytest.raises(ValueError) as lone:
@@ -86,6 +88,9 @@ class TestTwoPhotonState:
         with pytest.raises(ValueError) as stacked:
             TwoPhotonState.stack([good, bad, good])
         assert str(stacked.value) == str(lone.value)
+        # the constructor's own one-line message, not LinAlgError (a ValueError) from eigvalsh
+        assert not isinstance(lone.value, np.linalg.LinAlgError)
+        assert "\n" not in str(lone.value)
 
     def test_stack_keeps_each_row(self):
         rhos = np.array([np.eye(4) / 4.0, np.diag([1.0, 0.0, 0.0, 0.0])], dtype=complex)
@@ -93,6 +98,12 @@ class TestTwoPhotonState:
         assert [type(s) for s in states] == [TwoPhotonState] * 2
         for state, rho in zip(states, rhos):
             np.testing.assert_array_equal(state.rho, rho)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_from_pure_rejects_a_non_finite_ket(self, bad):
+        # checked before the normalisation divides by a non-finite norm
+        with pytest.raises(ValueError, match="^state vector must be finite$"):
+            TwoPhotonState.from_pure([bad, 0.0, 0.0, 0.0])
 
     def test_from_pure_normalizes(self):
         state = TwoPhotonState.from_pure([2.0, 0.0, 0.0, 2.0])
