@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .cavity import CavitySpec
 from .fitting import _MIN_G2_BINS
-from .photostats import DetectionChain, SourceRate, histogram_k_max, pair_rate
+from .photostats import DetectionChain, SourceRate, detected_rates, histogram_k_max, pair_rate
 from .polarization import (BD, HWP, QWP, CrystalSource, NonInterferingNetworkError,
                            _network_ket, displacer_network)
 
@@ -85,9 +85,9 @@ class ExperimentConfig:
         # the lag scan lists every cross-channel delay up to its limit, so it
         # stays linear in events only while the limit is short against the
         # mean spacing of detected events
-        chain, rate = self.chain, pair_rate(self.source)
-        events_per_ns = (chain.eta_s * rate + chain.dark_s_per_s
-                         + chain.eta_i * rate + chain.dark_i_per_s) * 1e-9
+        chain = self.chain
+        singles_s, singles_i, _, _ = detected_rates(pair_rate(self.source), chain)
+        events_per_ns = (singles_s + singles_i) * 1e-9
         for name, limit_ns in (
             ("accidental_offset_ns", offset + chain.window_ns / 2.0),
             ("histogram_range_ns", self.histogram_range_ns / 2.0 + chain.bin_ps / 2e3),

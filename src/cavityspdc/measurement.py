@@ -88,12 +88,9 @@ class ProjectorSetting:
 
 
 def _as_rho(state) -> np.ndarray:
-    if isinstance(state, TwoPhotonState):
-        return state.rho
-    rho = np.asarray(state, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("expected a TwoPhotonState or a 4x4 matrix")
-    return rho
+    if not isinstance(state, TwoPhotonState):
+        raise TypeError(f"expected a TwoPhotonState, got {type(state).__name__}")
+    return state.rho
 
 
 def _pauli_table(state) -> np.ndarray:

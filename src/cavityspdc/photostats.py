@@ -165,21 +165,21 @@ def pair_rate(src: SourceRate, power_mw: float | None = None) -> float:
     return src.brightness_per_s_mw_mhz * power * src.bandwidth_mhz
 
 
-def car_model(rate: float, chain: DetectionChain) -> float:
-    """Coincidence-to-accidental ratio for a CW pair source.
-
-    Coincidence rate C = eta_s * eta_i * rate; accidental rate
-    A = (eta_s*rate + dark_s) * (eta_i*rate + dark_i) * window.
-    """
+def detected_rates(rate: float, chain: DetectionChain) -> tuple[float, float, float, float]:
+    """The singles S = eta * rate + dark of each arm and the true coincidences
+    C = eta_s * eta_i * rate, per second, and the accidentals per window
+    A = S_s * S_i * window, of pairs generated at rate per second."""
     if not math.isfinite(rate) or rate < 0.0:
         raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
-    coincidences = chain.eta_s * chain.eta_i * rate
-    accidentals = (
-        (chain.eta_s * rate + chain.dark_s_per_s)
-        * (chain.eta_i * rate + chain.dark_i_per_s)
-        * chain.window_ns
-        * 1e-9
-    )
+    singles_s = chain.eta_s * rate + chain.dark_s_per_s
+    singles_i = chain.eta_i * rate + chain.dark_i_per_s
+    accidentals = singles_s * singles_i * chain.window_ns * 1e-9
+    return singles_s, singles_i, chain.eta_s * chain.eta_i * rate, accidentals
+
+
+def car_model(rate: float, chain: DetectionChain) -> float:
+    """Coincidence-to-accidental ratio C / A of a CW pair source (detected_rates)."""
+    _, _, coincidences, accidentals = detected_rates(rate, chain)
     if accidentals == 0.0:
         raise ValueError("no accidentals: CAR undefined for zero rate and darks")
     return coincidences / accidentals

@@ -243,20 +243,17 @@ def _single_photon_map(element, key, amp):
         raise TypeError(f"cannot propagate through {element!r}")
 
 
-def _apply_to_beam(element, amps: dict) -> dict:
+def _apply(element, amps: dict) -> dict:
+    """One element acting on amplitudes keyed by a (rail, pol) mode per
+    photon, one for the pump and two for a pair, photon by photon."""
     out: dict = {}
-    for key, amp in amps.items():
-        for new_key, new_amp in _single_photon_map(element, key, amp):
-            out[new_key] = out.get(new_key, 0.0) + new_amp
-    return {k: a for k, a in out.items() if abs(a) > _PRUNE}
-
-
-def _apply_to_pairs(element, pairs: dict) -> dict:
-    out: dict = {}
-    for (key_a, key_b), amp in pairs.items():
-        for new_a, amp_a in _single_photon_map(element, key_a, amp):
-            for new_b, amp_b in _single_photon_map(element, key_b, amp_a):
-                out[(new_a, new_b)] = out.get((new_a, new_b), 0.0) + amp_b
+    for modes, amp in amps.items():
+        terms = [((), amp)]
+        for mode in modes:
+            terms = [(done + (new,), new_amp) for done, done_amp in terms
+                     for new, new_amp in _single_photon_map(element, mode, done_amp)]
+        for new_modes, new_amp in terms:
+            out[new_modes] = out.get(new_modes, 0.0) + new_amp
     return {k: a for k, a in out.items() if abs(a) > _PRUNE}
 
 
@@ -275,16 +272,15 @@ def propagate_network(elements: tuple, pump_phase_rad: float) -> TwoPhotonState:
 
 def _network_ket(elements: tuple, pump_phase_rad: float) -> np.ndarray:
     """Normalised output ket of ``propagate_network``, which raises as it does."""
-    pump = {((0, 0), "H"): 1.0 / math.sqrt(2.0), ((0, 0), "V"): 1.0 / math.sqrt(2.0)}
+    pump = {(((0, 0), "H"),): 1.0 / math.sqrt(2.0), (((0, 0), "V"),): 1.0 / math.sqrt(2.0)}
     pairs: dict = {}
     k, pumped = 0, False  # pairs may cancel later; that is not an unpumped network
     for element in elements:
         if not isinstance(element, CrystalSource):
-            pump = _apply_to_beam(element, pump)
-            pairs = _apply_to_pairs(element, pairs)
+            pump, pairs = _apply(element, pump), _apply(element, pairs)
             continue
         rail = tuple(element.rail)
-        amp = pump.get((rail, "H"), 0.0)
+        amp = pump.get(((rail, "H"),), 0.0)
         if abs(amp) > _PRUNE:
             pumped = True
             key = ((rail, "H"), (rail, "V"))

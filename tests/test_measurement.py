@@ -791,6 +791,24 @@ class TestFidelity:
         )
 
 
+@pytest.mark.parametrize("estimator", [
+    lambda s: fidelity(s, PHI_MINUS_KET),
+    lambda s: state_fidelity(s, PHI_MINUS),
+    lambda s: state_fidelity(PHI_MINUS, s),
+    lambda s: chsh_S(s, PHI_SETTINGS),
+    chsh_max,
+    lambda s: interference_curve(s, 0.0, np.arange(0.0, 181.0, 15.0)),
+    lambda s: tomo_simulate_counts(s, 100, seed=0),
+    measurement.rho_to_json_payload,
+], ids=["fidelity", "state_fidelity_a", "state_fidelity_b", "chsh_S", "chsh_max",
+        "interference_curve", "tomo_simulate_counts", "rho_to_json_payload"])
+@pytest.mark.parametrize("raw", [PHI_MINUS.rho, np.full((4, 4), math.nan)], ids=["state", "nan"])
+def test_estimators_take_only_a_state(estimator, raw):
+    # a raw matrix was taken unchecked: an all-NaN one gave nan or a LinAlgError
+    with pytest.raises(TypeError, match="^expected a TwoPhotonState, got ndarray$"):
+        estimator(raw)
+
+
 class TestBootstrap:
     def test_requires_100_resamples(self):
         rec = tomo_simulate_counts(PHI_MINUS, 100, seed=0)

@@ -103,6 +103,21 @@ class TestCarModel:
         with pytest.raises(ValueError, match="no accidentals"):
             car_model(0.0, quiet_chain())
 
+    def test_detected_rates_at_the_default_power(self, chain):
+        # 48,090 pairs/s at efficiency 0.125 and 100 dark counts per second
+        singles_s, singles_i, coincidences, accidentals = photostats.detected_rates(
+            48_090.0, chain)
+        assert (singles_s, singles_i) == (6111.25, 6111.25)
+        assert coincidences == 0.125 * 0.125 * 48_090.0
+        assert accidentals == 6111.25 * 6111.25 * 3.2 * 1e-9
+        assert car_model(48_090.0, chain) == coincidences / accidentals
+
+    @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
+    def test_rate_must_be_finite_and_non_negative(self, chain, rate):
+        for call in (photostats.detected_rates, car_model):
+            with pytest.raises(ValueError, match="^rate must be finite and >= 0"):
+                call(rate, chain)
+
     def test_unimodal_with_interior_peak(self, chain):
         rates = np.logspace(0.0, 7.0, 10_000)
         cars = np.array([car_model(r, chain) for r in rates])
