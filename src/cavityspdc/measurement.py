@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .photostats import _exact
 from .polarization import BASIS, TwoPhotonState
 
 _SQ2 = math.sqrt(2.0)
@@ -246,6 +247,8 @@ def bell_projector_settings(settings: BellSettings) -> list[ProjectorSetting]:
 def chsh_from_counts(counts) -> float:
     """S estimated from 16 counts ordered as bell_projector_settings."""
     counts = np.asarray(counts, dtype=float).reshape(4, 4)
+    if not np.all(np.isfinite(counts) & (counts >= 0)):
+        raise ValueError("counts must be finite and non-negative")
     e_values = []
     for row in counts:
         total = row.sum()
@@ -364,7 +367,7 @@ def _checked_counts(counts) -> np.ndarray:
         raise ValueError(f"need exactly 16 counts, got {counts.size}")
     if not np.all(np.isfinite(counts) & (counts >= 0)):
         raise ValueError("counts must be finite and non-negative")
-    return counts.astype(np.int64)
+    return _exact(counts, np.int64, "counts must be whole numbers within int64").copy()
 
 
 class TomographyRecord:

@@ -60,6 +60,8 @@ class DetectionChain:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if self.window_ns < 1e-3:  # time tags are whole picoseconds
+            raise ValueError(f"window_ns must be at least 1e-3 (1 ps), got {self.window_ns!r}")
 
 
 def _exact(values, dtype, message) -> np.ndarray:

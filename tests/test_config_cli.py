@@ -465,6 +465,9 @@ class TestCli:
             # a boolean where a string belongs is named as such
             ({"network": [{"type": "bd", "axis": True, "moves": "V"}]},
              "config.network[0].axis: expected a string, got true"),
+            # a window below one picosecond, the time tags' resolution
+            ({"chain": {"window_ns": 5e-324}}, "window_ns must be at least 1e-3"),
+            ({"chain": {"window_ns": 9e-4}}, "window_ns must be at least 1e-3"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):

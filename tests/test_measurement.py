@@ -384,6 +384,12 @@ class TestBellCounts:
         with pytest.raises(ValueError):
             chsh_from_counts([0] * 16)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_count_rejected(self, bad):
+        # a count of -1 gave S = 1.0, and a NaN or infinite one S = nan
+        with pytest.raises(ValueError, match="^counts must be finite and non-negative$"):
+            chsh_from_counts([bad] + [1] * 15)
+
 
 class TestTomographySimulation:
     def test_product_state_concentrates_counts(self):
@@ -433,7 +439,18 @@ class TestTomographySimulation:
             rec.with_counts([-1] + [5] * 15)
         with pytest.raises(ValueError, match="16"):
             rec.with_counts([5] * 15)
+        # a fraction was truncated, and 1e30 stored as -9.22e18 after a cast warning
+        for bad, message in ((math.nan, "^counts must be finite and non-negative$"),
+                             (math.inf, "^counts must be finite and non-negative$"),
+                             (1.5, "^counts must be whole numbers within int64$"),
+                             (1e30, "^counts must be whole numbers within int64$"),
+                             (2.0**63, "^counts must be whole numbers within int64$")):
+            for make in (rec.with_counts,
+                         lambda c: TomographyRecord(rec.settings, rec.seconds, c)):
+                with pytest.raises(ValueError, match=message):
+                    make([bad] + [1] * 15)
         np.testing.assert_array_equal(rec.with_counts(range(16)).counts(), np.arange(16))
+        np.testing.assert_array_equal(rec.with_counts([2.0] * 16).counts(), np.full(16, 2.0))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_entry_rejects_bad_integration_time(self, bad):
