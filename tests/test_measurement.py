@@ -386,7 +386,7 @@ class TestBellCounts:
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_bad_count_rejected(self, bad):
-        # a count of -1 gave S = 1.0, and a NaN or infinite one S = nan
+        # unchecked, a count of -1 would give S = 1.0 and a NaN or infinite one S = nan
         with pytest.raises(ValueError, match="^counts must be finite and non-negative$"):
             chsh_from_counts([bad] + [1] * 15)
 
@@ -439,7 +439,7 @@ class TestTomographySimulation:
             rec.with_counts([-1] + [5] * 15)
         with pytest.raises(ValueError, match="16"):
             rec.with_counts([5] * 15)
-        # a fraction was truncated, and 1e30 stored as -9.22e18 after a cast warning
+        # unchecked, 1.5 would be truncated to 1 and 1e30 cast to -9.22e18
         for bad, message in ((math.nan, "^counts must be finite and non-negative$"),
                              (math.inf, "^counts must be finite and non-negative$"),
                              (1.5, "^counts must be whole numbers within int64$"),
@@ -821,7 +821,7 @@ class TestFidelity:
         "interference_curve", "tomo_simulate_counts", "rho_to_json_payload"])
 @pytest.mark.parametrize("raw", [PHI_MINUS.rho, np.full((4, 4), math.nan)], ids=["state", "nan"])
 def test_estimators_take_only_a_state(estimator, raw):
-    # a raw matrix was taken unchecked: an all-NaN one gave nan or a LinAlgError
+    # unchecked, an all-NaN matrix would give nan or a LinAlgError
     with pytest.raises(TypeError, match="^expected a TwoPhotonState, got ndarray$"):
         estimator(raw)
 

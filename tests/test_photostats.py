@@ -112,12 +112,6 @@ class TestCarModel:
         assert accidentals == 6111.25 * 6111.25 * 3.2 * 1e-9
         assert car_model(48_090.0, chain) == coincidences / accidentals
 
-    @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
-    def test_rate_must_be_finite_and_non_negative(self, chain, rate):
-        for call in (photostats.detected_rates, car_model):
-            with pytest.raises(ValueError, match="^rate must be finite and >= 0"):
-                call(rate, chain)
-
     def test_unimodal_with_interior_peak(self, chain):
         rates = np.logspace(0.0, 7.0, 10_000)
         cars = np.array([car_model(r, chain) for r in rates])
@@ -579,9 +573,11 @@ class TestCoincidenceHistogram:
 
 
 @pytest.mark.parametrize("argument, value", [
-    *[(name, value) for name in ("center_ns", "window_ns", "accidental_offset_ns", "duration_s")
+    *[(name, value) for name in ("center_ns", "window_ns", "accidental_offset_ns", "duration_s",
+                                 "rate")
       for value in (math.nan, math.inf, -math.inf)],
     ("window_ns", -3.2),
+    ("rate", -1.0),
 ])
 def test_argument_checks_reject_non_finite_values(source_150mw, bp0, chain, argument, value):
     stream = TimeTagStream([100, 150], [0, 1])
@@ -590,6 +586,7 @@ def test_argument_checks_reject_non_finite_values(source_150mw, bp0, chain, argu
         "window_ns": lambda: count_coincidences(stream, 0.0, value),
         "accidental_offset_ns": lambda: car_from_stream(stream, chain, value),
         "duration_s": lambda: simulate_timetags(source_150mw, bp0, chain, value, seed=0),
+        "rate": lambda: photostats.detected_rates(value, chain),
     }[argument]
     with pytest.raises(ValueError, match=f"^{argument} must be finite"):
         call()
