@@ -85,8 +85,10 @@ class ExperimentConfig:
         # the lag scan lists every cross-channel delay up to its limit, so it
         # stays linear in events only while the limit is short against the
         # mean spacing of detected events
-        chain = self.chain
-        singles_s, singles_i, _, _ = detected_rates(pair_rate(self.source), chain)
+        chain, rate = self.chain, pair_rate(self.source)
+        if not math.isfinite(rate):
+            raise ConfigError("source.brightness_per_s_mw_mhz * source.power_mw overflows")
+        singles_s, singles_i, _, _ = detected_rates(rate, chain)
         events_per_ns = (singles_s + singles_i) * 1e-9
         for name, limit_ns in (
             ("accidental_offset_ns", offset + chain.window_ns / 2.0),

@@ -89,9 +89,8 @@ class ProjectorSetting:
 
 
 def _as_rho(state) -> np.ndarray:
-    if not isinstance(state, TwoPhotonState):
-        raise TypeError(f"expected a TwoPhotonState, got {type(state).__name__}")
-    return state.rho
+    """A state's matrix; a raw matrix passes the state's checks first."""
+    return state.rho if isinstance(state, TwoPhotonState) else TwoPhotonState(state).rho
 
 
 def _pauli_table(state) -> np.ndarray:
@@ -246,9 +245,7 @@ def bell_projector_settings(settings: BellSettings) -> list[ProjectorSetting]:
 
 def chsh_from_counts(counts) -> float:
     """S estimated from 16 counts ordered as bell_projector_settings."""
-    counts = np.asarray(counts, dtype=float).reshape(4, 4)
-    if not np.all(np.isfinite(counts) & (counts >= 0)):
-        raise ValueError("counts must be finite and non-negative")
+    counts = _checked_counts(np.ravel(counts)).reshape(4, 4).astype(float)
     e_values = []
     for row in counts:
         total = row.sum()

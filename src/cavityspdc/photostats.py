@@ -70,9 +70,11 @@ def _exact(values, dtype, message) -> np.ndarray:
     array = np.asarray(values)
     if array.dtype == dtype:
         return array
+    info = np.iinfo(dtype)  # a float out of range casts by CPU: wraps or saturates
+    in_range = array.dtype.kind != "f" or np.all((array >= info.min) & (array < info.max + 1))
     with np.errstate(invalid="ignore"):  # a cast that fails is caught below
         exact = array.astype(dtype) if array.dtype.kind in "biuf" else None
-    if exact is None or not np.array_equal(exact, array):
+    if exact is None or not in_range or not np.array_equal(exact, array):
         raise ValueError(message)
     return exact
 

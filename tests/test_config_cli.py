@@ -468,6 +468,10 @@ class TestCli:
             # a window below one picosecond, the time tags' resolution
             ({"chain": {"window_ns": 5e-324}}, "window_ns must be at least 1e-3"),
             ({"chain": {"window_ns": 9e-4}}, "window_ns must be at least 1e-3"),
+            # a pair rate that overflows names the source fields
+            ({"source": {"power_mw": 1e308}}, "source.brightness_per_s_mw_mhz * source.power_mw"),
+            ({"source": {"brightness_per_s_mw_mhz": 1e308}},
+             "source.brightness_per_s_mw_mhz * source.power_mw"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):

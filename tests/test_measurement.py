@@ -390,6 +390,11 @@ class TestBellCounts:
         with pytest.raises(ValueError, match="^counts must be finite and non-negative$"):
             chsh_from_counts([bad] + [1] * 15)
 
+    def test_fractional_count_rejected(self):
+        # counts are checked as a record's are, so 1.5 is no count here either
+        with pytest.raises(ValueError, match="^counts must be whole numbers within int64$"):
+            chsh_from_counts([1.5] + [1] * 15)
+
 
 class TestTomographySimulation:
     def test_product_state_concentrates_counts(self):
@@ -819,10 +824,16 @@ class TestFidelity:
     measurement.rho_to_json_payload,
 ], ids=["fidelity", "state_fidelity_a", "state_fidelity_b", "chsh_S", "chsh_max",
         "interference_curve", "tomo_simulate_counts", "rho_to_json_payload"])
-@pytest.mark.parametrize("raw", [PHI_MINUS.rho, np.full((4, 4), math.nan)], ids=["state", "nan"])
-def test_estimators_take_only_a_state(estimator, raw):
-    # unchecked, an all-NaN matrix would give nan or a LinAlgError
-    with pytest.raises(TypeError, match="^expected a TwoPhotonState, got ndarray$"):
+@pytest.mark.parametrize("raw, message", [
+    (np.full((4, 4), math.nan), "^rho must be finite$"),
+    (np.diag([1.0, 1.0, 0.0, 0.0]), "^rho must have unit trace$"),
+    (np.eye(2), "^rho must be 4x4$"),
+], ids=["nan", "trace", "shape"])
+def test_estimators_check_a_raw_matrix(estimator, raw, message):
+    # a raw matrix passes the state's checks; unchecked, an all-NaN matrix
+    # would give nan or a LinAlgError
+    estimator(PHI_MINUS.rho)
+    with pytest.raises(ValueError, match=message):
         estimator(raw)
 
 
