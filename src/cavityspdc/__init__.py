@@ -1,133 +1,49 @@
 """Simulation and estimation toolkit for monolithic-cavity photon-pair
 sources: mode structure, biphoton statistics, coincidence counting,
-beam-displacer state synthesis, and entanglement characterization."""
+beam-displacer state synthesis, and entanglement characterization.
 
-from .biphoton import (
-    BiphotonParams,
-    gamma_prime_mhz,
-    spectral_overlap,
-    t_fwhm_ns,
-)
-from .cavity import (
-    CavitySpec,
-    ModeComb,
-    airy_transmission,
-    build_mode_comb,
-    cluster_comb,
-    cluster_spacing,
-    dwdm_cluster_count,
-    effective_index,
-    single_mode_margin,
-)
-from .config import ExperimentConfig, default_config, load_config, save_config
-from .fitting import FitResult, fit_car_curve, fit_exp_g2, fit_lorentzian
-from .measurement import (
-    BellSettings,
-    PHI_SETTINGS,
-    ProjectorSetting,
-    TomographyRecord,
-    bootstrap_errors,
-    chsh_S,
-    chsh_max,
-    fidelity,
-    interference_curve,
-    state_fidelity,
-    tomo_linear,
-    tomo_mle,
-    tomo_simulate_counts,
-)
-from .photostats import (
-    DetectionChain,
-    Histogram,
-    SourceRate,
-    TimeTagStream,
-    car_from_stream,
-    car_model,
-    car_optimal_rate,
-    coincidence_histogram,
-    count_coincidences,
-    pair_rate,
-    read_ttag,
-    simulate_timetags,
-    write_ttag,
-)
-from .polarization import (
-    BD,
-    HWP,
-    QWP,
-    CrystalSource,
-    NonInterferingNetworkError,
-    TwoPhotonState,
-    concurrence,
-    degraded_state,
-    displacer_network,
-    entangled_ket,
-    hwp_matrix,
-    propagate_network,
-    qwp_matrix,
-)
+The public names are imported from their submodule on first use (PEP 562),
+so ``import cavityspdc`` loads none of them; ``config``, ``network`` and
+``biphoton`` load no numpy either.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BD",
-    "BellSettings",
-    "BiphotonParams",
-    "CavitySpec",
-    "CrystalSource",
-    "DetectionChain",
-    "ExperimentConfig",
-    "FitResult",
-    "HWP",
-    "Histogram",
-    "ModeComb",
-    "NonInterferingNetworkError",
-    "PHI_SETTINGS",
-    "ProjectorSetting",
-    "QWP",
-    "SourceRate",
-    "TimeTagStream",
-    "TomographyRecord",
-    "TwoPhotonState",
-    "airy_transmission",
-    "bootstrap_errors",
-    "build_mode_comb",
-    "car_from_stream",
-    "car_model",
-    "car_optimal_rate",
-    "chsh_S",
-    "chsh_max",
-    "cluster_comb",
-    "cluster_spacing",
-    "coincidence_histogram",
-    "concurrence",
-    "count_coincidences",
-    "default_config",
-    "degraded_state",
-    "displacer_network",
-    "dwdm_cluster_count",
-    "effective_index",
-    "entangled_ket",
-    "fidelity",
-    "fit_car_curve",
-    "fit_exp_g2",
-    "fit_lorentzian",
-    "gamma_prime_mhz",
-    "hwp_matrix",
-    "interference_curve",
-    "load_config",
-    "pair_rate",
-    "propagate_network",
-    "qwp_matrix",
-    "read_ttag",
-    "save_config",
-    "simulate_timetags",
-    "single_mode_margin",
-    "spectral_overlap",
-    "state_fidelity",
-    "t_fwhm_ns",
-    "tomo_linear",
-    "tomo_mle",
-    "tomo_simulate_counts",
-    "write_ttag",
-]
+#: Every public name and the submodule that defines it.
+_SUBMODULE = {
+    **dict.fromkeys(("BiphotonParams", "gamma_prime_mhz", "spectral_overlap", "t_fwhm_ns"),
+                    "biphoton"),
+    **dict.fromkeys(("ModeComb", "airy_transmission", "build_mode_comb", "cluster_comb",
+                     "cluster_spacing", "dwdm_cluster_count", "effective_index",
+                     "single_mode_margin"), "cavity"),
+    **dict.fromkeys(("CavitySpec", "DetectionChain", "ExperimentConfig", "SourceRate",
+                     "default_config", "load_config", "pair_rate", "save_config"), "config"),
+    **dict.fromkeys(("FitResult", "fit_car_curve", "fit_exp_g2", "fit_lorentzian"), "fitting"),
+    **dict.fromkeys(("BellSettings", "PHI_SETTINGS", "ProjectorSetting", "TomographyRecord",
+                     "bootstrap_errors", "chsh_S", "chsh_max", "fidelity",
+                     "interference_curve", "state_fidelity", "tomo_linear", "tomo_mle",
+                     "tomo_simulate_counts"), "measurement"),
+    **dict.fromkeys(("BD", "HWP", "QWP", "CrystalSource", "NonInterferingNetworkError",
+                     "displacer_network"), "network"),
+    **dict.fromkeys(("Histogram", "TimeTagStream", "car_from_stream", "car_model",
+                     "car_optimal_rate", "coincidence_histogram", "count_coincidences",
+                     "read_ttag", "simulate_timetags", "write_ttag"), "photostats"),
+    **dict.fromkeys(("TwoPhotonState", "concurrence", "degraded_state", "entangled_ket",
+                     "hwp_matrix", "propagate_network", "qwp_matrix"), "polarization"),
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

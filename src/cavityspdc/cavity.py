@@ -8,65 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import CavitySpec, _require_positive  # CavitySpec keeps its path here
+
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
 JOINT_POL = "HV"  # paired signal/idler cluster modes
-
-
-def _require_positive(**values):
-    for name, value in values.items():
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-
-
-@dataclass(frozen=True)
-class CavitySpec:
-    """Static description of one birefringent monolithic cavity.
-
-    Frequencies carry their unit in the field name; mode offsets everywhere
-    are relative to the degeneracy frequency, never absolute optical
-    frequencies.
-    """
-
-    fsr_h_ghz: float
-    fsr_v_ghz: float
-    fwhm_h_mhz: float
-    fwhm_v_mhz: float
-    pm_fwhm_thz: float
-    length_mm: float
-
-    def __post_init__(self):
-        _require_positive(
-            fsr_h_ghz=self.fsr_h_ghz,
-            fsr_v_ghz=self.fsr_v_ghz,
-            fwhm_h_mhz=self.fwhm_h_mhz,
-            fwhm_v_mhz=self.fwhm_v_mhz,
-            pm_fwhm_thz=self.pm_fwhm_thz,
-            length_mm=self.length_mm,
-        )
-        if self.fwhm_h_mhz >= self.fsr_h_ghz * 1e3:
-            raise ValueError("fwhm_h must be below fsr_h")
-        if self.fwhm_v_mhz >= self.fsr_v_ghz * 1e3:
-            raise ValueError("fwhm_v must be below fsr_v")
-        if self.fsr_h_ghz == self.fsr_v_ghz:
-            raise ValueError("fsr_h_ghz must differ from fsr_v_ghz (degenerate Vernier)")
-
-    def fsr_ghz(self, pol: str) -> float:
-        if pol == "H":
-            return self.fsr_h_ghz
-        if pol == "V":
-            return self.fsr_v_ghz
-        raise ValueError(f"unknown polarization {pol!r}")
-
-    def fwhm_mhz(self, pol: str) -> float:
-        if pol == "H":
-            return self.fwhm_h_mhz
-        if pol == "V":
-            return self.fwhm_v_mhz
-        raise ValueError(f"unknown polarization {pol!r}")
-
-    def mean_linewidth_mhz(self) -> float:
-        return 0.5 * (self.fwhm_h_mhz + self.fwhm_v_mhz)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,11 @@
-"""Experiment configuration: JSON with units baked into every key name."""
+"""Experiment configuration: JSON with units baked into every key name.
+
+The source's description lives here with the checks and the rate algebra
+that validating it needs: the cavities, the pair source, the detection
+chain and, through ``network``, the displacer network.  Neither this module
+nor ``network`` imports numpy, so describing, loading, saving and
+validating an experiment loads none.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +15,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cavity import CavitySpec
-from .fitting import _MIN_G2_BINS
-from .photostats import DetectionChain, SourceRate, detected_rates, histogram_k_max, pair_rate
-from .polarization import (BD, HWP, QWP, CrystalSource, NonInterferingNetworkError,
-                           _network_ket, displacer_network)
+from .network import (BD, HWP, QWP, CrystalSource, NonInterferingNetworkError,
+                      _network_ket, displacer_network)
+
+#: Fewest delay-histogram bins fit_exp_g2 accepts.
+_MIN_G2_BINS = 20
 
 
 class ConfigError(ValueError):
@@ -21,6 +28,143 @@ class ConfigError(ValueError):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_positive(**values):
+    for name, value in values.items():
+        if not math.isfinite(value) or value <= 0.0:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+@dataclass(frozen=True)
+class CavitySpec:
+    """Static description of one birefringent monolithic cavity.
+
+    Frequencies carry their unit in the field name; mode offsets everywhere
+    are relative to the degeneracy frequency, never absolute optical
+    frequencies.
+    """
+
+    fsr_h_ghz: float
+    fsr_v_ghz: float
+    fwhm_h_mhz: float
+    fwhm_v_mhz: float
+    pm_fwhm_thz: float
+    length_mm: float
+
+    def __post_init__(self):
+        _require_positive(
+            fsr_h_ghz=self.fsr_h_ghz,
+            fsr_v_ghz=self.fsr_v_ghz,
+            fwhm_h_mhz=self.fwhm_h_mhz,
+            fwhm_v_mhz=self.fwhm_v_mhz,
+            pm_fwhm_thz=self.pm_fwhm_thz,
+            length_mm=self.length_mm,
+        )
+        if self.fwhm_h_mhz >= self.fsr_h_ghz * 1e3:
+            raise ValueError("fwhm_h must be below fsr_h")
+        if self.fwhm_v_mhz >= self.fsr_v_ghz * 1e3:
+            raise ValueError("fwhm_v must be below fsr_v")
+        if self.fsr_h_ghz == self.fsr_v_ghz:
+            raise ValueError("fsr_h_ghz must differ from fsr_v_ghz (degenerate Vernier)")
+
+    def fsr_ghz(self, pol: str) -> float:
+        if pol == "H":
+            return self.fsr_h_ghz
+        if pol == "V":
+            return self.fsr_v_ghz
+        raise ValueError(f"unknown polarization {pol!r}")
+
+    def fwhm_mhz(self, pol: str) -> float:
+        if pol == "H":
+            return self.fwhm_h_mhz
+        if pol == "V":
+            return self.fwhm_v_mhz
+        raise ValueError(f"unknown polarization {pol!r}")
+
+    def mean_linewidth_mhz(self) -> float:
+        return 0.5 * (self.fwhm_h_mhz + self.fwhm_v_mhz)
+
+
+@dataclass(frozen=True)
+class SourceRate:
+    """Spectral brightness model: pairs/s = brightness * power * bandwidth."""
+
+    brightness_per_s_mw_mhz: float
+    power_mw: float
+    bandwidth_mhz: float
+
+    def __post_init__(self):
+        for name in ("brightness_per_s_mw_mhz", "power_mw", "bandwidth_mhz"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0.0:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+@dataclass(frozen=True)
+class DetectionChain:
+    """Per-arm efficiencies, dark rates, and timing parameters."""
+
+    eta_s: float
+    eta_i: float
+    dark_s_per_s: float
+    dark_i_per_s: float
+    window_ns: float
+    jitter_sigma_ps: float
+    bin_ps: float
+
+    def __post_init__(self):
+        for name in ("eta_s", "eta_i"):
+            eta = getattr(self, name)
+            if not 0.0 <= eta <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {eta!r}")
+        for name in ("dark_s_per_s", "dark_i_per_s", "jitter_sigma_ps"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0.0:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        for name in ("window_ns", "bin_ps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if self.window_ns < 1e-3:  # time tags are whole picoseconds
+            raise ValueError(f"window_ns must be at least 1e-3 (1 ps), got {self.window_ns!r}")
+
+
+def pair_rate(src: SourceRate, power_mw: float | None = None) -> float:
+    """Generated pair rate in pairs/s at power_mw, src.power_mw if None;
+    pair_rate(src, 1.0) is the pairs/s per mW."""
+    power = src.power_mw if power_mw is None else power_mw
+    return src.brightness_per_s_mw_mhz * power * src.bandwidth_mhz
+
+
+def detected_rates(rate: float, chain: DetectionChain) -> tuple[float, float, float, float]:
+    """The singles S = eta * rate + dark of each arm and the true coincidences
+    C = eta_s * eta_i * rate, per second, and the accidentals per window
+    A = S_s * S_i * window, of pairs generated at rate per second."""
+    if not math.isfinite(rate) or rate < 0.0:
+        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
+    singles_s = chain.eta_s * rate + chain.dark_s_per_s
+    singles_i = chain.eta_i * rate + chain.dark_i_per_s
+    accidentals = singles_s * singles_i * chain.window_ns * 1e-9
+    return singles_s, singles_i, chain.eta_s * chain.eta_i * rate, accidentals
+
+
+def histogram_k_max(range_ns: float, bin_ps: float) -> int:
+    """Bins on each side of the central one in a +-range/2 delay histogram.
+
+    Raises ValueError unless bin_ps is a whole number of picoseconds that
+    divides the range evenly.
+    """
+    range_ps = range_ns * 1e3
+    if not all(math.isfinite(v) and v > 0.0 for v in (range_ps, bin_ps)):
+        raise ValueError("range and bin must be finite and > 0 in picoseconds")
+    if bin_ps < 1.0 or abs(bin_ps - round(bin_ps)) > 1e-9:
+        # timestamps are integer picoseconds; fractional bins would alias
+        raise ValueError("bin_ps must be a whole number of picoseconds, at least 1")
+    n_bins_f = range_ps / bin_ps
+    if abs(n_bins_f - round(n_bins_f)) > 1e-9:
+        raise ValueError("bin_ps must divide range_ns evenly")
+    return int(round(range_ps / (2.0 * bin_ps)))
 
 
 @dataclass(frozen=True)
@@ -62,8 +206,12 @@ class ExperimentConfig:
         return self.ppktp0
 
     def __post_init__(self):
-        object.__setattr__(self, "source", dataclasses.replace(
-            self.source, bandwidth_mhz=self.pair_crystal.mean_linewidth_mhz()))
+        bandwidth = self.pair_crystal.mean_linewidth_mhz()
+        if not math.isfinite(bandwidth):
+            raise ConfigError("ppktp0.fwhm_h_mhz + ppktp0.fwhm_v_mhz overflows, so the "
+                              "pair bandwidth, their mean, is not finite")
+        object.__setattr__(self, "source", dataclasses.replace(self.source,
+                                                               bandwidth_mhz=bandwidth))
         if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError("seed must be an integer >= 0 or null")
         if not math.isfinite(self.pump_phase_rad):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .biphoton import FWHM_FACTOR
-from .photostats import pair_rate
+from .config import _MIN_G2_BINS, pair_rate
 
 _FD_REL_STEP = 1e-6
 _MAX_ITER = 200
@@ -22,8 +22,6 @@ _MAX_ITER = 200
 _GTOL = 1e-10
 _FTOL = 1e-12
 _XTOL = 1e-10
-#: Fewest delay-histogram bins fit_exp_g2 accepts.
-_MIN_G2_BINS = 20
 
 
 @dataclass

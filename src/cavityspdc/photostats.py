@@ -10,6 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biphoton import BiphotonParams, coherence_scale_ps
+# the source and chain descriptions and their rate algebra keep their paths here
+from .config import DetectionChain, SourceRate, detected_rates, histogram_k_max, pair_rate
 
 TTAG_MAGIC = b"TTAG1\x00"
 _TTAG_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1")])
@@ -18,50 +20,6 @@ _TTAG_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1")])
 #: written out or read in: a block's temporaries stay in cache and far
 #: below the record's size.
 _EVENT_BLOCK = 1 << 14
-
-
-@dataclass(frozen=True)
-class SourceRate:
-    """Spectral brightness model: pairs/s = brightness * power * bandwidth."""
-
-    brightness_per_s_mw_mhz: float
-    power_mw: float
-    bandwidth_mhz: float
-
-    def __post_init__(self):
-        for name in ("brightness_per_s_mw_mhz", "power_mw", "bandwidth_mhz"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-
-@dataclass(frozen=True)
-class DetectionChain:
-    """Per-arm efficiencies, dark rates, and timing parameters."""
-
-    eta_s: float
-    eta_i: float
-    dark_s_per_s: float
-    dark_i_per_s: float
-    window_ns: float
-    jitter_sigma_ps: float
-    bin_ps: float
-
-    def __post_init__(self):
-        for name in ("eta_s", "eta_i"):
-            eta = getattr(self, name)
-            if not 0.0 <= eta <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {eta!r}")
-        for name in ("dark_s_per_s", "dark_i_per_s", "jitter_sigma_ps"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        for name in ("window_ns", "bin_ps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if self.window_ns < 1e-3:  # time tags are whole picoseconds
-            raise ValueError(f"window_ns must be at least 1e-3 (1 ps), got {self.window_ns!r}")
 
 
 def _exact(values, dtype, message) -> np.ndarray:
@@ -160,25 +118,6 @@ def read_ttag(path) -> TimeTagStream:
                 raise ValueError(f"{path}: timestamp at or above 2**63 ps")
             channel[start:start + block.size] = block["ch"]
     return TimeTagStream(t_ps, channel)
-
-
-def pair_rate(src: SourceRate, power_mw: float | None = None) -> float:
-    """Generated pair rate in pairs/s at power_mw, src.power_mw if None;
-    pair_rate(src, 1.0) is the pairs/s per mW."""
-    power = src.power_mw if power_mw is None else power_mw
-    return src.brightness_per_s_mw_mhz * power * src.bandwidth_mhz
-
-
-def detected_rates(rate: float, chain: DetectionChain) -> tuple[float, float, float, float]:
-    """The singles S = eta * rate + dark of each arm and the true coincidences
-    C = eta_s * eta_i * rate, per second, and the accidentals per window
-    A = S_s * S_i * window, of pairs generated at rate per second."""
-    if not math.isfinite(rate) or rate < 0.0:
-        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
-    singles_s = chain.eta_s * rate + chain.dark_s_per_s
-    singles_i = chain.eta_i * rate + chain.dark_i_per_s
-    accidentals = singles_s * singles_i * chain.window_ns * 1e-9
-    return singles_s, singles_i, chain.eta_s * chain.eta_i * rate, accidentals
 
 
 def car_model(rate: float, chain: DetectionChain) -> float:
@@ -394,24 +333,6 @@ def _window_counts(stream: TimeTagStream, half_ps: float, *centers_ps: float) ->
     deltas = _cross_deltas(stream, max(map(abs, centers_ps)) + half_ps)
     return [int(np.count_nonzero((deltas >= c - half_ps) & (deltas <= c + half_ps)))
             for c in centers_ps]
-
-
-def histogram_k_max(range_ns: float, bin_ps: float) -> int:
-    """Bins on each side of the central one in a +-range/2 delay histogram.
-
-    Raises ValueError unless bin_ps is a whole number of picoseconds that
-    divides the range evenly.
-    """
-    range_ps = range_ns * 1e3
-    if not all(math.isfinite(v) and v > 0.0 for v in (range_ps, bin_ps)):
-        raise ValueError("range and bin must be finite and > 0 in picoseconds")
-    if bin_ps < 1.0 or abs(bin_ps - round(bin_ps)) > 1e-9:
-        # timestamps are integer picoseconds; fractional bins would alias
-        raise ValueError("bin_ps must be a whole number of picoseconds, at least 1")
-    n_bins_f = range_ps / bin_ps
-    if abs(n_bins_f - round(n_bins_f)) > 1e-9:
-        raise ValueError("bin_ps must divide range_ns evenly")
-    return int(round(range_ps / (2.0 * bin_ps)))
 
 
 def coincidence_histogram(stream: TimeTagStream, range_ns: float, bin_ps: float) -> Histogram:

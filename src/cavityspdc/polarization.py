@@ -1,53 +1,33 @@
 """Two-photon polarization states: ideal synthesis by propagation through a
-beam-displacer network, and the phenomenological coherence-degraded state.
-
-Rails are discrete transverse positions (x, y) in units of one displacer
-step (4 mm).  A displacer moves one linear polarization by +1 along its
-axis and leaves the other in place, which is what makes the interferometer
-passively stable: routing is set entirely by polarization.
-"""
+beam-displacer network (the elements and the trace are in ``network``), and
+the phenomenological coherence-degraded state."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+# the network's elements keep their paths here
+from .network import (BD, HWP, QWP, CrystalSource, NonInterferingNetworkError,
+                      _network_ket, displacer_network, hwp_jones, qwp_jones)
+
 #: Order of the two-photon basis kets indexing every 4x4 density matrix.
 BASIS = ("HH", "HV", "VH", "VV")
-
-Rail = tuple[int, int]
-
-
-class NonInterferingNetworkError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
 # Jones matrices
 
 
-def _rotation(theta_rad: float) -> np.ndarray:
-    c, s = math.cos(theta_rad), math.sin(theta_rad)
-    return np.array([[c, -s], [s, c]])
-
-
 def hwp_matrix(theta_deg: float) -> np.ndarray:
     """Half-wave plate with fast axis at theta: [[cos2t, sin2t], [sin2t, -cos2t]]."""
-    if not math.isfinite(theta_deg):
-        raise ValueError("angle must be finite")
-    two_t = 2.0 * math.radians(theta_deg)
-    c, s = math.cos(two_t), math.sin(two_t)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+    return np.array(hwp_jones(theta_deg))
 
 
 def qwp_matrix(theta_deg: float) -> np.ndarray:
     """Quarter-wave plate with fast axis at theta (retardance pi/2)."""
-    if not math.isfinite(theta_deg):
-        raise ValueError("angle must be finite")
-    rot = _rotation(math.radians(theta_deg))
-    return rot @ np.diag([1.0, 1.0j]) @ rot.T
+    return np.array(qwp_jones(theta_deg))
 
 
 # ---------------------------------------------------------------------------
@@ -146,115 +126,7 @@ def concurrence(state: TwoPhotonState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Network elements
-
-
-@dataclass(frozen=True)
-class BD:
-    """Beam displacer: moves one polarization +1 step along an axis."""
-
-    axis: str  # "x" or "y"
-    moves: str  # "H" or "V"
-
-    def __post_init__(self):
-        if self.axis not in ("x", "y"):
-            raise ValueError("BD axis must be 'x' or 'y'")
-        if self.moves not in ("H", "V"):
-            raise ValueError("BD moves must be 'H' or 'V'")
-
-
-@dataclass(frozen=True)
-class HWP:
-    angle_deg: float
-    rail: Rail | None = None  # None applies to every rail
-
-    def __post_init__(self):
-        if not math.isfinite(self.angle_deg):
-            raise ValueError(f"angle_deg must be finite, got {self.angle_deg!r}")
-
-
-@dataclass(frozen=True)
-class QWP:
-    angle_deg: float
-    rail: Rail | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.angle_deg):
-            raise ValueError(f"angle_deg must be finite, got {self.angle_deg!r}")
-
-
-@dataclass(frozen=True)
-class CrystalSource:
-    """Pair emitter pumped by the H amplitude present on its rail."""
-
-    rail: Rail = (0, 0)
-
-
-def displacer_network() -> tuple:
-    """The canonical two-crystal displacer interferometer.
-
-    BD1 splits the diagonal pump onto two rails, the displaced rail is
-    rotated back to H, both crystals emit an (H, V) pair, BD2 lifts the V
-    photons to the upper rails, the two relabeling plates map V->H on the
-    upper-left rail and H->V on the lower-right rail, and BD3 merges each
-    height into a single output port.
-    """
-    return (
-        BD(axis="x", moves="V"),  # pump splitter
-        HWP(45.0, rail=(1, 0)),  # displaced pump back to H
-        CrystalSource(rail=(0, 0)),
-        CrystalSource(rail=(1, 0)),
-        BD(axis="y", moves="V"),  # idler photons up
-        HWP(45.0, rail=(0, 1)),  # relabel upper-left V -> H
-        HWP(45.0, rail=(1, 0)),  # relabel lower-right H -> V
-        BD(axis="x", moves="H"),  # recombine into two ports
-    )
-
-
-# ---------------------------------------------------------------------------
 # Propagation
-
-_PRUNE = 1e-14
-
-
-def _single_photon_map(element, key, amp):
-    """Yield ((rail, pol), coeff) terms for one element acting on one mode."""
-    rail, pol = key
-    if isinstance(element, BD):
-        if pol == element.moves:
-            dx, dy = (1, 0) if element.axis == "x" else (0, 1)
-            rail = (rail[0] + dx, rail[1] + dy)
-        yield (rail, pol), amp
-    elif isinstance(element, (HWP, QWP)):
-        if element.rail is not None and tuple(element.rail) != rail:
-            yield key, amp
-            return
-        jones = (
-            hwp_matrix(element.angle_deg)
-            if isinstance(element, HWP)
-            else qwp_matrix(element.angle_deg)
-        )
-        col = 0 if pol == "H" else 1
-        for row, out_pol in enumerate(("H", "V")):
-            coeff = jones[row, col]
-            if abs(coeff) > _PRUNE:
-                yield (rail, out_pol), amp * coeff
-    else:
-        raise TypeError(f"cannot propagate through {element!r}")
-
-
-def _apply(element, amps: dict) -> dict:
-    """One element acting on amplitudes keyed by a (rail, pol) mode per
-    photon, one for the pump and two for a pair, photon by photon."""
-    out: dict = {}
-    for modes, amp in amps.items():
-        terms = [((), amp)]
-        for mode in modes:
-            terms = [(done + (new,), new_amp) for done, done_amp in terms
-                     for new, new_amp in _single_photon_map(element, mode, done_amp)]
-        for new_modes, new_amp in terms:
-            out[new_modes] = out.get(new_modes, 0.0) + new_amp
-    return {k: a for k, a in out.items() if abs(a) > _PRUNE}
 
 
 def propagate_network(elements: tuple, pump_phase_rad: float) -> TwoPhotonState:
@@ -268,51 +140,3 @@ def propagate_network(elements: tuple, pump_phase_rad: float) -> TwoPhotonState:
     same two exit rails, otherwise the network is rejected.
     """
     return TwoPhotonState.from_pure(_network_ket(elements, pump_phase_rad))
-
-
-def _network_ket(elements: tuple, pump_phase_rad: float) -> np.ndarray:
-    """Normalised output ket of ``propagate_network``, which raises as it does."""
-    pump = {(((0, 0), "H"),): 1.0 / math.sqrt(2.0), (((0, 0), "V"),): 1.0 / math.sqrt(2.0)}
-    pairs: dict = {}
-    k, pumped = 0, False  # pairs may cancel later; that is not an unpumped network
-    for element in elements:
-        if not isinstance(element, CrystalSource):
-            pump, pairs = _apply(element, pump), _apply(element, pairs)
-            continue
-        rail = tuple(element.rail)
-        amp = pump.get(((rail, "H"),), 0.0)
-        if abs(amp) > _PRUNE:
-            pumped = True
-            key = ((rail, "H"), (rail, "V"))
-            pairs[key] = pairs.get(key, 0.0) + amp * np.exp(1j * pump_phase_rad * k)
-        k += 1
-    if not pumped:
-        raise NonInterferingNetworkError("no pump amplitude reaches a crystal")
-
-    rails = {key_a[0] for key_a, _ in pairs} | {key_b[0] for _, key_b in pairs}
-    if len(rails) != 2:
-        raise NonInterferingNetworkError(
-            f"non-interfering network: photons occupy rails {sorted(rails)}"
-        )
-    port0, port1 = sorted(rails, key=lambda r: (r[1], r[0]))
-
-    ket = np.zeros(4, dtype=complex)
-    pol_index = {"H": 0, "V": 1}
-    for (key_a, key_b), amp in pairs.items():
-        (rail_a, pol_a), (rail_b, pol_b) = key_a, key_b
-        if rail_a == rail_b:
-            raise NonInterferingNetworkError(
-                "non-interfering network: both photons exit the same rail"
-            )
-        if rail_a == port0:
-            p0, p1 = pol_a, pol_b
-        else:
-            p0, p1 = pol_b, pol_a
-        ket[2 * pol_index[p0] + pol_index[p1]] += amp
-
-    norm = np.linalg.norm(ket)
-    if norm < 1e-9:
-        raise NonInterferingNetworkError(
-            "non-interfering network: no coincident amplitude at the output ports"
-        )
-    return ket / norm

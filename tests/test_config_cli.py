@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -472,6 +473,10 @@ class TestCli:
             ({"source": {"power_mw": 1e308}}, "source.brightness_per_s_mw_mhz * source.power_mw"),
             ({"source": {"brightness_per_s_mw_mhz": 1e308}},
              "source.brightness_per_s_mw_mhz * source.power_mw"),
+            # so do linewidths whose mean, the pair bandwidth, overflows
+            ({"ppktp0": {"fsr_h_ghz": 1e308, "fsr_v_ghz": 1.7e308,
+                         "fwhm_h_mhz": 1.5e308, "fwhm_v_mhz": 1.5e308}},
+             "ppktp0.fwhm_h_mhz + ppktp0.fwhm_v_mhz overflows"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
@@ -840,6 +845,77 @@ def test_import_loads_no_numpy_random():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_describing_the_experiment_loads_no_numpy(tmp_path):
+    # the package, the config and the network import no numpy, so building,
+    # saving, loading and checking a config pays for none of it
+    code = (
+        "import sys, cavityspdc\n"
+        "from cavityspdc.config import ConfigError, config_from_dict\n"
+        "cfg = cavityspdc.default_config()\n"
+        "cavityspdc.save_config(cfg, sys.argv[1])\n"
+        "assert cavityspdc.load_config(sys.argv[1]) == cfg\n"
+        "try:\n"
+        "    config_from_dict({'network': [{'type': 'crystal'}]})\n"
+        "    sys.exit('a non-interfering network passed')\n"
+        "except ConfigError:\n"
+        "    pass\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(cavityspdc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cfg.json")],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+#: The package's public names.
+PUBLIC_NAMES = [
+    "BD", "BellSettings", "BiphotonParams", "CavitySpec", "CrystalSource", "DetectionChain",
+    "ExperimentConfig", "FitResult", "HWP", "Histogram", "ModeComb",
+    "NonInterferingNetworkError", "PHI_SETTINGS", "ProjectorSetting", "QWP", "SourceRate",
+    "TimeTagStream", "TomographyRecord", "TwoPhotonState", "airy_transmission",
+    "bootstrap_errors", "build_mode_comb", "car_from_stream", "car_model", "car_optimal_rate",
+    "chsh_S", "chsh_max", "cluster_comb", "cluster_spacing", "coincidence_histogram",
+    "concurrence", "count_coincidences", "default_config", "degraded_state",
+    "displacer_network", "dwdm_cluster_count", "effective_index", "entangled_ket", "fidelity",
+    "fit_car_curve", "fit_exp_g2", "fit_lorentzian", "gamma_prime_mhz", "hwp_matrix",
+    "interference_curve", "load_config", "pair_rate", "propagate_network", "qwp_matrix",
+    "read_ttag", "save_config", "simulate_timetags", "single_mode_margin", "spectral_overlap",
+    "state_fidelity", "t_fwhm_ns", "tomo_linear", "tomo_mle", "tomo_simulate_counts",
+    "write_ttag",
+]
+
+#: Names that moved into the numpy-free modules: (old module, new module),
+#: and the names the old module still exports.
+MOVED = {
+    ("cavity", "config"): ("CavitySpec",),
+    ("photostats", "config"): ("SourceRate", "DetectionChain", "pair_rate", "detected_rates",
+                               "histogram_k_max"),
+    ("polarization", "network"): ("BD", "HWP", "QWP", "CrystalSource",
+                                  "NonInterferingNetworkError", "displacer_network"),
+}
+
+
+def test_lazy_exports():
+    assert cavityspdc.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        module = importlib.import_module(f"cavityspdc.{cavityspdc._SUBMODULE[name]}")
+        assert getattr(cavityspdc, name) is getattr(module, name), name
+    for (old, new), names in MOVED.items():
+        old, new = (importlib.import_module(f"cavityspdc.{m}") for m in (old, new))
+        for name in names:
+            assert getattr(old, name) is getattr(new, name), name
+    namespace = {}
+    exec("from cavityspdc import *\nfrom cavityspdc import cli, measurement", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace) and set(PUBLIC_NAMES) <= set(dir(cavityspdc))
+    assert namespace["cli"] is sys.modules["cavityspdc.cli"]
+    assert namespace["measurement"] is sys.modules["cavityspdc.measurement"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cavityspdc.no_such_name
 
 
 def _leaves(payload, prefix=""):
