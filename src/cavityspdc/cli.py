@@ -14,10 +14,13 @@ import time
 import warnings
 from pathlib import Path
 
+# metadata.json records numpy's version; each subcommand imports the
+# package modules it computes with, so a call loads only those
 import numpy as np
 
-from . import __version__, biphoton, cavity, fitting, measurement, photostats, polarization
-from .config import ConfigError, ExperimentConfig, config_to_dict, default_config, load_config
+from . import __version__
+from .config import (MAX_DURATION_S, ConfigError, ExperimentConfig, config_to_dict,
+                     default_config, load_config)
 
 SCHEMA_VERSION = 4
 
@@ -76,12 +79,16 @@ def _resolve_seed(args, cfg: ExperimentConfig):
     return int.from_bytes(os.urandom(4), "little"), "generated"
 
 
-def _state_from_config(cfg: ExperimentConfig) -> polarization.TwoPhotonState:
-    return polarization.degraded_state(cfg.pump_phase_rad, cfg.coherence)
+def _state_from_config(cfg: ExperimentConfig):
+    from .polarization import degraded_state
+
+    return degraded_state(cfg.pump_phase_rad, cfg.coherence)
 
 
 def _biphoton_params(cfg: ExperimentConfig):
-    return tuple(biphoton.BiphotonParams.from_cavity(spec) for _, spec in cfg.crystals())
+    from .biphoton import BiphotonParams
+
+    return tuple(BiphotonParams.from_cavity(spec) for _, spec in cfg.crystals())
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +97,8 @@ def _biphoton_params(cfg: ExperimentConfig):
 
 def _sweep_fit(spec, pol, rng):
     """Noisy Airy sweep across one line of ``pol`` and its Lorentzian fit's summary."""
+    from . import cavity, fitting
+
     fwhm = spec.fwhm_mhz(pol)
     half_span = SWEEP_HALF_SPAN_LINEWIDTHS * fwhm
     detuning_mhz = np.linspace(-half_span, half_span, SWEEP_POINTS)
@@ -104,6 +113,8 @@ def _sweep_fit(spec, pol, rng):
 
 
 def _cmd_cavity(cfg, args, seed, seed_source):
+    from . import cavity
+
     span = args.span_ghz
     rng = np.random.default_rng(seed)
     header = cavity.MODE_COMB_CSV_HEADER
@@ -143,6 +154,8 @@ def _cmd_cavity(cfg, args, seed, seed_source):
 
 
 def _cmd_biphoton(cfg, args, seed, seed_source):
+    from . import biphoton
+
     bp0, bp1 = _biphoton_params(cfg)
     payload = {
         "crystals": [
@@ -159,6 +172,8 @@ def _cmd_biphoton(cfg, args, seed, seed_source):
 
 
 def _cmd_car(cfg, args, seed, seed_source):
+    from . import fitting, photostats
+
     chain = cfg.chain
     powers = np.logspace(math.log10(0.5), math.log10(250.0), args.points)
     k = photostats.pair_rate(cfg.source, 1.0)
@@ -202,6 +217,8 @@ def _cmd_car(cfg, args, seed, seed_source):
 
 
 def _cmd_simulate(cfg, args, seed, seed_source):
+    from . import biphoton, fitting, photostats
+
     bp = biphoton.BiphotonParams.from_cavity(cfg.pair_crystal)
     stream = photostats.simulate_timetags(
         cfg.source, bp, cfg.chain, args.duration, seed
@@ -244,6 +261,8 @@ def _cmd_simulate(cfg, args, seed, seed_source):
 
 
 def _cmd_interference(cfg, args, seed, seed_source):
+    from . import measurement
+
     state = _state_from_config(cfg)
     beta = np.arange(0.0, 361.0, 7.5)
     rows = []
@@ -262,6 +281,8 @@ def _cmd_interference(cfg, args, seed, seed_source):
 
 
 def _cmd_chsh(cfg, args, seed, seed_source):
+    from . import measurement
+
     state = _state_from_config(cfg)
     result = measurement.chsh_max(state)
     s_canonical = measurement.chsh_S(state, measurement.PHI_SETTINGS)
@@ -296,6 +317,8 @@ def _cmd_chsh(cfg, args, seed, seed_source):
 
 
 def _cmd_tomo(cfg, args, seed, seed_source):
+    from . import measurement, polarization
+
     state = _state_from_config(cfg)
     record = measurement.tomo_simulate_counts(
         state, cfg.tomo_counts_per_setting, seed
@@ -355,6 +378,8 @@ def _report_rows(cfg: ExperimentConfig):
     """``(quantity, computed, reference, tolerance, kind, source)`` per row; ``source``
     is "paper" for a published figure and "model" for a closed form of the same
     config, which checks only self-consistency."""
+    from . import biphoton, cavity, measurement, photostats, polarization
+
     tol = REPORT_TOLERANCES
     bp0, bp1 = _biphoton_params(cfg)
     state = _state_from_config(cfg)
@@ -431,7 +456,8 @@ _COMMANDS = {
 
 #: Options checked before any work: option -> (rule, holds).
 _OPTION_RULES = {
-    "duration": ("finite and > 0", lambda v: math.isfinite(v) and v > 0.0),
+    "duration": (f"finite, > 0 and <= {MAX_DURATION_S:g}",
+                 lambda v: math.isfinite(v) and 0.0 < v <= MAX_DURATION_S),
     "points": (">= 2", lambda v: v >= 2),
     "seed": (">= 0", lambda v: v >= 0),
 }
@@ -506,10 +532,12 @@ def main(argv=None) -> int:
         for name, artifact in artifacts.items():
             if isinstance(artifact, dict):
                 _write_json(out / name, artifact)
-            elif isinstance(artifact, photostats.TimeTagStream):
-                photostats.write_ttag(artifact, out / name)
-            else:
+            elif isinstance(artifact, tuple):
                 _write_table(out / name, *artifact, args.format)
+            else:  # a time-tag stream, so photostats is loaded already
+                from .photostats import write_ttag
+
+                write_ttag(artifact, out / name)
     except Exception as exc:
         # a type that names no user error (a ZeroDivisionError, say) prefixes its name
         expected = isinstance(exc, (ValueError, RuntimeError, OSError))

@@ -21,6 +21,11 @@ from .network import (BD, HWP, QWP, CrystalSource, NonInterferingNetworkError,
 #: Fewest delay-histogram bins fit_exp_g2 accepts.
 _MIN_G2_BINS = 20
 
+#: Longest time-tag record in s.  simulate_timetags sorts 2 * t + channel,
+#: t in ps, as int64, which holds t below 2**62 ps (4.6e6 s); the rest,
+#: about 6e5 s, is margin for the delays and jitter added to pair times.
+MAX_DURATION_S = 4e6
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message carries the offending field path."""

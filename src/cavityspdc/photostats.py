@@ -11,7 +11,8 @@ import numpy as np
 
 from .biphoton import BiphotonParams, coherence_scale_ps
 # the source and chain descriptions and their rate algebra keep their paths here
-from .config import DetectionChain, SourceRate, detected_rates, histogram_k_max, pair_rate
+from .config import (MAX_DURATION_S, DetectionChain, SourceRate, detected_rates,
+                     histogram_k_max, pair_rate)
 
 TTAG_MAGIC = b"TTAG1\x00"
 _TTAG_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1")])
@@ -166,9 +167,8 @@ def _streams_from(rng):
     return at
 
 
-def _read_range(at, n: int, lo: int, hi: int,
-                eta_s: float, eta_i: float, duration_ps: float, scale_ps: float):
-    """The detected photons' times of pairs [lo, hi) of a record of n pairs.
+def _read_range(at, n: int, eta_s: float, eta_i: float, duration_ps: float, scale_ps: float):
+    """The detected photons' times of a record of n pairs.
 
     at(k) gives a generator k draws into the record's uniforms.  Pair j's
     time (duration_ps * u), delay and signal and idler survival (u < eta
@@ -177,13 +177,12 @@ def _read_range(at, n: int, lo: int, hi: int,
     only the survivors are scaled and given their Laplace(scale_ps) delay.
     Returns the signal and the idler times, each a list of per-chunk arrays.
     """
-    pair, delay = at(lo), at(n + lo)
-    survival_s, survival_i = at(2 * n + lo), at(3 * n + lo)
-    size = min(hi - lo, _DRAW_CHUNK)
+    pair, delay, survival_s, survival_i = at(0), at(n), at(2 * n), at(3 * n)
+    size = min(n, _DRAW_CHUNK)
     t_buf, u_buf, d_buf = np.empty(size), np.empty(size), np.empty(size)
     signal, idler = [], []
-    for start in range(lo, hi, _DRAW_CHUNK):
-        m = min(_DRAW_CHUNK, hi - start)
+    for start in range(0, n, _DRAW_CHUNK):
+        m = min(_DRAW_CHUNK, n - start)
         t_pair = pair.random(out=t_buf[:m])
         u_delay = delay.random(out=d_buf[:m])
         keep = np.flatnonzero(survival_s.random(out=u_buf[:m]) < eta_s)
@@ -230,34 +229,23 @@ def simulate_timetags(
     The seed is an int, a SeedSequence or None, and the generator is
     PCG64(seed), the one default_rng(seed) builds; a Generator passed as
     seed raises TypeError.  The four blocks of n uniforms are read side by
-    side, each from its own generator placed by PCG64's advance (one
-    rng.random() double is one 64-bit draw), in fixed chunks of pairs.
-    Pairs [0, half), n / 2 rounded up to whole chunks, are read on the
-    calling thread and the rest on one executor worker, so the record is
-    the same for any number of CPUs, and memory grows with the detected
-    events only.  A record of one chunk takes the same path: its worker
-    reads an empty range.
-    """
-    if not (math.isfinite(duration_s) and duration_s > 0.0):
-        raise ValueError(f"duration_s must be finite and > 0, got {duration_s!r}")
-    # named here, not at module level, so that importing the package loads
-    # neither numpy.random nor concurrent.futures
-    from concurrent.futures import ThreadPoolExecutor
+    side on the calling thread, each from its own generator placed by
+    PCG64's advance (one rng.random() double is one 64-bit draw), in fixed
+    chunks of pairs, so memory grows with the detected events only.
 
+    duration_s must be finite, > 0 and at most MAX_DURATION_S, whose time
+    keys fit int64; any other value raises ValueError before a draw.
+    """
+    if not (math.isfinite(duration_s) and 0.0 < duration_s <= MAX_DURATION_S):
+        raise ValueError(f"duration_s must be finite, > 0 and <= {MAX_DURATION_S:g}, "
+                         f"got {duration_s!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     duration_ps = duration_s * 1e12
 
     n_pairs = int(rng.poisson(pair_rate(src) * duration_s))
     at = _streams_from(rng)
-    half = min(-(-n_pairs // (2 * _DRAW_CHUNK)) * _DRAW_CHUNK, n_pairs)
-    args = (chain.eta_s, chain.eta_i, duration_ps, coherence_scale_ps(bp))
-    # numpy's fills and ufuncs release the GIL, so the halves read in
-    # parallel; leaving the block waits for the worker, also on an error
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        second = pool.submit(_read_range, at, n_pairs, half, n_pairs, *args)
-        t_signal, t_idler = _read_range(at, n_pairs, 0, half, *args)
-        second_signal, second_idler = second.result()
-    t_signal, t_idler = t_signal + second_signal, t_idler + second_idler
+    t_signal, t_idler = _read_range(at, n_pairs, chain.eta_s, chain.eta_i, duration_ps,
+                                    coherence_scale_ps(bp))
 
     rng = at(4 * n_pairs)
     if chain.jitter_sigma_ps > 0.0:

@@ -4,10 +4,7 @@ import hashlib
 import importlib
 import json
 import math
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -552,7 +549,8 @@ class TestCli:
             "histogram.csv": "b79a3cecd8501ad94c968fe8526e5ca8fb6c277f6d7cc5b00c507b4d48ede2e9",
         }
 
-    @pytest.mark.parametrize("duration", ["-1", "0", "nan", "inf"])
+    # 5e6 s, past MAX_DURATION_S, would overflow the draw's int64 time keys
+    @pytest.mark.parametrize("duration", ["-1", "0", "nan", "inf", "5e6"])
     def test_simulate_bad_duration_is_one_line_error(self, tmp_path, capsys, duration):
         out = tmp_path / "out"
         code = main(["--out", str(out), "simulate", "--duration", duration])
@@ -816,38 +814,24 @@ class TestReport:
             assert _passes(computed, reference, tolerance, kind), name
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(fresh_python):
     code = (
         "import sys, cavityspdc, cavityspdc.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    src = str(Path(cavityspdc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    assert fresh_python(code) == "[]"
 
 
-def test_import_loads_no_numpy_random():
-    # numpy loads numpy.random lazily, and the time-tag draw imports
-    # concurrent.futures (with logging, queue and traceback) itself; the
-    # package's import time should pay for neither before a command draws
+def test_import_loads_no_numpy_random(fresh_python):
+    # numpy loads numpy.random lazily, and nothing loads concurrent.futures
+    # (with logging, queue and traceback); importing the package should pay
+    # for neither
     code = ("import sys, cavityspdc, cavityspdc.cli; "
             "print([m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules])")
-    src = str(Path(cavityspdc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    assert fresh_python(code) == "[]"
 
 
-def test_describing_the_experiment_loads_no_numpy(tmp_path):
+def test_describing_the_experiment_loads_no_numpy(tmp_path, fresh_python):
     # the package, the config and the network import no numpy, so building,
     # saving, loading and checking a config pays for none of it
     code = (
@@ -863,13 +847,40 @@ def test_describing_the_experiment_loads_no_numpy(tmp_path):
         "    pass\n"
         "print('numpy' in sys.modules)\n"
     )
-    src = str(Path(cavityspdc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cfg.json")],
-                         capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert fresh_python(code, tmp_path / "cfg.json") == "False"
+
+
+#: What each subcommand loads beyond cli, config and network, which every
+#: call loads: the package modules it computes with, the ones they import
+#: (measurement imports photostats, which with fitting imports biphoton),
+#: and numpy.random where it draws.
+SUBCOMMAND_MODULES = {
+    "biphoton": {"biphoton"},
+    "cavity": {"cavity", "fitting", "biphoton", "numpy.random"},
+    "car": {"photostats", "fitting", "biphoton"},
+    "simulate": {"photostats", "fitting", "biphoton", "numpy.random"},
+    "interference": {"polarization", "measurement", "photostats", "biphoton"},
+    "chsh": {"polarization", "measurement", "photostats", "biphoton", "numpy.random"},
+    "tomo": {"polarization", "measurement", "photostats", "biphoton", "numpy.random"},
+    "report": {"cavity", "polarization", "measurement", "photostats", "biphoton"},
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_MODULES)
+def test_each_subcommand_loads_only_its_modules(tmp_path, fresh_python, command):
+    # a cold call pays for the modules its command runs, writing the
+    # artifacts included, and no others
+    code = (
+        "import sys\n"
+        "from cavityspdc.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(' '.join(m.removeprefix('cavityspdc.') for m in sys.modules\n"
+        "               if m.startswith('cavityspdc.') or m == 'numpy.random'))\n"
+    )
+    extra = ["--duration", "0.2"] if command == "simulate" else []
+    printed = fresh_python(code, "--seed", 5, "--out", tmp_path, command, *extra)
+    expected = SUBCOMMAND_MODULES[command] | {"cli", "config", "network"}
+    assert set(printed.splitlines()[-1].split()) == expected
 
 
 #: The package's public names.

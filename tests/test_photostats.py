@@ -1,7 +1,6 @@
 import hashlib
 import math
 import sys
-import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -433,42 +432,20 @@ class TestDelayDraws:
 B = photostats._DRAW_CHUNK
 
 
-def read_split(at, n, bounds, *args):
-    """photostats._read_range over bounds[k] to bounds[k + 1], in range order."""
-    parts = [photostats._read_range(at, n, lo, hi, *args)
-             for lo, hi in zip(bounds, bounds[1:])]
-    return ([t for signal, _ in parts for t in signal],
-            [t for _, idler in parts for t in idler])
-
-
 class TestBlockDraws:
     @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
     def test_matches_sequential_draws(self, n):
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
         at = photostats._streams_from(rng)
-        signal, idler = photostats._read_range(at, n, 0, n, 0.3, 0.6, 2e12, 52.6)
-        ref_signal, ref_idler = sequential_survivors(ref, n, 0.3, 0.6, 2e12, 52.6)
-        assert np.array_equal(joined(signal), ref_signal)
-        assert np.array_equal(joined(idler), ref_idler)
-        assert at(4 * n).bit_generator.state == ref.bit_generator.state
-
-    @pytest.mark.parametrize("ranges", [2, 3])
-    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
-    def test_any_split_matches_sequential_draws(self, n, ranges):
-        # one range is test_matches_sequential_draws; these bounds need not
-        # fall on whole chunks, and some ranges are empty
-        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
-        at = photostats._streams_from(rng)
-        bounds = [n * k // ranges for k in range(ranges + 1)]
-        signal, idler = read_split(at, n, bounds, 0.3, 0.6, 2e12, 52.6)
+        signal, idler = photostats._read_range(at, n, 0.3, 0.6, 2e12, 52.6)
         ref_signal, ref_idler = sequential_survivors(ref, n, 0.3, 0.6, 2e12, 52.6)
         assert np.array_equal(joined(signal), ref_signal)
         assert np.array_equal(joined(idler), ref_idler)
         assert at(4 * n).bit_generator.state == ref.bit_generator.state
 
     def test_fast_thread_switching_keeps_the_pinned_record(self, source_150mw, bp0, chain):
-        # about 48,000 pairs, more than two chunks, so the worker reads whole
-        # chunks while the threads switch every microsecond
+        # about 48,000 pairs, more than two chunks, read while the
+        # interpreter offers to switch threads every microsecond
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -482,8 +459,7 @@ class TestBlockDraws:
 
     @pytest.mark.parametrize("zero_in", [0, 1])
     def test_exact_zero_delay_is_read_in_one_pass(self, zero_in):
-        # the delay uniform of pair 1 (first range) or pair 2 (second range)
-        # is exactly 0.0
+        # the delay uniform of pair 1 or pair 2 is exactly 0.0
         pair, delay = [0.1, 0.3, 0.6, 0.9], [0.3, 0.7, 0.8, 0.4]
         delay[1 + zero_in] = 0.0
         survival_s, survival_i = [0.1, 0.9, 0.1, 0.1], [0.9, 0.1, 0.1, 0.1]
@@ -494,30 +470,26 @@ class TestBlockDraws:
             opened.append(k)
             return ScriptedStream(values[k:])
 
-        signal, idler = read_split(at, 4, [0, 2, 4], 0.5, 0.5, 10.0, 2.0)
-        # each range opens its blocks at lo, n + lo, 2n + lo and 3n + lo, once
-        assert sorted(opened) == sorted([0, 4, 8, 12, 2, 6, 10, 14])
+        signal, idler = photostats._read_range(at, 4, 0.5, 0.5, 10.0, 2.0)
+        # the four blocks are opened at 0, n, 2n and 3n, once each
+        assert opened == [0, 4, 8, 12]
         assert joined(signal).tolist() == [1.0, 6.0, 9.0]
         delays = photostats._laplace_from_uniforms(np.array(delay[1:]), 2.0)
         assert joined(idler).tolist() == (np.array([3.0, 6.0, 9.0]) + delays).tolist()
         # the zero reads as 2**-53: a finite delay of scale * log(2**-52)
         assert delays[zero_in] == pytest.approx(2.0 * math.log(2.0**-52), rel=1e-15)
 
-    def test_worker_exception_reaches_the_caller(self, monkeypatch, source_150mw, bp0, chain):
-        read_range, failed_on = photostats._read_range, []
-
-        def fail_after_first_range(at, n, lo, *args):
-            if lo > 0:
-                failed_on.append(threading.current_thread())
-                raise RuntimeError("second range failed")
-            return read_range(at, n, lo, *args)
-
-        monkeypatch.setattr(photostats, "_read_range", fail_after_first_range)
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="second range failed"):
-            simulate_timetags(source_150mw, bp0, chain, 1.0, seed=1)
-        assert failed_on and failed_on[0] is not threading.main_thread()
-        assert threading.active_count() == threads
+    def test_the_draw_starts_no_thread(self, fresh_python):
+        # in a new interpreter, so that no other test has loaded an executor
+        code = (
+            "import sys, threading, cavityspdc\n"
+            "threads = threading.active_count()\n"
+            "cfg = cavityspdc.default_config()\n"
+            "bp = cavityspdc.BiphotonParams.from_cavity(cfg.pair_crystal)\n"
+            "cavityspdc.simulate_timetags(cfg.source, bp, cfg.chain, 1.0, seed=0)\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count() - threads)\n"
+        )
+        assert fresh_python(code) == "False 0"
 
 
 class TestCoincidenceHistogram:
@@ -578,6 +550,7 @@ class TestCoincidenceHistogram:
       for value in (math.nan, math.inf, -math.inf)],
     ("window_ns", -3.2),
     ("rate", -1.0),
+    ("duration_s", 5e6),  # past MAX_DURATION_S: the int64 time keys would overflow
 ])
 def test_argument_checks_reject_non_finite_values(source_150mw, bp0, chain, argument, value):
     stream = TimeTagStream([100, 150], [0, 1])
