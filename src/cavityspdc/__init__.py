@@ -19,7 +19,8 @@ _SUBMODULE = {
                      "cluster_spacing", "dwdm_cluster_count", "effective_index",
                      "single_mode_margin"), "cavity"),
     **dict.fromkeys(("CavitySpec", "DetectionChain", "ExperimentConfig", "SourceRate",
-                     "default_config", "load_config", "pair_rate", "save_config"), "config"),
+                     "car_model", "car_optimal_rate", "default_config", "load_config",
+                     "pair_rate", "save_config"), "config"),
     **dict.fromkeys(("FitResult", "fit_car_curve", "fit_exp_g2", "fit_lorentzian"), "fitting"),
     **dict.fromkeys(("BellSettings", "PHI_SETTINGS", "ProjectorSetting", "TomographyRecord",
                      "bootstrap_errors", "chsh_S", "chsh_max", "fidelity",
@@ -27,11 +28,11 @@ _SUBMODULE = {
                      "tomo_simulate_counts"), "measurement"),
     **dict.fromkeys(("BD", "HWP", "QWP", "CrystalSource", "NonInterferingNetworkError",
                      "displacer_network"), "network"),
-    **dict.fromkeys(("Histogram", "TimeTagStream", "car_from_stream", "car_model",
-                     "car_optimal_rate", "coincidence_histogram", "count_coincidences",
-                     "read_ttag", "simulate_timetags", "write_ttag"), "photostats"),
+    **dict.fromkeys(("Histogram", "TimeTagStream", "car_from_stream", "coincidence_histogram",
+                     "count_coincidences", "read_ttag", "simulate_timetags", "write_ttag"),
+                    "photostats"),
     **dict.fromkeys(("TwoPhotonState", "concurrence", "degraded_state", "entangled_ket",
-                     "hwp_matrix", "propagate_network", "qwp_matrix"), "polarization"),
+                     "propagate_network"), "polarization"),
 }
 
 __all__ = sorted(_SUBMODULE)

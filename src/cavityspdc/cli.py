@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (MAX_DURATION_S, ConfigError, ExperimentConfig, config_to_dict,
-                     default_config, load_config)
+from .config import (MAX_DURATION_S, ConfigError, ExperimentConfig, car_curve_reference,
+                     car_model, car_optimal_rate, config_to_dict, default_config,
+                     load_config, pair_rate)
 
 SCHEMA_VERSION = 4
 
@@ -172,18 +173,16 @@ def _cmd_biphoton(cfg, args, seed, seed_source):
 
 
 def _cmd_car(cfg, args, seed, seed_source):
-    from . import fitting, photostats
-
     chain = cfg.chain
     powers = np.logspace(math.log10(0.5), math.log10(250.0), args.points)
-    k = photostats.pair_rate(cfg.source, 1.0)
-    cars = [photostats.car_model(k * p, chain) for p in powers]
+    k = pair_rate(cfg.source, 1.0)
+    cars = [car_model(k * p, chain) for p in powers]
     # CAR has an interior maximum only with dark counts and a nonzero
     # efficiency in both arms; the optimum's power and the reduced curve's
     # knees also divide by the pairs per second per mW, k
     efficient = chain.eta_s > 0.0 and chain.eta_i > 0.0
     summary = {
-        "car_at_config_power": photostats.car_model(photostats.pair_rate(cfg.source), chain),
+        "car_at_config_power": car_model(pair_rate(cfg.source), chain),
         "optimal_rate_pairs_per_s": None,
         "optimal_power_mw": None,
         "peak_car": None,
@@ -191,17 +190,19 @@ def _cmd_car(cfg, args, seed, seed_source):
     }
     artifacts = {"car_curve.csv": (("power_mw", "car"), zip(powers, cars))}
     if efficient and chain.dark_s_per_s > 0.0 and chain.dark_i_per_s > 0.0:
-        optimum = photostats.car_optimal_rate(chain)
+        optimum = car_optimal_rate(chain)
         summary["optimal_rate_pairs_per_s"] = optimum
         summary["optimal_power_mw"] = optimum / k if k > 0.0 else None
-        summary["peak_car"] = photostats.car_model(optimum, chain)
+        summary["peak_car"] = car_model(optimum, chain)
     if efficient and k > 0.0:
         # the parameters that a --fit-csv fit of this curve estimates
         summary["reference_curve"] = dict(zip(
             ("norm_per_mw", "knee_s_mw", "knee_i_mw"),
-            fitting.car_curve_reference(cfg.source, chain),
+            car_curve_reference(cfg.source, chain),
         ))
     if args.fit_csv is not None:
+        from . import fitting
+
         with warnings.catch_warnings():
             # a header-only file is reported below, not by numpy's warning
             warnings.simplefilter("ignore", UserWarning)
@@ -227,7 +228,6 @@ def _cmd_simulate(cfg, args, seed, seed_source):
         stream, cfg.histogram_range_ns, cfg.chain.bin_ps
     )
 
-    rate = photostats.pair_rate(cfg.source)
     peak, accidental = photostats._car_counts(stream, cfg.chain, cfg.accidental_offset_ns)
     summary = {
         "duration_s": args.duration,
@@ -239,7 +239,7 @@ def _cmd_simulate(cfg, args, seed, seed_source):
         "coincidences_window": peak,
         "accidentals_window": accidental,
         "car_monte_carlo": peak / accidental if accidental else "inf",
-        "car_model": photostats.car_model(rate, cfg.chain),
+        "car_model": car_model(pair_rate(cfg.source), cfg.chain),
     }
     fit = fitting.fit_exp_g2(hist)
     if fit.converged:
@@ -378,7 +378,7 @@ def _report_rows(cfg: ExperimentConfig):
     """``(quantity, computed, reference, tolerance, kind, source)`` per row; ``source``
     is "paper" for a published figure and "model" for a closed form of the same
     config, which checks only self-consistency."""
-    from . import biphoton, cavity, measurement, photostats, polarization
+    from . import biphoton, cavity, measurement, polarization
 
     tol = REPORT_TOLERANCES
     bp0, bp1 = _biphoton_params(cfg)
@@ -414,7 +414,7 @@ def _report_rows(cfg: ExperimentConfig):
         ("fidelity_to_target", measurement.fidelity(state, target),
          (1.0 + c) / 2.0, tol["fidelity_abs"], "abs", "model"),
         ("car_model_at_config_power",
-         photostats.car_model(photostats.pair_rate(cfg.source), cfg.chain),
+         car_model(pair_rate(cfg.source), cfg.chain),
          6000.0, 0.0, "bound", "paper"),
         ("network_vs_ideal_frobenius", float(np.linalg.norm(ideal - pure)),
          1e-10, 0.0, "upper", "model"),

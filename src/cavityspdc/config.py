@@ -1,10 +1,12 @@
 """Experiment configuration: JSON with units baked into every key name.
 
-The source's description lives here with the checks and the rate algebra
-that validating it needs: the cavities, the pair source, the detection
-chain and, through ``network``, the displacer network.  Neither this module
-nor ``network`` imports numpy, so describing, loading, saving and
-validating an experiment loads none.
+The source's description lives here with its checks and its rate algebra:
+the cavities, the pair source, the detection chain and, through
+``network``, the displacer network, then the CW detected-rate model (pair
+rate, singles, coincidences and accidentals), the CAR it implies, the pair
+rate that maximizes it and the reduced CAR curve's parameters.  Neither
+this module nor ``network`` imports numpy, so describing, loading, saving
+and validating an experiment, and evaluating its CAR, loads none.
 """
 
 from __future__ import annotations
@@ -133,6 +135,10 @@ class DetectionChain:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.window_ns < 1e-3:  # time tags are whole picoseconds
             raise ValueError(f"window_ns must be at least 1e-3 (1 ps), got {self.window_ns!r}")
+        # a 40-sigma draw (4e13 ps) stays far inside MAX_DURATION_S's margin
+        if self.jitter_sigma_ps > 1e12:
+            raise ValueError("jitter_sigma_ps must be at most 1e12 (1 s), "
+                             f"got {self.jitter_sigma_ps!r}")
 
 
 def pair_rate(src: SourceRate, power_mw: float | None = None) -> float:
@@ -152,6 +158,34 @@ def detected_rates(rate: float, chain: DetectionChain) -> tuple[float, float, fl
     singles_i = chain.eta_i * rate + chain.dark_i_per_s
     accidentals = singles_s * singles_i * chain.window_ns * 1e-9
     return singles_s, singles_i, chain.eta_s * chain.eta_i * rate, accidentals
+
+
+def car_model(rate: float, chain: DetectionChain) -> float:
+    """Coincidence-to-accidental ratio C / A of a CW pair source (detected_rates)."""
+    _, _, coincidences, accidentals = detected_rates(rate, chain)
+    if accidentals == 0.0:
+        raise ValueError("no accidentals: CAR undefined for zero rate and darks")
+    return coincidences / accidentals
+
+
+def car_optimal_rate(chain: DetectionChain) -> float:
+    """Pair rate maximizing car_model: sqrt(dark_s*dark_i/(eta_s*eta_i))."""
+    if chain.dark_s_per_s <= 0.0 or chain.dark_i_per_s <= 0.0:
+        raise ValueError("CAR has no interior maximum without dark counts")
+    if chain.eta_s <= 0.0 or chain.eta_i <= 0.0:
+        raise ValueError("CAR has no interior maximum with zero efficiency")
+    return math.sqrt(
+        chain.dark_s_per_s * chain.dark_i_per_s / (chain.eta_s * chain.eta_i)
+    )
+
+
+def car_curve_reference(source, chain):
+    """True reduced parameters implied by a source/detection description."""
+    k = pair_rate(source, 1.0)  # pairs/s/mW
+    norm = k * chain.window_ns * 1e-9
+    knee_s = chain.dark_s_per_s / (chain.eta_s * k)
+    knee_i = chain.dark_i_per_s / (chain.eta_i * k)
+    return norm, knee_s, knee_i
 
 
 def histogram_k_max(range_ns: float, bin_ps: float) -> int:

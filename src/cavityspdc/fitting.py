@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .biphoton import FWHM_FACTOR
-from .config import _MIN_G2_BINS, pair_rate
+# the reduced CAR curve's parameters keep their path here
+from .config import _MIN_G2_BINS, car_curve_reference
 
 _FD_REL_STEP = 1e-6
 _MAX_ITER = 200
@@ -282,15 +283,6 @@ def fit_exp_g2(hist) -> FitResult:
 
 # ---------------------------------------------------------------------------
 # CAR versus pump power
-
-
-def car_curve_reference(source, chain):
-    """True reduced parameters implied by a source/detection description."""
-    k = pair_rate(source, 1.0)  # pairs/s/mW
-    norm = k * chain.window_ns * 1e-9
-    knee_s = chain.dark_s_per_s / (chain.eta_s * k)
-    knee_i = chain.dark_i_per_s / (chain.eta_i * k)
-    return norm, knee_s, knee_i
 
 
 def fit_car_curve(powers_mw, cars) -> FitResult:

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photostats import _exact
-from .polarization import BASIS, TwoPhotonState
+from .polarization import BASIS, TwoPhotonState, _exact
 
 _SQ2 = math.sqrt(2.0)
 

@@ -1,5 +1,6 @@
-"""Pair rates, the CAR model, and Monte Carlo generation and analysis of
-detector time-tag streams (jitter, dark counts, coincidence windows)."""
+"""Monte Carlo generation and analysis of detector time-tag streams
+(jitter, dark counts, coincidence windows); the CAR model they are checked
+against is ``config``'s."""
 
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ import numpy as np
 
 from .biphoton import BiphotonParams, coherence_scale_ps
 # the source and chain descriptions and their rate algebra keep their paths here
-from .config import (MAX_DURATION_S, DetectionChain, SourceRate, detected_rates,
-                     histogram_k_max, pair_rate)
+from .config import (MAX_DURATION_S, DetectionChain, SourceRate, car_model,
+                     car_optimal_rate, detected_rates, histogram_k_max, pair_rate)
+from .polarization import _exact
 
 TTAG_MAGIC = b"TTAG1\x00"
 _TTAG_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1")])
@@ -21,21 +23,6 @@ _TTAG_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1")])
 #: written out or read in: a block's temporaries stay in cache and far
 #: below the record's size.
 _EVENT_BLOCK = 1 << 14
-
-
-def _exact(values, dtype, message) -> np.ndarray:
-    """values as a dtype array, not copied when they already are one; any
-    other input raises ValueError(message) unless dtype holds it exactly."""
-    array = np.asarray(values)
-    if array.dtype == dtype:
-        return array
-    info = np.iinfo(dtype)  # a float out of range casts by CPU: wraps or saturates
-    in_range = array.dtype.kind != "f" or np.all((array >= info.min) & (array < info.max + 1))
-    with np.errstate(invalid="ignore"):  # a cast that fails is caught below
-        exact = array.astype(dtype) if array.dtype.kind in "biuf" else None
-    if exact is None or not in_range or not np.array_equal(exact, array):
-        raise ValueError(message)
-    return exact
 
 
 class TimeTagStream:
@@ -119,25 +106,6 @@ def read_ttag(path) -> TimeTagStream:
                 raise ValueError(f"{path}: timestamp at or above 2**63 ps")
             channel[start:start + block.size] = block["ch"]
     return TimeTagStream(t_ps, channel)
-
-
-def car_model(rate: float, chain: DetectionChain) -> float:
-    """Coincidence-to-accidental ratio C / A of a CW pair source (detected_rates)."""
-    _, _, coincidences, accidentals = detected_rates(rate, chain)
-    if accidentals == 0.0:
-        raise ValueError("no accidentals: CAR undefined for zero rate and darks")
-    return coincidences / accidentals
-
-
-def car_optimal_rate(chain: DetectionChain) -> float:
-    """Pair rate maximizing car_model: sqrt(dark_s*dark_i/(eta_s*eta_i))."""
-    if chain.dark_s_per_s <= 0.0 or chain.dark_i_per_s <= 0.0:
-        raise ValueError("CAR has no interior maximum without dark counts")
-    if chain.eta_s <= 0.0 or chain.eta_i <= 0.0:
-        raise ValueError("CAR has no interior maximum with zero efficiency")
-    return math.sqrt(
-        chain.dark_s_per_s * chain.dark_i_per_s / (chain.eta_s * chain.eta_i)
-    )
 
 
 #: Pairs drawn per chunk: a chunk's buffers and temporaries (a few hundred

@@ -1,6 +1,7 @@
 """Two-photon polarization states: ideal synthesis by propagation through a
-beam-displacer network (the elements and the trace are in ``network``), and
-the phenomenological coherence-degraded state."""
+beam-displacer network (the elements and the trace are in ``network``), the
+phenomenological coherence-degraded state, and the array-input checks that
+states, tomography counts and time tags share."""
 
 from __future__ import annotations
 
@@ -10,24 +11,10 @@ import numpy as np
 
 # the network's elements keep their paths here
 from .network import (BD, HWP, QWP, CrystalSource, NonInterferingNetworkError,
-                      _network_ket, displacer_network, hwp_jones, qwp_jones)
+                      _network_ket, displacer_network)
 
 #: Order of the two-photon basis kets indexing every 4x4 density matrix.
 BASIS = ("HH", "HV", "VH", "VV")
-
-
-# ---------------------------------------------------------------------------
-# Jones matrices
-
-
-def hwp_matrix(theta_deg: float) -> np.ndarray:
-    """Half-wave plate with fast axis at theta: [[cos2t, sin2t], [sin2t, -cos2t]]."""
-    return np.array(hwp_jones(theta_deg))
-
-
-def qwp_matrix(theta_deg: float) -> np.ndarray:
-    """Quarter-wave plate with fast axis at theta (retardance pi/2)."""
-    return np.array(qwp_jones(theta_deg))
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +33,21 @@ def _check_density(rho: np.ndarray) -> None:
         raise ValueError("rho must have unit trace")
     if np.linalg.eigvalsh(rho).min() < -1e-9:
         raise ValueError("rho must be positive semidefinite")
+
+
+def _exact(values, dtype, message) -> np.ndarray:
+    """values as a dtype array, not copied when they already are one; any
+    other input raises ValueError(message) unless dtype holds it exactly."""
+    array = np.asarray(values)
+    if array.dtype == dtype:
+        return array
+    info = np.iinfo(dtype)  # a float out of range casts by CPU: wraps or saturates
+    in_range = array.dtype.kind != "f" or np.all((array >= info.min) & (array < info.max + 1))
+    with np.errstate(invalid="ignore"):  # a cast that fails is caught below
+        exact = array.astype(dtype) if array.dtype.kind in "biuf" else None
+    if exact is None or not in_range or not np.array_equal(exact, array):
+        raise ValueError(message)
+    return exact
 
 
 class TwoPhotonState:

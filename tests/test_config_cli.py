@@ -474,6 +474,8 @@ class TestCli:
             ({"ppktp0": {"fsr_h_ghz": 1e308, "fsr_v_ghz": 1.7e308,
                          "fwhm_h_mhz": 1.5e308, "fwhm_v_mhz": 1.5e308}},
              "ppktp0.fwhm_h_mhz + ppktp0.fwhm_v_mhz overflows"),
+            # a jitter whose draws would overflow the int64 time keys
+            ({"chain": {"jitter_sigma_ps": 1e19}}, "jitter_sigma_ps must be at most 1e12"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
@@ -833,7 +835,7 @@ def test_import_loads_no_numpy_random(fresh_python):
 
 def test_describing_the_experiment_loads_no_numpy(tmp_path, fresh_python):
     # the package, the config and the network import no numpy, so building,
-    # saving, loading and checking a config pays for none of it
+    # saving, loading and checking a config, and its CAR algebra, pay for none of it
     code = (
         "import sys, cavityspdc\n"
         "from cavityspdc.config import ConfigError, config_from_dict\n"
@@ -845,29 +847,34 @@ def test_describing_the_experiment_loads_no_numpy(tmp_path, fresh_python):
         "    sys.exit('a non-interfering network passed')\n"
         "except ConfigError:\n"
         "    pass\n"
+        "cavityspdc.car_model(cavityspdc.pair_rate(cfg.source), cfg.chain)\n"
+        "cavityspdc.car_optimal_rate(cfg.chain)\n"
+        "cavityspdc.config.car_curve_reference(cfg.source, cfg.chain)\n"
         "print('numpy' in sys.modules)\n"
     )
     assert fresh_python(code, tmp_path / "cfg.json") == "False"
 
 
-#: What each subcommand loads beyond cli, config and network, which every
-#: call loads: the package modules it computes with, the ones they import
-#: (measurement imports photostats, which with fitting imports biphoton),
-#: and numpy.random where it draws.
+#: What each call loads beyond cli, config and network, which every call
+#: loads: the package modules it computes with, the ones they import
+#: (photostats and fitting import biphoton, photostats and measurement
+#: polarization), and numpy.random where it draws.  The CAR algebra is
+#: config's, so car loads fitting only to fit a --fit-csv curve.
 SUBCOMMAND_MODULES = {
     "biphoton": {"biphoton"},
     "cavity": {"cavity", "fitting", "biphoton", "numpy.random"},
-    "car": {"photostats", "fitting", "biphoton"},
-    "simulate": {"photostats", "fitting", "biphoton", "numpy.random"},
-    "interference": {"polarization", "measurement", "photostats", "biphoton"},
-    "chsh": {"polarization", "measurement", "photostats", "biphoton", "numpy.random"},
-    "tomo": {"polarization", "measurement", "photostats", "biphoton", "numpy.random"},
-    "report": {"cavity", "polarization", "measurement", "photostats", "biphoton"},
+    "car": set(),
+    "car --fit-csv": {"fitting", "biphoton"},
+    "simulate": {"photostats", "fitting", "biphoton", "polarization", "numpy.random"},
+    "interference": {"polarization", "measurement"},
+    "chsh": {"polarization", "measurement", "numpy.random"},
+    "tomo": {"polarization", "measurement", "numpy.random"},
+    "report": {"cavity", "polarization", "measurement", "biphoton"},
 }
 
 
-@pytest.mark.parametrize("command", SUBCOMMAND_MODULES)
-def test_each_subcommand_loads_only_its_modules(tmp_path, fresh_python, command):
+@pytest.mark.parametrize("call", SUBCOMMAND_MODULES)
+def test_each_subcommand_loads_only_its_modules(tmp_path, fresh_python, call):
     # a cold call pays for the modules its command runs, writing the
     # artifacts included, and no others
     code = (
@@ -877,9 +884,15 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, fresh_python, command)
         "print(' '.join(m.removeprefix('cavityspdc.') for m in sys.modules\n"
         "               if m.startswith('cavityspdc.') or m == 'numpy.random'))\n"
     )
-    extra = ["--duration", "0.2"] if command == "simulate" else []
-    printed = fresh_python(code, "--seed", 5, "--out", tmp_path, command, *extra)
-    expected = SUBCOMMAND_MODULES[command] | {"cli", "config", "network"}
+    args = call.split()
+    if args[0] == "simulate":
+        args += ["--duration", "0.2"]
+    if "--fit-csv" in args:
+        # the model curve that car writes, as the benchmark fits it
+        assert main(["--out", str(tmp_path / "curve"), "car"]) == EXIT_OK
+        args.append(tmp_path / "curve" / "car_curve.csv")
+    printed = fresh_python(code, "--seed", 5, "--out", tmp_path / "out", *args)
+    expected = SUBCOMMAND_MODULES[call] | {"cli", "config", "network"}
     assert set(printed.splitlines()[-1].split()) == expected
 
 
@@ -893,8 +906,8 @@ PUBLIC_NAMES = [
     "chsh_S", "chsh_max", "cluster_comb", "cluster_spacing", "coincidence_histogram",
     "concurrence", "count_coincidences", "default_config", "degraded_state",
     "displacer_network", "dwdm_cluster_count", "effective_index", "entangled_ket", "fidelity",
-    "fit_car_curve", "fit_exp_g2", "fit_lorentzian", "gamma_prime_mhz", "hwp_matrix",
-    "interference_curve", "load_config", "pair_rate", "propagate_network", "qwp_matrix",
+    "fit_car_curve", "fit_exp_g2", "fit_lorentzian", "gamma_prime_mhz",
+    "interference_curve", "load_config", "pair_rate", "propagate_network",
     "read_ttag", "save_config", "simulate_timetags", "single_mode_margin", "spectral_overlap",
     "state_fidelity", "t_fwhm_ns", "tomo_linear", "tomo_mle", "tomo_simulate_counts",
     "write_ttag",
@@ -905,7 +918,8 @@ PUBLIC_NAMES = [
 MOVED = {
     ("cavity", "config"): ("CavitySpec",),
     ("photostats", "config"): ("SourceRate", "DetectionChain", "pair_rate", "detected_rates",
-                               "histogram_k_max"),
+                               "histogram_k_max", "car_model", "car_optimal_rate"),
+    ("fitting", "config"): ("car_curve_reference",),
     ("polarization", "network"): ("BD", "HWP", "QWP", "CrystalSource",
                                   "NonInterferingNetworkError", "displacer_network"),
 }
