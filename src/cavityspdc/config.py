@@ -139,6 +139,13 @@ class DetectionChain:
         if self.jitter_sigma_ps > 1e12:
             raise ValueError("jitter_sigma_ps must be at most 1e12 (1 s), "
                              f"got {self.jitter_sigma_ps!r}")
+        # where car_optimal_rate is defined, tiny efficiencies underflow its
+        # divisor eta_s * eta_i to 0 or overflow the ratio under its root
+        efficiency, darks = self.eta_s * self.eta_i, self.dark_s_per_s * self.dark_i_per_s
+        if min(self.eta_s, self.eta_i, self.dark_s_per_s, self.dark_i_per_s) > 0.0 and not (
+                efficiency > 0.0 and math.isfinite(darks / efficiency)):
+            raise ValueError("the CAR-optimal pair rate sqrt(dark_s_per_s * dark_i_per_s / "
+                             "(eta_s * eta_i)) must be finite")
 
 
 def pair_rate(src: SourceRate, power_mw: float | None = None) -> float:
@@ -160,12 +167,18 @@ def detected_rates(rate: float, chain: DetectionChain) -> tuple[float, float, fl
     return singles_s, singles_i, chain.eta_s * chain.eta_i * rate, accidentals
 
 
+def _car(rate: float, chain: DetectionChain) -> float | None:
+    """car_model, or None where no accidentals leave it undefined."""
+    _, _, coincidences, accidentals = detected_rates(rate, chain)
+    return coincidences / accidentals if accidentals else None
+
+
 def car_model(rate: float, chain: DetectionChain) -> float:
     """Coincidence-to-accidental ratio C / A of a CW pair source (detected_rates)."""
-    _, _, coincidences, accidentals = detected_rates(rate, chain)
-    if accidentals == 0.0:
+    car = _car(rate, chain)
+    if car is None:
         raise ValueError("no accidentals: CAR undefined for zero rate and darks")
-    return coincidences / accidentals
+    return car
 
 
 def car_optimal_rate(chain: DetectionChain) -> float:
@@ -186,6 +199,43 @@ def car_curve_reference(source, chain):
     knee_s = chain.dark_s_per_s / (chain.eta_s * k)
     knee_i = chain.dark_i_per_s / (chain.eta_i * k)
     return norm, knee_s, knee_i
+
+
+@dataclass(frozen=True)
+class Links:
+    """A config's rates, derived as it loads: at its pump power, per second,
+    the pairs and detected_rates, and the CAR, None without accidentals.
+    The CAR optimum is None without darks and efficiency in both arms, and
+    car_curve_reference's knees where they would divide by 0."""
+
+    bandwidth_mhz: float
+    pairs_per_s_per_mw: float
+    pairs_per_s: float
+    singles_s_per_s: float
+    singles_i_per_s: float
+    coincidences_per_s: float
+    accidentals_per_s: float
+    car_at_config_power: float | None
+    optimal_rate_pairs_per_s: float | None
+    optimal_power_mw: float | None
+    peak_car: float | None
+    reference_curve: dict | None
+
+    @classmethod
+    def of(cls, source: SourceRate, chain: DetectionChain) -> "Links":
+        rate, k = pair_rate(source), pair_rate(source, 1.0)
+        if not math.isfinite(rate):
+            raise ConfigError("source.brightness_per_s_mw_mhz * source.power_mw overflows")
+        optimum = power = peak = curve = None
+        if min(chain.eta_s, chain.eta_i, chain.dark_s_per_s, chain.dark_i_per_s) > 0.0:
+            optimum = car_optimal_rate(chain)  # finite, as DetectionChain checks
+            power = optimum / k if k > 0.0 else None
+            peak = _car(optimum, chain)
+        if chain.eta_s * k > 0.0 and chain.eta_i * k > 0.0:
+            curve = dict(zip(("norm_per_mw", "knee_s_mw", "knee_i_mw"),
+                             car_curve_reference(source, chain)))
+        return cls(source.bandwidth_mhz, k, rate, *detected_rates(rate, chain),
+                   _car(rate, chain), optimum, power, peak, curve)
 
 
 def histogram_k_max(range_ns: float, bin_ps: float) -> int:
@@ -244,6 +294,10 @@ class ExperimentConfig:
         pair bandwidth of ``source``."""
         return self.ppktp0
 
+    def car_at_power(self, power_mw: float) -> float | None:
+        """car_model at a pump power in mW, None where it is undefined."""
+        return _car(self.links.pairs_per_s_per_mw * power_mw, self.chain)
+
     def __post_init__(self):
         bandwidth = self.pair_crystal.mean_linewidth_mhz()
         if not math.isfinite(bandwidth):
@@ -272,11 +326,9 @@ class ExperimentConfig:
         # the lag scan lists every cross-channel delay up to its limit, so it
         # stays linear in events only while the limit is short against the
         # mean spacing of detected events
-        chain, rate = self.chain, pair_rate(self.source)
-        if not math.isfinite(rate):
-            raise ConfigError("source.brightness_per_s_mw_mhz * source.power_mw overflows")
-        singles_s, singles_i, _, _ = detected_rates(rate, chain)
-        events_per_ns = (singles_s + singles_i) * 1e-9
+        chain, links = self.chain, Links.of(self.source, self.chain)
+        object.__setattr__(self, "links", links)  # derived: neither a field nor a key
+        events_per_ns = (links.singles_s_per_s + links.singles_i_per_s) * 1e-9
         for name, limit_ns in (
             ("accidental_offset_ns", offset + chain.window_ns / 2.0),
             ("histogram_range_ns", self.histogram_range_ns / 2.0 + chain.bin_ps / 2e3),

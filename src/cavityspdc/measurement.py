@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import BASIS, TwoPhotonState, _exact
+from .polarization import BASIS, TwoPhotonState, _exact, _factor
 
 _SQ2 = math.sqrt(2.0)
 
@@ -668,15 +668,11 @@ def fidelity(state, target_ket) -> float:
 
 
 def state_fidelity(state_a, state_b) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))^2 for mixed states."""
-    rho = _as_rho(state_a)
-    sigma = _as_rho(state_b)
-    eigval, eigvec = np.linalg.eigh(rho)
-    eigval = np.clip(eigval, 0.0, None)
-    sqrt_rho = (eigvec * np.sqrt(eigval)) @ eigvec.conj().T
-    inner = sqrt_rho @ sigma @ sqrt_rho
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return float(np.sum(np.sqrt(vals)) ** 2)
+    """Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))^2 for mixed states, as
+    the squared sum of singular values of A^dagger B for factors a = A A^dagger
+    and b = B B^dagger (Jozsa, J. Mod. Opt. 41, 2315 (1994))."""
+    overlap = _factor(_as_rho(state_a)).conj().T @ _factor(_as_rho(state_b))
+    return float(np.linalg.svd(overlap, compute_uv=False).sum() ** 2)
 
 
 @dataclass(frozen=True)

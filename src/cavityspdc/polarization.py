@@ -117,14 +117,21 @@ def degraded_state(theta_rad: float, coherence: float) -> TwoPhotonState:
     return TwoPhotonState(rho)
 
 
+def _factor(rho: np.ndarray) -> np.ndarray:
+    """L = V sqrt(Lambda) over the positive eigenvalues of a PSD rho = L L^dagger;
+    singular values of products of factors carry no square root of round-off."""
+    eigval, eigvec = np.linalg.eigh(rho)
+    kept = eigval > 0.0
+    return eigvec[:, kept] * np.sqrt(eigval[kept])
+
+
 def concurrence(state: TwoPhotonState) -> float:
-    """Wootters concurrence via the spin-flipped density matrix."""
+    """Wootters concurrence; its lambdas are the singular values of
+    L^T (sigma_y x sigma_y) L for a factor rho = L L^dagger."""
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    flip = np.kron(sy, sy)
-    rho = state.rho
-    m = rho @ flip @ rho.conj() @ flip
-    eig = np.sort(np.sqrt(np.abs(np.linalg.eigvals(m).real)))[::-1]
-    return float(max(0.0, eig[0] - eig[1] - eig[2] - eig[3]))
+    factor = _factor(state.rho)
+    lam = np.linalg.svd(factor.T @ np.kron(sy, sy) @ factor, compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1:].sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,22 @@ from cavityspdc.cli import (
 )
 from cavityspdc.config import (
     ConfigError,
+    Links,
+    car_curve_reference,
+    car_optimal_rate,
     config_from_dict,
     config_to_dict,
+    detected_rates,
+    pair_rate,
 )
 from cavityspdc.polarization import BD, HWP, CrystalSource, displacer_network
 
 DEFAULT = default_config()
+#: The config error of efficiencies too small for a finite CAR optimum.
+OPTIMUM_OVERFLOWS = ("config.chain: the CAR-optimal pair rate "
+                     "sqrt(dark_s_per_s * dark_i_per_s / (eta_s * eta_i)) must be finite")
+#: A config that loads but has no accidentals at its pump power, so no CAR there.
+NO_ACCIDENTALS = {"source": {"power_mw": 0.0}, "chain": {"dark_s_per_s": 0.0, "dark_i_per_s": 0.0}}
 SECTION_FIELDS = [
     (section, name)
     for section, fields in config_to_dict(DEFAULT).items() if isinstance(fields, dict)
@@ -57,6 +67,9 @@ class TestConfig:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             config_from_dict({"nonsense": 1})
+        # the derived links are no key either
+        with pytest.raises(ConfigError, match=r"^config\.links: unknown key$"):
+            config_from_dict({"links": {}})
 
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError, match="chain"):
@@ -476,6 +489,11 @@ class TestCli:
              "ppktp0.fwhm_h_mhz + ppktp0.fwhm_v_mhz overflows"),
             # a jitter whose draws would overflow the int64 time keys
             ({"chain": {"jitter_sigma_ps": 1e19}}, "jitter_sigma_ps must be at most 1e12"),
+            # efficiencies whose product underflows to 0, or so small that the
+            # CAR-optimal pair rate overflows
+            ({"chain": {"eta_s": 5e-324}}, OPTIMUM_OVERFLOWS),
+            ({"chain": {"eta_s": 1e-200, "eta_i": 1e-200}}, OPTIMUM_OVERFLOWS),
+            ({"chain": {"eta_s": 1e-160, "eta_i": 1e-160}}, OPTIMUM_OVERFLOWS),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
@@ -491,11 +509,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "payload, command, message",
         [
-            ({"chain": {"eta_s": 5e-324}}, "car", "ZeroDivisionError: float division by zero"),
             ({"ppktp0": {"length_mm": 5e-324}}, "cavity", "ZeroDivisionError: "),
             ({"ppktp0": {"fwhm_h_mhz": 1e-300}}, "cavity", "OverflowError: "),
         ],
-        ids=["car-eta", "cavity-length", "cavity-linewidth"],
+        ids=["cavity-length", "cavity-linewidth"],
     )
     def test_unexpected_error_is_one_line_error(self, tmp_path, capsys, payload, command,
                                                 message):
@@ -725,11 +742,12 @@ class TestCli:
         "payload, defined",
         [
             ({"source": {"brightness_per_s_mw_mhz": 0.0}},
-             {"optimal_rate_pairs_per_s", "peak_car"}),
-            ({"chain": {"eta_s": 0.0}}, set()),
-            ({"chain": {"dark_i_per_s": 0.0}}, {"reference_curve"}),
+             {"car_at_config_power", "optimal_rate_pairs_per_s", "peak_car"}),
+            ({"chain": {"eta_s": 0.0}}, {"car_at_config_power"}),
+            ({"chain": {"dark_i_per_s": 0.0}}, {"car_at_config_power", "reference_curve"}),
+            (NO_ACCIDENTALS, {"reference_curve"}),
         ],
-        ids=["no-brightness", "no-efficiency", "no-darks"],
+        ids=["no-brightness", "no-efficiency", "no-darks", "no-accidentals"],
     )
     def test_car_undefined_optimum_is_null(self, tmp_path, payload, defined):
         path = tmp_path / "cfg.json"
@@ -737,11 +755,25 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["--config", str(path), "--out", str(out), "car"]) == EXIT_OK
         summary = json.loads((out / "car_summary.json").read_text())
-        optional = {"optimal_rate_pairs_per_s", "optimal_power_mw", "peak_car",
-                    "reference_curve"}
+        optional = {"car_at_config_power", "optimal_rate_pairs_per_s", "optimal_power_mw",
+                    "peak_car", "reference_curve"}
         assert {key for key in optional if summary[key] is not None} == defined
         meta = json.loads((out / "metadata.json").read_text())
         assert (meta["status"], meta["error"]) == ("ok", None)
+
+    def test_report_fails_an_undefined_car_row(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(NO_ACCIDENTALS))
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out), "report"]) == EXIT_REPORT_FAIL
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        failed = [(r["quantity"], r["computed"]) for r in rows if not r["passed"]]
+        assert failed == [("car_model_at_config_power", None)]
+        printed = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("car_model_at_config_power") and "undefined" in line
+                   and line.endswith("[FAIL]") for line in printed)
+        meta = json.loads((out / "metadata.json").read_text())
+        assert (meta["exit_status"], meta["error"]) == (EXIT_REPORT_FAIL, None)
 
     @pytest.mark.parametrize("points", ["1", "0", "-3"])
     def test_car_bad_points_is_one_line_error(self, tmp_path, capsys, points):
@@ -835,7 +867,8 @@ def test_import_loads_no_numpy_random(fresh_python):
 
 def test_describing_the_experiment_loads_no_numpy(tmp_path, fresh_python):
     # the package, the config and the network import no numpy, so building,
-    # saving, loading and checking a config, and its CAR algebra, pay for none of it
+    # saving, loading and checking a config, its CAR algebra and the rates it
+    # implies, its links, pay for none of it
     code = (
         "import sys, cavityspdc\n"
         "from cavityspdc.config import ConfigError, config_from_dict\n"
@@ -850,6 +883,7 @@ def test_describing_the_experiment_loads_no_numpy(tmp_path, fresh_python):
         "cavityspdc.car_model(cavityspdc.pair_rate(cfg.source), cfg.chain)\n"
         "cavityspdc.car_optimal_rate(cfg.chain)\n"
         "cavityspdc.config.car_curve_reference(cfg.source, cfg.chain)\n"
+        "assert cfg.links.car_at_config_power > 6000.0\n"
         "print('numpy' in sys.modules)\n"
     )
     assert fresh_python(code, tmp_path / "cfg.json") == "False"
@@ -1063,3 +1097,42 @@ def test_car_follows_only_the_pair_crystal(tmp_path, default_artifacts):
         cavityspdc.car_model(rate, DEFAULT.chain), rel=1e-12)
     assert summary["car_at_config_power"] == pytest.approx(6667.50, abs=0.01)
     assert runs["ppktp1"] == default_artifacts(["car"])
+
+
+def test_links_are_the_closed_forms_of_the_config():
+    source, chain, links = DEFAULT.source, DEFAULT.chain, DEFAULT.links
+    rate, k = pair_rate(source), pair_rate(source, 1.0)
+    optimum = car_optimal_rate(chain)
+    assert links == Links(
+        source.bandwidth_mhz, k, rate, *detected_rates(rate, chain),
+        cavityspdc.car_model(rate, chain), optimum, optimum / k,
+        cavityspdc.car_model(optimum, chain),
+        dict(zip(("norm_per_mw", "knee_s_mw", "knee_i_mw"), car_curve_reference(source, chain))))
+    # the paper's 458 MHz pair bandwidth and a CAR above 6000 at 150 mW
+    assert links.bandwidth_mhz == 458.0 and links.car_at_config_power > 6000.0
+
+
+def test_replacing_a_section_rebuilds_the_links():
+    cfg = dataclasses.replace(DEFAULT, source=dataclasses.replace(DEFAULT.source, power_mw=75.0))
+    assert cfg.links == Links.of(cfg.source, cfg.chain) != DEFAULT.links
+    assert cfg.links.pairs_per_s == DEFAULT.links.pairs_per_s / 2.0
+
+
+def test_metadata_links_are_what_each_artifact_carries(tmp_path):
+    runs = {"car": ["car"], "simulate": ["simulate", "--duration", "0.2"], "report": ["report"]}
+    for name, argv in runs.items():
+        assert main(["--seed", "5", "--out", str(tmp_path / name), *argv]) == EXIT_OK
+
+    def read(name, artifact):
+        return json.loads((tmp_path / name / artifact).read_text())
+
+    links = read("car", "metadata.json")["links"]
+    assert links == json.loads(json.dumps(dataclasses.asdict(DEFAULT.links)))
+    assert all(read(name, "metadata.json")["links"] == links for name in runs)
+    summary = read("car", "car_summary.json")
+    assert {key: summary[key] for key in summary if key != "schema_version"} == {
+        key: links[key] for key in ("car_at_config_power", "optimal_rate_pairs_per_s",
+                                    "optimal_power_mw", "peak_car", "reference_curve")}
+    assert read("simulate", "simulate_summary.json")["car_model"] == links["car_at_config_power"]
+    rows = {r["quantity"]: r["computed"] for r in read("report", "report.json")["rows"]}
+    assert rows["car_model_at_config_power"] == links["car_at_config_power"]

@@ -806,6 +806,13 @@ class TestFidelity:
         vv = TwoPhotonState.from_pure([0, 0, 0, 1])
         assert state_fidelity(hh, vv) == pytest.approx(0.0, abs=1e-12)
 
+    def test_state_fidelity_is_symmetric_to_round_off(self):
+        # tomo --seed 5's estimate, with two eigenvalues of about 5e-11 whose
+        # square roots once made F(a, b) and F(b, a) differ by 6.2e-10
+        model = degraded_state(math.pi, 0.8709)
+        rho_hat = tomo_mle(tomo_simulate_counts(model, 10_000, 5))
+        assert abs(state_fidelity(rho_hat, model) - state_fidelity(model, rho_hat)) <= 1e-14
+
     def test_state_fidelity_matches_pure_overlap(self):
         state = degraded_state(math.pi, 0.8)
         assert state_fidelity(state, PHI_MINUS) == pytest.approx(
