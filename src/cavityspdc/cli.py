@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (MAX_DURATION_S, ConfigError, ExperimentConfig, config_to_dict,
-                     default_config, load_config)
+from .config import (CAR_CURVE_POWER_MW, MAX_DURATION_S, ConfigError, ExperimentConfig,
+                     config_to_dict, default_config, load_config)
 
 SCHEMA_VERSION = 4
 
@@ -32,7 +32,8 @@ EXIT_REPORT_FAIL = 3
 #: Report columns.  A row passes when ``computed`` lies within ``tolerance`` of
 #: ``reference``, relatively ("rel") or absolutely ("abs"), or, by ``kind``,
 #: strictly above ("bound") or below ("upper") it.
-REPORT_COLUMNS = ("quantity", "computed", "reference", "tolerance", "kind", "passed", "source")
+REPORT_COLUMNS = ("quantity", "computed", "reference", "tolerance", "kind", "passed", "source",
+                  "artifact", "field")
 
 #: Transmission sweep across one cavity line: points over +-3 linewidths and
 #: the additive RMS noise on each point.
@@ -71,6 +72,13 @@ def _write_table(path: Path, header, rows, fmt: str) -> None:
         writer.writerows(rows)
 
 
+def _error_line(exc: Exception) -> str:
+    """``exc``'s message; a type that names no user error (a ZeroDivisionError,
+    say) prefixes its name."""
+    expected = isinstance(exc, (ValueError, RuntimeError, OSError))
+    return str(exc) if expected else f"{type(exc).__name__}: {exc}"
+
+
 def _resolve_seed(args, cfg: ExperimentConfig):
     if args.seed is not None:
         return args.seed, "cli"
@@ -83,12 +91,6 @@ def _state_from_config(cfg: ExperimentConfig):
     from .polarization import degraded_state
 
     return degraded_state(cfg.pump_phase_rad, cfg.coherence)
-
-
-def _biphoton_params(cfg: ExperimentConfig):
-    from .biphoton import BiphotonParams
-
-    return tuple(BiphotonParams.from_cavity(spec) for _, spec in cfg.crystals())
 
 
 # ---------------------------------------------------------------------------
@@ -128,27 +130,20 @@ def _cmd_cavity(cfg, args, seed, seed_source):
         clusters = cavity.cluster_comb(spec, span)
         artifacts[f"clusters_{name}.csv"] = (header, clusters.csv_rows())
         spacing = cavity.cluster_spacing(spec.fsr_h_ghz, spec.fsr_v_ghz)
-        summary_specs.append(
-            {
-                "name": name,
-                "cluster_spacing_ghz": spacing,
-                "single_mode_margin_ghz": cavity.single_mode_margin(spec),
-                "effective_index_h": cavity.effective_index(
-                    spec.length_mm, spec.fsr_h_ghz
-                ),
-                "effective_index_v": cavity.effective_index(
-                    spec.length_mm, spec.fsr_v_ghz
-                ),
-                # the neighbouring cluster's emission is not negligible, so the
-                # DWDM passband, not the envelope, selects a single cluster
-                "pm_weight_adjacent_cluster": cavity.phase_matching_envelope(spacing, spec),
-                # clusters inside the passband, whatever --span-ghz is
-                "dwdm_selected_clusters": cavity.dwdm_cluster_count(
-                    spec, cfg.dwdm.center_offset_ghz, cfg.dwdm.width_ghz
-                ),
-                "sweep_fit": sweep_fits,
-            }
-        )
+        summary_specs.append({
+            "name": name,
+            "cluster_spacing_ghz": spacing,
+            "single_mode_margin_ghz": cavity.single_mode_margin(spec),
+            "effective_index_h": cavity.effective_index(spec.length_mm, spec.fsr_h_ghz),
+            "effective_index_v": cavity.effective_index(spec.length_mm, spec.fsr_v_ghz),
+            # the neighbouring cluster's emission is not negligible, so the
+            # DWDM passband, not the envelope, selects a single cluster
+            "pm_weight_adjacent_cluster": cavity.phase_matching_envelope(spacing, spec),
+            # clusters inside the passband, whatever --span-ghz is
+            "dwdm_selected_clusters": cavity.dwdm_cluster_count(
+                spec, cfg.dwdm.center_offset_ghz, cfg.dwdm.width_ghz),
+            "sweep_fit": sweep_fits,
+        })
     artifacts["cavity_summary.json"] = {"crystals": summary_specs}
     return EXIT_OK, artifacts
 
@@ -156,23 +151,16 @@ def _cmd_cavity(cfg, args, seed, seed_source):
 def _cmd_biphoton(cfg, args, seed, seed_source):
     from . import biphoton
 
-    bp0, bp1 = _biphoton_params(cfg)
-    payload = {
-        "crystals": [
-            {
-                "name": name,
-                "gamma_prime_mhz": biphoton.gamma_prime_mhz(bp),
-                "t_fwhm_ns": biphoton.t_fwhm_ns(bp),
-            }
-            for (name, _), bp in zip(cfg.crystals(), (bp0, bp1))
-        ],
-        "spectral_overlap": biphoton.spectral_overlap(bp0, bp1),
-    }
-    return EXIT_OK, {"biphoton.json": payload}
+    bp0, bp1 = (biphoton.BiphotonParams.from_cavity(spec) for _, spec in cfg.crystals())
+    crystals = [{"name": name, "gamma_prime_mhz": biphoton.gamma_prime_mhz(bp),
+                 "t_fwhm_ns": biphoton.t_fwhm_ns(bp)}
+                for (name, _), bp in zip(cfg.crystals(), (bp0, bp1))]
+    return EXIT_OK, {"biphoton.json": {"crystals": crystals,
+                                       "spectral_overlap": biphoton.spectral_overlap(bp0, bp1)}}
 
 
 def _cmd_car(cfg, args, seed, seed_source):
-    powers = np.logspace(math.log10(0.5), math.log10(250.0), args.points)
+    powers = np.logspace(*map(math.log10, CAR_CURVE_POWER_MW), args.points)
     links = dataclasses.asdict(cfg.links)
     # reference_curve holds the parameters that a --fit-csv fit of the curve estimates
     summary = {name: links[name] for name in ("car_at_config_power", "optimal_rate_pairs_per_s",
@@ -240,22 +228,27 @@ def _cmd_simulate(cfg, args, seed, seed_source):
 
 
 def _cmd_interference(cfg, args, seed, seed_source):
-    from . import measurement
+    from . import measurement, polarization
 
     state = _state_from_config(cfg)
     beta = np.arange(0.0, 361.0, 7.5)
     rows = []
-    visibilities = {}
+    summary = {}
     for alpha in (0.0, 45.0):
         curve = measurement.interference_curve(state, alpha, beta)
-        rows.extend(
-            (alpha, b, p) for b, p in zip(curve.beta_deg, curve.probs)
-        )
-        visibilities[f"visibility_{alpha:g}deg"] = curve.visibility
-        visibilities[f"degenerate_{alpha:g}deg"] = curve.degenerate
+        rows.extend((alpha, b, p) for b, p in zip(curve.beta_deg, curve.probs))
+        summary[f"visibility_{alpha:g}deg"] = curve.visibility
+        summary[f"degenerate_{alpha:g}deg"] = curve.degenerate
+    # the model state against the target, and the displacer network's output
+    # against the ideal state it should synthesize
+    summary["fidelity_to_target"] = measurement.fidelity(
+        state, polarization.entangled_ket(cfg.pump_phase_rad))
+    ideal = polarization.propagate_network(cfg.network, cfg.pump_phase_rad).rho
+    pure = polarization.degraded_state(cfg.pump_phase_rad, 1.0).rho
+    summary["network_vs_ideal_frobenius"] = float(np.linalg.norm(ideal - pure))
     return EXIT_OK, {
         "interference.csv": (("alpha_deg", "beta_deg", "probability"), rows),
-        "interference.json": visibilities,
+        "interference.json": summary,
     }
 
 
@@ -344,72 +337,73 @@ def _passes(computed, reference, tolerance, kind) -> bool:
     return bool(rules[kind])
 
 
-#: Tolerances of the report rows, fixed so that no config can loosen a pass rule.
-REPORT_TOLERANCES = {
-    "cluster_spacing_rel": 0.01,
-    "t_fwhm_rel": 0.005,
-    "overlap_abs": 0.005,
-    "chsh_abs": 1e-3,
-    "visibility_abs": 1e-6,
-    "fidelity_abs": 1e-6,
-}
+#: The stages whose payloads the report's rows are read from, each run as a
+#: bare ``<stage>`` call parses.
+REPORT_STAGES = ("cavity", "biphoton", "car", "interference", "chsh")
 
 
-def _report_rows(cfg: ExperimentConfig):
-    """``(quantity, computed, reference, tolerance, kind, source)`` per row; ``source``
-    is "paper" for a published figure and "model" for a closed form of the same
-    config, which checks only self-consistency."""
-    from . import biphoton, cavity, measurement, polarization
+def _report_table(c: float):
+    """``(quantity, artifact, field, reference, tolerance, kind, source)`` per row.
 
-    tol = REPORT_TOLERANCES
-    bp0, bp1 = _biphoton_params(cfg)
-    state = _state_from_config(cfg)
-    c = cfg.coherence
-    target = polarization.entangled_ket(cfg.pump_phase_rad)
-    beta = np.arange(0.0, 361.0, 15.0)
-    ideal = polarization.propagate_network(cfg.network, cfg.pump_phase_rad).rho
-    pure = polarization.degraded_state(cfg.pump_phase_rad, 1.0).rho
+    ``field`` is the dotted path of the value in the stage artifact, a list
+    index where the payload holds a list.  ``source`` is "paper" for a
+    published figure and "model" for a closed form in the coherence ``c``,
+    which checks only self-consistency.  The tolerances are fixed here, so
+    that no config can loosen a pass rule.
+    """
+    cavity, biphoton = "cavity/cavity_summary.json", "biphoton/biphoton.json"
+    interference, chsh = "interference/interference.json", "chsh/chsh.json"
     return (
-        ("cluster_spacing_ppktp0_ghz",
-         cavity.cluster_spacing(cfg.ppktp0.fsr_h_ghz, cfg.ppktp0.fsr_v_ghz),
-         1060.0, tol["cluster_spacing_rel"], "rel", "paper"),
-        ("cluster_spacing_ppktp1_ghz",
-         cavity.cluster_spacing(cfg.ppktp1.fsr_h_ghz, cfg.ppktp1.fsr_v_ghz),
-         1260.0, tol["cluster_spacing_rel"], "rel", "paper"),
-        ("t_fwhm_ppktp0_ns", biphoton.t_fwhm_ns(bp0), 0.483, tol["t_fwhm_rel"], "rel", "paper"),
-        ("t_fwhm_ppktp1_ns", biphoton.t_fwhm_ns(bp1), 0.550, tol["t_fwhm_rel"], "rel", "paper"),
-        ("spectral_overlap", biphoton.spectral_overlap(bp0, bp1), 0.879,
-         tol["overlap_abs"], "abs", "paper"),
-        ("single_mode_margin_ppktp0_ghz", cavity.single_mode_margin(cfg.ppktp0),
+        ("cluster_spacing_ppktp0_ghz", cavity, "crystals.0.cluster_spacing_ghz",
+         1060.0, 0.01, "rel", "paper"),
+        ("cluster_spacing_ppktp1_ghz", cavity, "crystals.1.cluster_spacing_ghz",
+         1260.0, 0.01, "rel", "paper"),
+        ("t_fwhm_ppktp0_ns", biphoton, "crystals.0.t_fwhm_ns", 0.483, 0.005, "rel", "paper"),
+        ("t_fwhm_ppktp1_ns", biphoton, "crystals.1.t_fwhm_ns", 0.550, 0.005, "rel", "paper"),
+        ("spectral_overlap", biphoton, "spectral_overlap", 0.879, 0.005, "abs", "paper"),
+        ("single_mode_margin_ppktp0_ghz", cavity, "crystals.0.single_mode_margin_ghz",
          0.0, 0.0, "bound", "paper"),
-        ("single_mode_margin_ppktp1_ghz", cavity.single_mode_margin(cfg.ppktp1),
+        ("single_mode_margin_ppktp1_ghz", cavity, "crystals.1.single_mode_margin_ghz",
          0.0, 0.0, "bound", "paper"),
-        ("visibility_0deg", measurement.interference_curve(state, 0.0, beta).visibility,
-         1.0, tol["visibility_abs"], "abs", "model"),
-        ("visibility_45deg", measurement.interference_curve(state, 45.0, beta).visibility,
-         c, tol["visibility_abs"], "abs", "model"),
-        ("chsh_s_at_phi_settings", measurement.chsh_S(state, measurement.PHI_SETTINGS),
-         math.sqrt(2.0) * (1.0 + c), tol["chsh_abs"], "abs", "model"),
-        ("chsh_s_max", measurement.chsh_max(state).s_value,
-         2.0 * math.sqrt(1.0 + c * c), tol["chsh_abs"], "abs", "model"),
-        ("fidelity_to_target", measurement.fidelity(state, target),
-         (1.0 + c) / 2.0, tol["fidelity_abs"], "abs", "model"),
-        ("car_model_at_config_power", cfg.links.car_at_config_power,
+        ("visibility_0deg", interference, "visibility_0deg", 1.0, 1e-6, "abs", "model"),
+        ("visibility_45deg", interference, "visibility_45deg", c, 1e-6, "abs", "model"),
+        ("chsh_s_at_phi_settings", chsh, "s_at_phi_settings",
+         math.sqrt(2.0) * (1.0 + c), 1e-3, "abs", "model"),
+        ("chsh_s_max", chsh, "s_max", 2.0 * math.sqrt(1.0 + c * c), 1e-3, "abs", "model"),
+        ("fidelity_to_target", interference, "fidelity_to_target",
+         (1.0 + c) / 2.0, 1e-6, "abs", "model"),
+        ("car_model_at_config_power", "car/car_summary.json", "car_at_config_power",
          6000.0, 0.0, "bound", "paper"),
-        ("network_vs_ideal_frobenius", float(np.linalg.norm(ideal - pure)),
+        ("network_vs_ideal_frobenius", interference, "network_vs_ideal_frobenius",
          1e-10, 0.0, "upper", "model"),
     )
 
 
+def _field(payload, path: str):
+    for key in path.split("."):
+        payload = payload[int(key) if isinstance(payload, list) else key]
+    return payload
+
+
 def _cmd_report(cfg, args, seed, seed_source):
-    table = [
-        (name, computed, ref, tol, kind, _passes(computed, ref, tol, kind), source)
-        for name, computed, ref, tol, kind, source in _report_rows(cfg)
-    ]
+    artifacts = {}
+    for stage in REPORT_STAGES:
+        try:
+            _, produced = _COMMANDS[stage](cfg, build_parser().parse_args([stage]), seed,
+                                           seed_source)
+        except Exception as exc:
+            raise RuntimeError(f"{stage}: {_error_line(exc)}") from exc
+        artifacts.update((f"{stage}/{name}", artifact) for name, artifact in produced.items())
+    table = []
+    for name, artifact, field, ref, tol, kind, source in _report_table(cfg.coherence):
+        computed = _field(artifacts[artifact], field)
+        table.append((name, computed, ref, tol, kind, _passes(computed, ref, tol, kind), source,
+                      artifact, field))
     rows = [dict(zip(REPORT_COLUMNS, row)) for row in table]
     passed = all(r["passed"] for r in rows)
     # report.json carries every row, so no table stands in for it under --format json
-    artifacts = {"report.csv": (REPORT_COLUMNS, table)} if args.format == "csv" else {}
+    if args.format == "csv":
+        artifacts["report.csv"] = (REPORT_COLUMNS, table)
     artifacts["report.json"] = {"rows": rows, "all_passed": passed}
     width = max(len(r["quantity"]) for r in rows)
     for r in rows:
@@ -509,18 +503,18 @@ def main(argv=None) -> int:
     try:
         code, artifacts = _COMMANDS[args.command](cfg, args, seed, seed_source)
         for name, artifact in artifacts.items():
+            path = out / name
+            path.parent.mkdir(exist_ok=True)  # a report stage's subdirectory
             if isinstance(artifact, dict):
-                _write_json(out / name, artifact)
+                _write_json(path, artifact)
             elif isinstance(artifact, tuple):
-                _write_table(out / name, *artifact, args.format)
+                _write_table(path, *artifact, args.format)
             else:  # a time-tag stream, so photostats is loaded already
                 from .photostats import write_ttag
 
-                write_ttag(artifact, out / name)
+                write_ttag(artifact, path)
     except Exception as exc:
-        # a type that names no user error (a ZeroDivisionError, say) prefixes its name
-        expected = isinstance(exc, (ValueError, RuntimeError, OSError))
-        error = str(exc) if expected else f"{type(exc).__name__}: {exc}"
+        error = _error_line(exc)
         print(f"error: {error}", file=sys.stderr)
         code = EXIT_RUNTIME
     _write_json(

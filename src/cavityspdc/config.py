@@ -28,6 +28,9 @@ _MIN_G2_BINS = 20
 #: about 6e5 s, is margin for the delays and jitter added to pair times.
 MAX_DURATION_S = 4e6
 
+#: Pump powers in mW that car's model curve spans, lowest and highest.
+CAR_CURVE_POWER_MW = (0.5, 250.0)
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message carries the offending field path."""
@@ -160,7 +163,7 @@ def detected_rates(rate: float, chain: DetectionChain) -> tuple[float, float, fl
     C = eta_s * eta_i * rate, per second, and the accidentals per window
     A = S_s * S_i * window, of pairs generated at rate per second."""
     if not math.isfinite(rate) or rate < 0.0:
-        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
+        raise ValueError(f"rate must be finite and >= 0, got {float(rate)!r}")
     singles_s = chain.eta_s * rate + chain.dark_s_per_s
     singles_i = chain.eta_i * rate + chain.dark_i_per_s
     accidentals = singles_s * singles_i * chain.window_ns * 1e-9
@@ -226,6 +229,9 @@ class Links:
         rate, k = pair_rate(source), pair_rate(source, 1.0)
         if not math.isfinite(rate):
             raise ConfigError("source.brightness_per_s_mw_mhz * source.power_mw overflows")
+        if not math.isfinite(k * CAR_CURVE_POWER_MW[1]):
+            raise ConfigError("source.brightness_per_s_mw_mhz overflows the pair rate at "
+                              f"car's highest curve power, {CAR_CURVE_POWER_MW[1]:g} mW")
         optimum = power = peak = curve = None
         if min(chain.eta_s, chain.eta_i, chain.dark_s_per_s, chain.dark_i_per_s) > 0.0:
             optimum = car_optimal_rate(chain)  # finite, as DetectionChain checks

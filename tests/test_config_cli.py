@@ -17,9 +17,9 @@ from cavityspdc.cli import (
     EXIT_REPORT_FAIL,
     EXIT_RUNTIME,
     REPORT_COLUMNS,
+    REPORT_STAGES,
     SWEEP_POINTS,
     _passes,
-    _report_rows,
     main,
 )
 from cavityspdc.config import (
@@ -359,8 +359,11 @@ class TestCli:
             ({}, "5", ["simulate", "--duration", "1e-7"], "empty stream"),
             # a bootstrap resample of one count per setting that holds none
             ({"tomo_counts_per_setting": 1}, "1", ["tomo"], "no counts"),
+            # a stage that fails ends the report, whose error names the stage
+            ({"tomo_counts_per_setting": 1}, "1", ["report"],
+             "error: chsh: zero total counts in one basis pair"),
         ],
-        ids=["simulate", "tomo"],
+        ids=["simulate", "tomo", "report"],
     )
     def test_failed_run_writes_only_metadata(self, tmp_path, capsys, payload, seed, argv,
                                              message):
@@ -369,7 +372,8 @@ class TestCli:
         out = tmp_path / "out"
         code = main(["--config", str(path), "--seed", seed, "--out", str(out), *argv])
         assert code == EXIT_RUNTIME
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
         assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
         meta = json.loads((out / "metadata.json").read_text())
         assert (meta["status"], meta["exit_status"]) == ("failed", EXIT_RUNTIME)
@@ -494,6 +498,11 @@ class TestCli:
             ({"chain": {"eta_s": 5e-324}}, OPTIMUM_OVERFLOWS),
             ({"chain": {"eta_s": 1e-200, "eta_i": 1e-200}}, OPTIMUM_OVERFLOWS),
             ({"chain": {"eta_s": 1e-160, "eta_i": 1e-160}}, OPTIMUM_OVERFLOWS),
+            # a brightness whose pair rate overflows on car's curve, if not at
+            # the pump power
+            ({"source": {"brightness_per_s_mw_mhz": 1e308, "power_mw": 0}},
+             "source.brightness_per_s_mw_mhz overflows the pair rate at car's highest "
+             "curve power, 250 mW"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
@@ -840,12 +849,27 @@ class TestReport:
         assert {r["quantity"] for r in rows if r["source"] == "paper"} == PAPER_ROWS
 
     @pytest.mark.parametrize("coherence", [0.0, 0.25, 0.5, 0.8709, 1.0])
-    def test_model_rows_hold_at_any_coherence(self, coherence):
-        cfg = config_from_dict({"coherence": coherence})
-        model = [row for row in _report_rows(cfg) if row[-1] == "model"]
+    def test_model_rows_hold_at_any_coherence(self, tmp_path, coherence):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"coherence": coherence}))
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--seed", "5", "--out", str(out), "report"]) == 0
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        model = [row for row in rows if row["source"] == "model"]
         assert len(model) == 6
-        for name, computed, reference, tolerance, kind, _ in model:
-            assert _passes(computed, reference, tolerance, kind), name
+        for row in model:
+            assert _passes(row["computed"], row["reference"], row["tolerance"], row["kind"]), \
+                row["quantity"]
+
+    def test_rows_are_read_from_the_stage_artifacts(self, tmp_path):
+        assert main(["--seed", "5", "--out", str(tmp_path), "report"]) == 0
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert {row["artifact"].split("/")[0] for row in rows} == set(REPORT_STAGES)
+        for row in rows:
+            value = json.loads((tmp_path / row["artifact"]).read_text())
+            for key in row["field"].split("."):
+                value = value[int(key) if isinstance(value, list) else key]
+            assert value == row["computed"], row["quantity"]
 
 
 def test_import_loads_no_scipy(fresh_python):
@@ -903,8 +927,9 @@ SUBCOMMAND_MODULES = {
     "interference": {"polarization", "measurement"},
     "chsh": {"polarization", "measurement", "numpy.random"},
     "tomo": {"polarization", "measurement", "numpy.random"},
-    "report": {"cavity", "polarization", "measurement", "biphoton"},
 }
+#: report runs its stages, so loads what they load.
+SUBCOMMAND_MODULES["report"] = set().union(*(SUBCOMMAND_MODULES[s] for s in REPORT_STAGES))
 
 
 @pytest.mark.parametrize("call", SUBCOMMAND_MODULES)
@@ -1041,7 +1066,9 @@ def _artifacts(out, argv, config=None, code=EXIT_OK):
     if code == EXIT_CONFIG:
         assert not out.exists()
         return {}
-    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "metadata.json"}
+    # report's stages write theirs under out/<stage>
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*")
+            if p.is_file() and p.name != "metadata.json"}
 
 
 @pytest.fixture(scope="module")

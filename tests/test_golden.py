@@ -7,7 +7,9 @@ ufuncs, LAPACK or an iterative fit, whose last digits may differ on another
 CPU or numpy build, so its parsed values are stored instead: keys, strings,
 booleans and nulls compare exactly, and numbers at the relative tolerance
 RTOL, except the few in ROUND_OFF.  metadata.json is compared by its key set and by every field that is
-not a time or a version.
+not a time or a version.  report's entry holds its own files only: each of
+its stage subdirectories is the stage's standalone run byte for byte, which
+test_report_stages_are_the_standalone_runs checks.
 
 A change that moves an artifact rewrites the table in the same commit with
 ``PYTHONPATH=src python tests/test_golden.py``, and lists the old and new
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from cavityspdc.cli import main
+from cavityspdc.cli import REPORT_STAGES, main
 
 GOLDEN = Path(__file__).with_name("golden_seed5.json")
 
@@ -93,6 +95,8 @@ def _snapshot(name: str, code: int, out: Path) -> dict:
     """The table entry of one run's exit status and output directory."""
     entry = {"exit_status": code, "sha256": {}, "values": {}}
     for path in sorted(out.iterdir()):
+        if path.is_dir():  # a report stage's, the standalone run of that stage
+            continue
         if path.name == "metadata.json":
             meta = json.loads(path.read_text())
             entry["metadata_keys"] = sorted(meta)
@@ -141,6 +145,24 @@ def golden():
 def test_seed5_run_matches_the_golden_table(golden, tmp_path, name):
     difference = _first_difference(golden[name], _snapshot(*_run(name, tmp_path)))
     assert difference is None, f"{name}: {difference}"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_stages_are_the_standalone_runs(tmp_path, fmt):
+    def files(out):
+        return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*")
+                if p.is_file() and p.name != "metadata.json"}
+
+    report = tmp_path / "report"
+    assert main(["--seed", "5", "--format", fmt, "--out", str(report), "report"]) == 0
+    stages = {}
+    for stage in REPORT_STAGES:
+        out = tmp_path / stage
+        assert main(["--seed", "5", "--format", fmt, "--out", str(out), stage]) == 0
+        stages.update((f"{stage}/{name}", data) for name, data in files(out).items())
+    nested = {name: data for name, data in files(report).items() if "/" in name}
+    assert sorted(nested) == sorted(stages)
+    assert [name for name in stages if nested[name] != stages[name]] == []
 
 
 if __name__ == "__main__":
