@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CavitySpec, _require_positive  # CavitySpec keeps its path here
-
-SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
+# CavitySpec, effective_index and the speed of light keep their paths here
+from .config import (SPEED_OF_LIGHT_M_PER_S, CavitySpec, _airy_coefficient, _require_positive,
+                     effective_index)
 
 JOINT_POL = "HV"  # paired signal/idler cluster modes
 
@@ -44,9 +44,11 @@ def airy_transmission(detuning_ghz, fsr_ghz: float, fwhm_mhz: float):
     detuning_ghz = np.asarray(detuning_ghz, dtype=float)
     if not np.all(np.isfinite(detuning_ghz)):
         raise ValueError("detuning must be finite")
-    finesse = fsr_ghz / (fwhm_mhz * 1e-3)
+    coefficient = _airy_coefficient(fsr_ghz, fwhm_mhz)
+    if not math.isfinite(coefficient):
+        raise ValueError("the finesse fsr / fwhm overflows the Airy coefficient (2F/pi)^2")
     s = np.sin(np.pi * detuning_ghz / fsr_ghz)
-    out = 1.0 / (1.0 + (2.0 * finesse / np.pi) ** 2 * s * s)
+    out = 1.0 / (1.0 + coefficient * s * s)
     return float(out) if out.ndim == 0 else out
 
 
@@ -96,12 +98,6 @@ def dwdm_cluster_count(spec: CavitySpec, center_offset_ghz: float, width_ghz: fl
     return max(0, ks.stop - ks.start)
 
 
-def effective_index(length_mm: float, fsr_ghz: float) -> float:
-    """Group index implied by a standing-wave FSR: c0 / (2 * L * FSR)."""
-    _require_positive(length_mm=length_mm, fsr_ghz=fsr_ghz)
-    return SPEED_OF_LIGHT_M_PER_S / (2.0 * length_mm * 1e-3 * fsr_ghz * 1e9)
-
-
 def cluster_comb(spec: CavitySpec, span_ghz: float) -> ModeComb:
     """Comb of joint signal/idler cluster centers over +-span/2.
 
@@ -120,5 +116,5 @@ def phase_matching_envelope(offset_ghz: float, spec: CavitySpec) -> float:
     contractual, since the source characterization does not pin down the
     profile's shape.
     """
-    fwhm_ghz = spec.pm_fwhm_thz * 1e3
-    return math.exp(-4.0 * math.log(2.0) * (offset_ghz / fwhm_ghz) ** 2)
+    x = offset_ghz / (spec.pm_fwhm_thz * 1e3)
+    return math.exp(-4.0 * math.log(2.0) * (x * x))  # x ** 2 raises OverflowError

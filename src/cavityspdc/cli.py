@@ -61,10 +61,24 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
+#: Tables whose CSV name with a .json suffix would name a summary of the same
+#: run, and the file each is written to under --format json instead.
+_JSON_TABLE_NAMES = {"interference.csv": "interference_curve.json"}
+
+
+def _file_name(name: str, artifact, fmt: str) -> str:
+    """The path, relative to --out, of the artifact named ``name``: a table's
+    .json twin under --format json, otherwise ``name`` itself."""
+    if fmt == "csv" or not isinstance(artifact, tuple):
+        return name
+    path = Path(name)
+    return path.with_name(_JSON_TABLE_NAMES.get(path.name, f"{path.stem}.json")).as_posix()
+
+
 def _write_table(path: Path, header, rows, fmt: str) -> None:
-    """Tabular artifact in the requested format, fixed basename per command."""
+    """Tabular artifact in the requested format."""
     if fmt == "json":
-        _write_json(path.with_suffix(".json"), {"columns": header, "rows": list(rows)})
+        _write_json(path, {"columns": header, "rows": list(rows)})
         return
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -85,12 +99,6 @@ def _resolve_seed(args, cfg: ExperimentConfig):
     if cfg.seed is not None:
         return cfg.seed, "config"
     return int.from_bytes(os.urandom(4), "little"), "generated"
-
-
-def _state_from_config(cfg: ExperimentConfig):
-    from .polarization import degraded_state
-
-    return degraded_state(cfg.pump_phase_rad, cfg.coherence)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +238,7 @@ def _cmd_simulate(cfg, args, seed, seed_source):
 def _cmd_interference(cfg, args, seed, seed_source):
     from . import measurement, polarization
 
-    state = _state_from_config(cfg)
+    state = polarization.propagate_network(cfg.network, cfg.pump_phase_rad, cfg.coherence)
     beta = np.arange(0.0, 361.0, 7.5)
     rows = []
     summary = {}
@@ -239,13 +247,12 @@ def _cmd_interference(cfg, args, seed, seed_source):
         rows.extend((alpha, b, p) for b, p in zip(curve.beta_deg, curve.probs))
         summary[f"visibility_{alpha:g}deg"] = curve.visibility
         summary[f"degenerate_{alpha:g}deg"] = curve.degenerate
-    # the model state against the target, and the displacer network's output
-    # against the ideal state it should synthesize
+    # the network's state against the target, and against the closed form
+    # that the report's model rows assume
     summary["fidelity_to_target"] = measurement.fidelity(
         state, polarization.entangled_ket(cfg.pump_phase_rad))
-    ideal = polarization.propagate_network(cfg.network, cfg.pump_phase_rad).rho
-    pure = polarization.degraded_state(cfg.pump_phase_rad, 1.0).rho
-    summary["network_vs_ideal_frobenius"] = float(np.linalg.norm(ideal - pure))
+    closed = polarization.degraded_state(cfg.pump_phase_rad, cfg.coherence).rho
+    summary["network_vs_ideal_frobenius"] = float(np.linalg.norm(state.rho - closed))
     return EXIT_OK, {
         "interference.csv": (("alpha_deg", "beta_deg", "probability"), rows),
         "interference.json": summary,
@@ -253,9 +260,9 @@ def _cmd_interference(cfg, args, seed, seed_source):
 
 
 def _cmd_chsh(cfg, args, seed, seed_source):
-    from . import measurement
+    from . import measurement, polarization
 
-    state = _state_from_config(cfg)
+    state = polarization.propagate_network(cfg.network, cfg.pump_phase_rad, cfg.coherence)
     result = measurement.chsh_max(state)
     s_canonical = measurement.chsh_S(state, measurement.PHI_SETTINGS)
 
@@ -291,7 +298,7 @@ def _cmd_chsh(cfg, args, seed, seed_source):
 def _cmd_tomo(cfg, args, seed, seed_source):
     from . import measurement, polarization
 
-    state = _state_from_config(cfg)
+    state = polarization.propagate_network(cfg.network, cfg.pump_phase_rad, cfg.coherence)
     record = measurement.tomo_simulate_counts(
         state, cfg.tomo_counts_per_setting, seed
     )
@@ -472,7 +479,8 @@ def main(argv=None) -> int:
     """Run one subcommand; return its exit status.
 
     The subcommand returns its artifacts and they are written here, so an
-    error that stops it writes none.  Once the output directory exists,
+    error that stops it writes none, nor do two artifacts that would share
+    a file.  Once the output directory exists,
     metadata.json is written there whether the command succeeds or fails:
     its ``status`` is "ok" exactly when the exit status is 0, and ``error``
     holds the message of an error that stopped the command (null otherwise).
@@ -502,8 +510,14 @@ def main(argv=None) -> int:
     error = None
     try:
         code, artifacts = _COMMANDS[args.command](cfg, args, seed, seed_source)
+        files = {}
         for name, artifact in artifacts.items():
-            path = out / name
+            file = _file_name(name, artifact, args.format)
+            if file in files or file == "metadata.json":
+                raise RuntimeError(f"two artifacts of one run would be written to {file}")
+            files[file] = artifact
+        for file, artifact in files.items():
+            path = out / file
             path.parent.mkdir(exist_ok=True)  # a report stage's subdirectory
             if isinstance(artifact, dict):
                 _write_json(path, artifact)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .network import (BD, HWP, QWP, CrystalSource, NonInterferingNetworkError,
-                      _network_ket, displacer_network)
+                      _network_kets, displacer_network)
 
 #: Fewest delay-histogram bins fit_exp_g2 accepts.
 _MIN_G2_BINS = 20
@@ -30,6 +30,9 @@ MAX_DURATION_S = 4e6
 
 #: Pump powers in mW that car's model curve spans, lowest and highest.
 CAR_CURVE_POWER_MW = (0.5, 250.0)
+
+#: Vacuum speed of light, which the effective index divides.
+SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
 
 class ConfigError(ValueError):
@@ -44,6 +47,22 @@ def _require_positive(**values):
     for name, value in values.items():
         if not math.isfinite(value) or value <= 0.0:
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _airy_coefficient(fsr_ghz: float, fwhm_mhz: float) -> float:
+    """(2F/pi)^2 of the finesse F = fsr / fwhm; inf where it overflows."""
+    try:
+        return (2.0 * (fsr_ghz / (fwhm_mhz * 1e-3)) / math.pi) ** 2
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def effective_index(length_mm: float, fsr_ghz: float) -> float:
+    """Group index implied by a standing-wave FSR: c0 / (2 * L * FSR); inf
+    where the round trip 2 * L * FSR underflows to 0."""
+    _require_positive(length_mm=length_mm, fsr_ghz=fsr_ghz)
+    round_trip_m_hz = 2.0 * length_mm * 1e-3 * fsr_ghz * 1e9
+    return SPEED_OF_LIGHT_M_PER_S / round_trip_m_hz if round_trip_m_hz else math.inf
 
 
 @dataclass(frozen=True)
@@ -71,10 +90,16 @@ class CavitySpec:
             pm_fwhm_thz=self.pm_fwhm_thz,
             length_mm=self.length_mm,
         )
-        if self.fwhm_h_mhz >= self.fsr_h_ghz * 1e3:
-            raise ValueError("fwhm_h must be below fsr_h")
-        if self.fwhm_v_mhz >= self.fsr_v_ghz * 1e3:
-            raise ValueError("fwhm_v must be below fsr_v")
+        for pol in ("h", "v"):
+            fsr, fwhm = getattr(self, f"fsr_{pol}_ghz"), getattr(self, f"fwhm_{pol}_mhz")
+            if fwhm >= fsr * 1e3:
+                raise ValueError(f"fwhm_{pol} must be below fsr_{pol}")
+            if not math.isfinite(_airy_coefficient(fsr, fwhm)):
+                raise ValueError(f"the finesse fsr_{pol}_ghz / fwhm_{pol}_mhz overflows "
+                                 "the Airy coefficient (2F/pi)^2")
+            if not math.isfinite(effective_index(self.length_mm, fsr)):
+                raise ValueError(f"length_mm * fsr_{pol}_ghz is too small for a finite "
+                                 "effective index c0 / (2 L FSR)")
         if self.fsr_h_ghz == self.fsr_v_ghz:
             raise ValueError("fsr_h_ghz must differ from fsr_v_ghz (degenerate Vernier)")
 
@@ -344,7 +369,7 @@ class ExperimentConfig:
                                   "short of the mean spacing of detected events "
                                   f"({1.0 / events_per_ns:g} ns)")
         try:
-            _network_ket(self.network, self.pump_phase_rad)
+            _network_kets(self.network, self.pump_phase_rad)
         except NonInterferingNetworkError as exc:
             raise ConfigError(f"network: {exc}") from exc
 

@@ -158,9 +158,10 @@ def _apply(element, amps: dict) -> dict:
     return {k: a for k, a in out.items() if abs(a) > _PRUNE}
 
 
-def _network_ket(elements: tuple, pump_phase_rad: float) -> list[complex]:
-    """Output amplitudes over (HH, HV, VH, VV), not normalised, of the pairs
-    that ``polarization.propagate_network`` traces; raises as it does.
+def _network_kets(elements: tuple, pump_phase_rad: float) -> list[list[complex]]:
+    """Output amplitudes over (HH, HV, VH, VV), not normalised, of each
+    crystal's pairs, which ``polarization.propagate_network`` mixes; raises
+    as it does.
 
     The pump enters diagonally polarized on rail (0, 0).  Every element but
     a crystal acts on the pump and on the pairs made so far; crystal k turns
@@ -168,45 +169,46 @@ def _network_ket(elements: tuple, pump_phase_rad: float) -> list[complex]:
     e^{i k pump_phase}.
     """
     pump = {(((0, 0), "H"),): 1.0 / math.sqrt(2.0), (((0, 0), "V"),): 1.0 / math.sqrt(2.0)}
-    pairs: dict = {}
-    k, pumped = 0, False  # pairs may cancel later; that is not an unpumped network
+    crystals: list[dict] = []  # each crystal's pairs, traced on their own
+    pumped = False  # pairs may cancel later; that is not an unpumped network
     for element in elements:
         if not isinstance(element, CrystalSource):
-            pump, pairs = _apply(element, pump), _apply(element, pairs)
+            pump, crystals = _apply(element, pump), [_apply(element, c) for c in crystals]
             continue
         rail = tuple(element.rail)
-        amp = pump.get(((rail, "H"),), 0.0)
+        amp, pairs = pump.get(((rail, "H"),), 0.0), {}
         if abs(amp) > _PRUNE:
             pumped = True
-            key = ((rail, "H"), (rail, "V"))
-            pairs[key] = pairs.get(key, 0.0) + amp * cmath.exp(1j * pump_phase_rad * k)
-        k += 1
+            pairs[(rail, "H"), (rail, "V")] = amp * cmath.exp(1j * pump_phase_rad * len(crystals))
+        crystals.append(pairs)
     if not pumped:
         raise NonInterferingNetworkError("no pump amplitude reaches a crystal")
 
-    rails = {key_a[0] for key_a, _ in pairs} | {key_b[0] for _, key_b in pairs}
+    keys = [key for pairs in crystals for key in pairs]
+    rails = {key_a[0] for key_a, _ in keys} | {key_b[0] for _, key_b in keys}
     if len(rails) != 2:
         raise NonInterferingNetworkError(
             f"non-interfering network: photons occupy rails {sorted(rails)}"
         )
     port0, port1 = sorted(rails, key=lambda r: (r[1], r[0]))
 
-    ket = [0j] * 4
+    kets = [[0j] * 4 for _ in crystals]
     pol_index = {"H": 0, "V": 1}
-    for (key_a, key_b), amp in pairs.items():
-        (rail_a, pol_a), (rail_b, pol_b) = key_a, key_b
-        if rail_a == rail_b:
-            raise NonInterferingNetworkError(
-                "non-interfering network: both photons exit the same rail"
-            )
-        if rail_a == port0:
-            p0, p1 = pol_a, pol_b
-        else:
-            p0, p1 = pol_b, pol_a
-        ket[2 * pol_index[p0] + pol_index[p1]] += amp
+    for ket, pairs in zip(kets, crystals):
+        for (key_a, key_b), amp in pairs.items():
+            (rail_a, pol_a), (rail_b, pol_b) = key_a, key_b
+            if rail_a == rail_b:
+                raise NonInterferingNetworkError(
+                    "non-interfering network: both photons exit the same rail"
+                )
+            if rail_a == port0:
+                p0, p1 = pol_a, pol_b
+            else:
+                p0, p1 = pol_b, pol_a
+            ket[2 * pol_index[p0] + pol_index[p1]] += amp
 
-    if math.hypot(*map(abs, ket)) < 1e-9:
+    if math.hypot(*(abs(sum(amps)) for amps in zip(*kets))) < 1e-9:
         raise NonInterferingNetworkError(
             "non-interfering network: no coincident amplitude at the output ports"
         )
-    return ket
+    return kets

@@ -11,7 +11,7 @@ import numpy as np
 
 # the network's elements keep their paths here
 from .network import (BD, HWP, QWP, CrystalSource, NonInterferingNetworkError,
-                      _network_ket, displacer_network)
+                      _network_kets, displacer_network)
 
 #: Order of the two-photon basis kets indexing every 4x4 density matrix.
 BASIS = ("HH", "HV", "VH", "VV")
@@ -138,7 +138,8 @@ def concurrence(state: TwoPhotonState) -> float:
 # Propagation
 
 
-def propagate_network(elements: tuple, pump_phase_rad: float) -> TwoPhotonState:
+def propagate_network(elements: tuple, pump_phase_rad: float,
+                      coherence: float = 1.0) -> TwoPhotonState:
     """Trace both photons of each pair through the displacer network.
 
     The pump enters diagonally polarized on rail (0, 0).  Every element but
@@ -147,5 +148,15 @@ def propagate_network(elements: tuple, pump_phase_rad: float) -> TwoPhotonState:
     e^{i k pump_phase}, which absorbs all path-length phases.  The output
     must interfere: every pair term has to place its two photons on the
     same two exit rails, otherwise the network is rejected.
+
+    The coherence c is the overlap of the crystals' pair amplitudes psi_k:
+    rho is c |sum psi_k><sum psi_k| + (1 - c) sum |psi_k><psi_k|, normalised.
     """
-    return TwoPhotonState.from_pure(_network_ket(elements, pump_phase_rad))
+    if not 0.0 <= coherence <= 1.0:
+        raise ValueError(f"coherence must lie in [0, 1], got {coherence!r}")
+    kets = np.array(_network_kets(elements, pump_phase_rad))
+    total = kets.sum(axis=0)
+    rho = coherence * np.outer(total, total.conj()) + (1.0 - coherence) * (kets.T @ kets.conj())
+    # the Hermitian part: numpy's vectorised complex multiply can leave
+    # round-off, which depends on the CPU, in the diagonal's imaginary parts
+    return TwoPhotonState((rho + rho.conj().T) / (2.0 * rho.trace().real))

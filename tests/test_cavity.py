@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +44,8 @@ class TestAiryTransmission:
             airy_transmission(math.nan, 57.91, 454.0)
         with pytest.raises(ValueError):
             airy_transmission(0.0, 1.0, 2000.0)  # fwhm above the FSR
+        with pytest.raises(ValueError, match="Airy coefficient"):
+            airy_transmission(0.0, 1e300, 454.0)  # (2F/pi)^2 overflows
 
     @given(
         detuning=st.floats(-100.0, 100.0),
@@ -181,12 +184,21 @@ class TestEffectiveIndex:
         with pytest.raises(ValueError):
             effective_index(0.0, 57.91)
 
+    def test_round_trip_that_underflows_is_infinite(self):
+        assert effective_index(5e-324, 57.91) == math.inf
+
 
 class TestPhaseMatchingEnvelope:
     def test_fwhm_is_contractual(self, ppktp0):
         half = 0.5 * ppktp0.pm_fwhm_thz * 1e3
         assert phase_matching_envelope(0.0, ppktp0) == pytest.approx(1.0)
         assert phase_matching_envelope(half, ppktp0) == pytest.approx(0.5, rel=1e-6)
+
+    def test_vanishing_width_gives_zero_weight(self, ppktp0):
+        # (offset / fwhm)^2 overflows; the weight is exp(-inf) = 0, not an error
+        narrow = replace(ppktp0, pm_fwhm_thz=1e-300)
+        assert phase_matching_envelope(1060.0, narrow) == 0.0
+        assert phase_matching_envelope(0.0, narrow) == 1.0
 
     def test_cluster_spacing_beats_half_envelope_width(self, ppktp0, ppktp1):
         # the adjacent cluster sits beyond the envelope half-width for both
@@ -204,6 +216,17 @@ class TestCavitySpecValidation:
                 fwhm_h_mhz=454.0, fwhm_v_mhz=462.0,
                 pm_fwhm_thz=2.04, length_mm=1.47,
             )
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("fsr_h_ghz", 1e300, "fsr_h_ghz / fwhm_h_mhz overflows the Airy coefficient"),
+        ("fwhm_v_mhz", 1e-300, "fsr_v_ghz / fwhm_v_mhz overflows the Airy coefficient"),
+        ("fwhm_h_mhz", 5e-324, "fsr_h_ghz / fwhm_h_mhz overflows the Airy coefficient"),
+        ("length_mm", 5e-324, "length_mm * fsr_h_ghz is too small for a finite effective"),
+    ])
+    def test_airy_coefficient_and_effective_index_must_be_finite(self, ppktp0, field, value,
+                                                                message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(ppktp0, **{field: value})
 
     def test_equal_fsrs_rejected(self, ppktp0):
         # a degenerate Vernier: the clusters would sit infinitely far apart

@@ -503,6 +503,16 @@ class TestCli:
             ({"source": {"brightness_per_s_mw_mhz": 1e308, "power_mw": 0}},
              "source.brightness_per_s_mw_mhz overflows the pair rate at car's highest "
              "curve power, 250 mW"),
+            # a finesse whose Airy coefficient (2F/pi)^2 overflows, and a
+            # length whose round trip leaves no finite effective index
+            ({"ppktp0": {"fsr_h_ghz": 1e300}},
+             "config.ppktp0: the finesse fsr_h_ghz / fwhm_h_mhz overflows"),
+            ({"ppktp0": {"fwhm_h_mhz": 1e-300}},
+             "config.ppktp0: the finesse fsr_h_ghz / fwhm_h_mhz overflows"),
+            ({"ppktp1": {"fwhm_v_mhz": 5e-324}},
+             "config.ppktp1: the finesse fsr_v_ghz / fwhm_v_mhz overflows"),
+            ({"ppktp0": {"length_mm": 5e-324}},
+             "config.ppktp0: length_mm * fsr_h_ghz is too small for a finite effective index"),
         ],
     )
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, payload, names):
@@ -515,26 +525,69 @@ class TestCli:
         assert names in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize(
-        "payload, command, message",
-        [
-            ({"ppktp0": {"length_mm": 5e-324}}, "cavity", "ZeroDivisionError: "),
-            ({"ppktp0": {"fwhm_h_mhz": 1e-300}}, "cavity", "OverflowError: "),
-        ],
-        ids=["cavity-length", "cavity-linewidth"],
-    )
-    def test_unexpected_error_is_one_line_error(self, tmp_path, capsys, payload, command,
-                                                message):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(payload))
+    @pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError],
+                             ids=lambda error: error.__name__)
+    def test_unexpected_error_is_one_line_error(self, tmp_path, capsys, monkeypatch, error):
+        # an error of a type that names no user error, raised inside a stage
+        from cavityspdc import cavity
+
+        def fail(*args):
+            raise error("out of range")
+
+        monkeypatch.setattr(cavity, "effective_index", fail)
         out = tmp_path / "out"
-        code = main(["--config", str(path), "--seed", "5", "--out", str(out), command])
+        code = main(["--seed", "5", "--out", str(out), "cavity"])
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         meta = json.loads((out / "metadata.json").read_text())
         assert (meta["status"], meta["exit_status"]) == ("failed", EXIT_RUNTIME)
         assert err == f"error: {meta['error']}\n"
-        assert meta["error"].startswith(message)
+        assert meta["error"] == f"{error.__name__}: out of range"
+
+    def test_vanishing_phase_matching_width_gives_zero_weight(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"ppktp0": {"pm_fwhm_thz": 1e-300}}))
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--seed", "5", "--out", str(out), "cavity"]) == 0
+        summary = json.loads((out / "cavity_summary.json").read_text())
+        assert summary["crystals"][0]["pm_weight_adjacent_cluster"] == 0.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["cavity", "biphoton", "car", "simulate", "interference",
+                                         "chsh", "tomo", "report"])
+    def test_every_artifact_lands_in_a_file_of_its_own(self, tmp_path, monkeypatch, command,
+                                                       fmt):
+        from cavityspdc import cli
+
+        run, returned = cli._COMMANDS[command], []
+
+        def recorded(*args):
+            code, artifacts = run(*args)
+            returned.extend(artifacts)
+            return code, artifacts
+
+        monkeypatch.setitem(cli._COMMANDS, command, recorded)
+        argv = ["simulate", "--duration", "0.2"] if command == "simulate" else [command]
+        out = tmp_path / "out"
+        assert main(["--seed", "5", "--format", fmt, "--out", str(out), *argv]) == EXIT_OK
+        written = [p for p in out.rglob("*") if p.is_file() and p.name != "metadata.json"]
+        assert len(written) == len(returned) > 0
+        if fmt == "json":
+            assert all(p.suffix in (".json", ".ttag") for p in written)
+
+    def test_artifacts_that_would_share_a_file_stop_the_run(self, tmp_path, monkeypatch,
+                                                            capsys):
+        from cavityspdc import cli
+
+        def clash(*args):
+            return EXIT_OK, {"curve.csv": (("x",), [(1.0,)]), "curve.json": {"x": 1.0}}
+
+        monkeypatch.setitem(cli._COMMANDS, "biphoton", clash)
+        out = tmp_path / "out"
+        assert main(["--format", "json", "--out", str(out), "biphoton"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "error: two artifacts of one run would be written to curve.json\n")
+        assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
 
     def test_config_seed_is_used(self, tmp_path):
         path = tmp_path / "seed.json"
@@ -975,7 +1028,7 @@ PUBLIC_NAMES = [
 #: Names that moved into the numpy-free modules: (old module, new module),
 #: and the names the old module still exports.
 MOVED = {
-    ("cavity", "config"): ("CavitySpec",),
+    ("cavity", "config"): ("CavitySpec", "SPEED_OF_LIGHT_M_PER_S", "effective_index"),
     ("photostats", "config"): ("SourceRate", "DetectionChain", "pair_rate", "detected_rates",
                                "histogram_k_max", "car_model", "car_optimal_rate"),
     ("fitting", "config"): ("car_curve_reference",),
@@ -1109,6 +1162,25 @@ def test_no_config_leaf_is_dead(tmp_path, default_artifacts, leaf):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
     assert _artifacts(tmp_path / "out", argv, path, code) != default_artifacts(argv)
+
+
+def test_network_edit_reaches_the_measured_state(tmp_path, default_artifacts):
+    # a pump plate at 44 degrees, not 45, reshapes the traced state that
+    # interference, chsh and tomo measure; only the report's row that
+    # compares it with the closed form fails
+    network = [dict(element) for element in NETWORK]
+    network[1]["angle_deg"] = 44.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"network": network}))
+    for command in ("interference", "chsh", "tomo"):
+        edited = _artifacts(tmp_path / command, [command], path)
+        default = default_artifacts([command])
+        assert sorted(edited) == sorted(default)
+        assert [name for name in default if edited[name] == default[name]] == []
+    report = json.loads(_artifacts(tmp_path / "report", ["report"], path,
+                                   EXIT_REPORT_FAIL)["report.json"])
+    assert [row["quantity"] for row in report["rows"] if not row["passed"]] == [
+        "network_vs_ideal_frobenius"]
 
 
 def test_car_follows_only_the_pair_crystal(tmp_path, default_artifacts):

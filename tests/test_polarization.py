@@ -173,6 +173,20 @@ class TestDisplacerNetwork:
             expected = degraded_state(theta, 1.0)
             assert np.linalg.norm(got.rho - expected.rho) < 1e-10
 
+    def test_coherence_mixes_the_crystals_into_the_closed_form(self):
+        # c |sum psi_k><sum psi_k| + (1 - c) sum |psi_k><psi_k| over the two
+        # crystals' kets is degraded_state's HH/VV family
+        net = displacer_network()
+        for theta in (0.0, math.pi, 1.234, -2.0):
+            for c in (0.0, 0.5, 0.8709, 1.0):
+                got = propagate_network(net, theta, c).rho
+                assert np.abs(got - degraded_state(theta, c).rho).max() <= 1e-15
+
+    @pytest.mark.parametrize("c", [-0.1, 1.1, math.nan])
+    def test_coherence_outside_unit_interval_raises(self, c):
+        with pytest.raises(ValueError, match="coherence"):
+            propagate_network(displacer_network(), 0.0, c)
+
     def test_missing_relabel_plate_breaks_interference(self):
         net = displacer_network()
         pruned = tuple(
