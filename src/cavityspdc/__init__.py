@@ -16,11 +16,10 @@ _SUBMODULE = {
     **dict.fromkeys(("BiphotonParams", "gamma_prime_mhz", "spectral_overlap", "t_fwhm_ns"),
                     "biphoton"),
     **dict.fromkeys(("ModeComb", "airy_transmission", "build_mode_comb", "cluster_comb",
-                     "cluster_spacing", "dwdm_cluster_count", "effective_index",
-                     "single_mode_margin"), "cavity"),
+                     "cluster_spacing", "dwdm_cluster_count", "single_mode_margin"), "cavity"),
     **dict.fromkeys(("CavitySpec", "DetectionChain", "ExperimentConfig", "SourceRate",
-                     "car_model", "car_optimal_rate", "default_config", "load_config",
-                     "pair_rate", "save_config"), "config"),
+                     "car_model", "car_optimal_rate", "default_config", "effective_index",
+                     "load_config", "pair_rate", "save_config"), "config"),
     **dict.fromkeys(("FitResult", "fit_car_curve", "fit_exp_g2", "fit_lorentzian"), "fitting"),
     **dict.fromkeys(("BellSettings", "PHI_SETTINGS", "ProjectorSetting", "TomographyRecord",
                      "bootstrap_errors", "chsh_S", "chsh_max", "fidelity",

@@ -8,9 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# CavitySpec, effective_index and the speed of light keep their paths here
-from .config import (SPEED_OF_LIGHT_M_PER_S, CavitySpec, _airy_coefficient, _require_positive,
-                     effective_index)
+from .config import CavitySpec, _airy_coefficient, _require_positive
 
 JOINT_POL = "HV"  # paired signal/idler cluster modes
 

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (CAR_CURVE_POWER_MW, MAX_DURATION_S, ConfigError, ExperimentConfig,
-                     config_to_dict, default_config, load_config)
+from .config import (CAR_CURVE_POWER_MW, MAX_DURATION_S, MAX_EVENTS, ConfigError, ExperimentConfig,
+                     config_to_dict, default_config, effective_index, load_config)
 
 SCHEMA_VERSION = 4
 
@@ -142,8 +142,8 @@ def _cmd_cavity(cfg, args, seed, seed_source):
             "name": name,
             "cluster_spacing_ghz": spacing,
             "single_mode_margin_ghz": cavity.single_mode_margin(spec),
-            "effective_index_h": cavity.effective_index(spec.length_mm, spec.fsr_h_ghz),
-            "effective_index_v": cavity.effective_index(spec.length_mm, spec.fsr_v_ghz),
+            "effective_index_h": effective_index(spec.length_mm, spec.fsr_h_ghz),
+            "effective_index_v": effective_index(spec.length_mm, spec.fsr_v_ghz),
             # the neighbouring cluster's emission is not negligible, so the
             # DWDM passband, not the envelope, selects a single cluster
             "pm_weight_adjacent_cluster": cavity.phase_matching_envelope(spacing, spec),
@@ -238,7 +238,7 @@ def _cmd_simulate(cfg, args, seed, seed_source):
 def _cmd_interference(cfg, args, seed, seed_source):
     from . import measurement, polarization
 
-    state = polarization.propagate_network(cfg.network, cfg.pump_phase_rad, cfg.coherence)
+    state = polarization.TwoPhotonState(cfg.rho)
     beta = np.arange(0.0, 361.0, 7.5)
     rows = []
     summary = {}
@@ -262,7 +262,7 @@ def _cmd_interference(cfg, args, seed, seed_source):
 def _cmd_chsh(cfg, args, seed, seed_source):
     from . import measurement, polarization
 
-    state = polarization.propagate_network(cfg.network, cfg.pump_phase_rad, cfg.coherence)
+    state = polarization.TwoPhotonState(cfg.rho)
     result = measurement.chsh_max(state)
     s_canonical = measurement.chsh_S(state, measurement.PHI_SETTINGS)
 
@@ -298,7 +298,7 @@ def _cmd_chsh(cfg, args, seed, seed_source):
 def _cmd_tomo(cfg, args, seed, seed_source):
     from . import measurement, polarization
 
-    state = polarization.propagate_network(cfg.network, cfg.pump_phase_rad, cfg.coherence)
+    state = polarization.TwoPhotonState(cfg.rho)
     record = measurement.tomo_simulate_counts(
         state, cfg.tomo_counts_per_setting, seed
     )
@@ -434,12 +434,14 @@ _COMMANDS = {
 }
 
 
-#: Options checked before any work: option -> (rule, holds).
+#: Options checked before any work: flag -> (rule, holds).  A span's or a
+#: point count's tables grow linearly; 1e5 GHz is +-50 THz.
 _OPTION_RULES = {
-    "duration": (f"finite, > 0 and <= {MAX_DURATION_S:g}",
-                 lambda v: math.isfinite(v) and 0.0 < v <= MAX_DURATION_S),
-    "points": (">= 2", lambda v: v >= 2),
-    "seed": (">= 0", lambda v: v >= 0),
+    "--duration": (f"finite, > 0 and <= {MAX_DURATION_S:g}",
+                   lambda v: math.isfinite(v) and 0.0 < v <= MAX_DURATION_S),
+    "--span-ghz": ("finite, > 0 and <= 1e5", lambda v: math.isfinite(v) and 0.0 < v <= 1e5),
+    "--points": (">= 2 and <= 1e5", lambda v: 2 <= v <= 100_000),
+    "--seed": (">= 0", lambda v: v >= 0),
 }
 
 
@@ -495,9 +497,15 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     for option, (rule, holds) in _OPTION_RULES.items():
-        value = getattr(args, option, None)
+        value = getattr(args, option[2:].replace("-", "_"), None)
         if value is not None and not holds(value):
-            print(f"error: --{option} must be {rule}, got {value!r}", file=sys.stderr)
+            print(f"error: {option} must be {rule}, got {value!r}", file=sys.stderr)
+            return EXIT_CONFIG
+    if args.command == "simulate":
+        events = (cfg.links.singles_s_per_s + cfg.links.singles_i_per_s) * args.duration
+        if events > MAX_EVENTS:
+            print(f"error: --duration {args.duration:g} s expects {events:.3g} events, "
+                  f"more than the {MAX_EVENTS} a record may hold", file=sys.stderr)
             return EXIT_CONFIG
 
     out = args.out

@@ -2,7 +2,7 @@
 
 The source's description lives here with its checks and its rate algebra:
 the cavities, the pair source, the detection chain and, through
-``network``, the displacer network, then the CW detected-rate model (pair
+``network``, the displacer network and its state, then the CW detected-rate model (pair
 rate, singles, coincidences and accidentals), the CAR it implies, the pair
 rate that maximizes it and the reduced CAR curve's parameters.  Neither
 this module nor ``network`` imports numpy, so describing, loading, saving
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .network import (BD, HWP, QWP, CrystalSource, NonInterferingNetworkError,
-                      _network_kets, displacer_network)
+                      _network_rho, displacer_network)
 
 #: Fewest delay-histogram bins fit_exp_g2 accepts.
 _MIN_G2_BINS = 20
@@ -27,6 +27,10 @@ _MIN_G2_BINS = 20
 #: t in ps, as int64, which holds t below 2**62 ps (4.6e6 s); the rest,
 #: about 6e5 s, is margin for the delays and jitter added to pair times.
 MAX_DURATION_S = 4e6
+
+#: Most events a simulated record may be expected to hold.  simulate peaks
+#: at about 15 B of memory per event, so this is about 4 GB.
+MAX_EVENTS = 2**28
 
 #: Pump powers in mW that car's model curve spans, lowest and highest.
 CAR_CURVE_POWER_MW = (0.5, 250.0)
@@ -368,10 +372,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must keep the delay scan ({limit_ns:g} ns) "
                                   "short of the mean spacing of detected events "
                                   f"({1.0 / events_per_ns:g} ns)")
-        try:
-            _network_kets(self.network, self.pump_phase_rad)
+        try:  # derived like links: the state that every stage measures
+            rho = _network_rho(self.network, self.pump_phase_rad, self.coherence)
         except NonInterferingNetworkError as exc:
             raise ConfigError(f"network: {exc}") from exc
+        object.__setattr__(self, "rho", rho)
 
 
 def default_config() -> ExperimentConfig:

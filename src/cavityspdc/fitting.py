@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .biphoton import FWHM_FACTOR
-# the reduced CAR curve's parameters keep their path here
-from .config import _MIN_G2_BINS, car_curve_reference
+from .config import _MIN_G2_BINS
 
 _FD_REL_STEP = 1e-6
 _MAX_ITER = 200

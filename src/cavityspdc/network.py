@@ -158,16 +158,21 @@ def _apply(element, amps: dict) -> dict:
     return {k: a for k, a in out.items() if abs(a) > _PRUNE}
 
 
-def _network_kets(elements: tuple, pump_phase_rad: float) -> list[list[complex]]:
-    """Output amplitudes over (HH, HV, VH, VV), not normalised, of each
-    crystal's pairs, which ``polarization.propagate_network`` mixes; raises
-    as it does.
+def _network_rho(elements: tuple, pump_phase_rad: float,
+                 coherence: float) -> tuple[tuple[complex, ...], ...]:
+    """The output photons' density matrix over (HH, HV, VH, VV), as rows of
+    unit trace: c |sum psi_k><sum psi_k| + (1 - c) sum |psi_k><psi_k| of the
+    crystals' pair amplitudes psi_k, whose overlap is the coherence c.
 
     The pump enters diagonally polarized on rail (0, 0).  Every element but
     a crystal acts on the pump and on the pairs made so far; crystal k turns
     the H pump amplitude on its rail into an (H, V) pair with the phase
-    e^{i k pump_phase}.
+    e^{i k pump_phase}, which absorbs all path-length phases.  Both photons
+    of every pair must exit on the same two rails, or the network does not
+    interfere.  Each entry is computed as the exact conjugate of its mirror.
     """
+    if not 0.0 <= coherence <= 1.0:
+        raise ValueError(f"coherence must lie in [0, 1], got {coherence!r}")
     pump = {(((0, 0), "H"),): 1.0 / math.sqrt(2.0), (((0, 0), "V"),): 1.0 / math.sqrt(2.0)}
     crystals: list[dict] = []  # each crystal's pairs, traced on their own
     pumped = False  # pairs may cancel later; that is not an unpumped network
@@ -207,8 +212,13 @@ def _network_kets(elements: tuple, pump_phase_rad: float) -> list[list[complex]]
                 p0, p1 = pol_b, pol_a
             ket[2 * pol_index[p0] + pol_index[p1]] += amp
 
-    if math.hypot(*(abs(sum(amps)) for amps in zip(*kets))) < 1e-9:
+    total = [sum(amps) for amps in zip(*kets)]
+    if math.hypot(*map(abs, total)) < 1e-9:
         raise NonInterferingNetworkError(
             "non-interfering network: no coincident amplitude at the output ports"
         )
-    return kets
+    rho = [[coherence * (a * b.conjugate())
+            + (1.0 - coherence) * sum(ket[i] * ket[j].conjugate() for ket in kets)
+            for j, b in enumerate(total)] for i, a in enumerate(total)]
+    trace = sum(rho[i][i].real for i in range(4))
+    return tuple(tuple(entry / trace for entry in row) for row in rho)

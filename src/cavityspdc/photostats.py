@@ -11,9 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biphoton import BiphotonParams, coherence_scale_ps
-# the source and chain descriptions and their rate algebra keep their paths here
-from .config import (MAX_DURATION_S, DetectionChain, SourceRate, car_model,
-                     car_optimal_rate, detected_rates, histogram_k_max, pair_rate)
+from .config import MAX_DURATION_S, DetectionChain, SourceRate, histogram_k_max, pair_rate
 from .polarization import _exact
 
 TTAG_MAGIC = b"TTAG1\x00"

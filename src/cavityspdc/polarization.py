@@ -9,9 +9,7 @@ import math
 
 import numpy as np
 
-# the network's elements keep their paths here
-from .network import (BD, HWP, QWP, CrystalSource, NonInterferingNetworkError,
-                      _network_kets, displacer_network)
+from .network import _network_rho
 
 #: Order of the two-photon basis kets indexing every 4x4 density matrix.
 BASIS = ("HH", "HV", "VH", "VV")
@@ -140,23 +138,6 @@ def concurrence(state: TwoPhotonState) -> float:
 
 def propagate_network(elements: tuple, pump_phase_rad: float,
                       coherence: float = 1.0) -> TwoPhotonState:
-    """Trace both photons of each pair through the displacer network.
-
-    The pump enters diagonally polarized on rail (0, 0).  Every element but
-    a crystal acts on the pump and on the pairs made so far; crystal k turns
-    the H pump amplitude on its rail into an (H, V) pair with the phase
-    e^{i k pump_phase}, which absorbs all path-length phases.  The output
-    must interfere: every pair term has to place its two photons on the
-    same two exit rails, otherwise the network is rejected.
-
-    The coherence c is the overlap of the crystals' pair amplitudes psi_k:
-    rho is c |sum psi_k><sum psi_k| + (1 - c) sum |psi_k><psi_k|, normalised.
-    """
-    if not 0.0 <= coherence <= 1.0:
-        raise ValueError(f"coherence must lie in [0, 1], got {coherence!r}")
-    kets = np.array(_network_kets(elements, pump_phase_rad))
-    total = kets.sum(axis=0)
-    rho = coherence * np.outer(total, total.conj()) + (1.0 - coherence) * (kets.T @ kets.conj())
-    # the Hermitian part: numpy's vectorised complex multiply can leave
-    # round-off, which depends on the CPU, in the diagonal's imaginary parts
-    return TwoPhotonState((rho + rho.conj().T) / (2.0 * rho.trace().real))
+    """The network's output state: the crystals' pair amplitudes traced and
+    mixed at the coherence c by ``network._network_rho``, whose errors it raises."""
+    return TwoPhotonState(_network_rho(elements, pump_phase_rad, coherence))

@@ -42,7 +42,8 @@ from cavityspdc import (
     tomo_mle,
     tomo_simulate_counts,
 )
-from cavityspdc.fitting import car_curve_reference, exp_decay, lorentzian
+from cavityspdc.config import car_curve_reference
+from cavityspdc.fitting import exp_decay, lorentzian
 from cavityspdc.measurement import bootstrap_errors
 
 CFG = default_config()

@@ -23,6 +23,7 @@ from cavityspdc.cli import (
     main,
 )
 from cavityspdc.config import (
+    MAX_EVENTS,
     ConfigError,
     Links,
     car_curve_reference,
@@ -32,7 +33,7 @@ from cavityspdc.config import (
     detected_rates,
     pair_rate,
 )
-from cavityspdc.polarization import BD, HWP, CrystalSource, displacer_network
+from cavityspdc.network import BD, HWP, CrystalSource, displacer_network
 
 DEFAULT = default_config()
 #: The config error of efficiencies too small for a finite CAR optimum.
@@ -67,9 +68,10 @@ class TestConfig:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             config_from_dict({"nonsense": 1})
-        # the derived links are no key either
-        with pytest.raises(ConfigError, match=r"^config\.links: unknown key$"):
-            config_from_dict({"links": {}})
+        # the derived links and state are no keys either
+        for key in ("links", "rho"):
+            with pytest.raises(ConfigError, match=rf"^config\.{key}: unknown key$"):
+                config_from_dict({key: {}})
 
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError, match="chain"):
@@ -195,6 +197,21 @@ class TestCli:
         assert rows["fidelity_to_target"]["computed"] == pytest.approx(
             0.9355, abs=1e-4
         )
+
+    def test_report_traces_the_network_once(self, tmp_path, monkeypatch):
+        # the config's build traces it; every stage measures the config's state
+        from cavityspdc import config, network, polarization
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return network._network_rho(*args)
+
+        for module in (config, polarization):
+            monkeypatch.setattr(module, "_network_rho", counted)
+        assert main(["--seed", "5", "--out", str(tmp_path), "report"]) == EXIT_OK
+        assert calls == [(DEFAULT.network, DEFAULT.pump_phase_rad, DEFAULT.coherence)]
 
     def test_cavity_outputs(self, tmp_path):
         assert main(["--out", str(tmp_path), "cavity"]) == 0
@@ -534,7 +551,7 @@ class TestCli:
         def fail(*args):
             raise error("out of range")
 
-        monkeypatch.setattr(cavity, "effective_index", fail)
+        monkeypatch.setattr(cavity, "single_mode_margin", fail)
         out = tmp_path / "out"
         code = main(["--seed", "5", "--out", str(out), "cavity"])
         assert code == EXIT_RUNTIME
@@ -638,6 +655,36 @@ class TestCli:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: --duration") and err.count("\n") == 1
+        assert not out.exists()
+
+    # a span or a point count grows its stage's tables linearly
+    @pytest.mark.parametrize("argv", [
+        ["cavity", "--span-ghz", "0"], ["cavity", "--span-ghz", "-1"],
+        ["cavity", "--span-ghz", "nan"], ["cavity", "--span-ghz", "inf"],
+        ["cavity", "--span-ghz", "100001"], ["cavity", "--span-ghz", "1e12"],
+        ["car", "--points", "100001"], ["car", "--points", "1000000000"],
+    ], ids=" ".join)
+    def test_span_or_points_out_of_bounds_is_one_line_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[1]} must be") and err.count("\n") == 1
+        assert not out.exists()
+
+    # 4e6 s at the default 12,222.5 events/s, and 30 s at a pump power that
+    # detects 1.0e7 events/s, about half what the delay scan allows
+    @pytest.mark.parametrize("payload, duration", [({}, "4e6"),
+                                                   ({"source": {"power_mw": 125_000.0}}, "30")],
+                             ids=["default-4e6", "125W-30"])
+    def test_simulate_past_max_events_is_one_line_error(self, tmp_path, capsys, payload,
+                                                          duration):
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps(payload))
+        code = main(["--config", str(path), "--out", str(out), "simulate", "--duration", duration])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --duration {float(duration):g} s expects ")
+        assert f"more than the {MAX_EVENTS} " in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_simulate_reports_accidentals(self, tmp_path):
@@ -961,6 +1008,8 @@ def test_describing_the_experiment_loads_no_numpy(tmp_path, fresh_python):
         "cavityspdc.car_optimal_rate(cfg.chain)\n"
         "cavityspdc.config.car_curve_reference(cfg.source, cfg.chain)\n"
         "assert cfg.links.car_at_config_power > 6000.0\n"
+        "assert cfg.rho[0][0] == cfg.rho[3][3] == 0.5\n"
+        "cavityspdc.effective_index(cfg.ppktp0.length_mm, cfg.ppktp0.fsr_h_ghz)\n"
         "print('numpy' in sys.modules)\n"
     )
     assert fresh_python(code, tmp_path / "cfg.json") == "False"
@@ -1025,27 +1074,12 @@ PUBLIC_NAMES = [
     "write_ttag",
 ]
 
-#: Names that moved into the numpy-free modules: (old module, new module),
-#: and the names the old module still exports.
-MOVED = {
-    ("cavity", "config"): ("CavitySpec", "SPEED_OF_LIGHT_M_PER_S", "effective_index"),
-    ("photostats", "config"): ("SourceRate", "DetectionChain", "pair_rate", "detected_rates",
-                               "histogram_k_max", "car_model", "car_optimal_rate"),
-    ("fitting", "config"): ("car_curve_reference",),
-    ("polarization", "network"): ("BD", "HWP", "QWP", "CrystalSource",
-                                  "NonInterferingNetworkError", "displacer_network"),
-}
-
 
 def test_lazy_exports():
     assert cavityspdc.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         module = importlib.import_module(f"cavityspdc.{cavityspdc._SUBMODULE[name]}")
         assert getattr(cavityspdc, name) is getattr(module, name), name
-    for (old, new), names in MOVED.items():
-        old, new = (importlib.import_module(f"cavityspdc.{m}") for m in (old, new))
-        for name in names:
-            assert getattr(old, name) is getattr(new, name), name
     namespace = {}
     exec("from cavityspdc import *\nfrom cavityspdc import cli, measurement", namespace)
     assert set(PUBLIC_NAMES) <= set(namespace) and set(PUBLIC_NAMES) <= set(dir(cavityspdc))

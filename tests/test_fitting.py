@@ -16,9 +16,9 @@ from cavityspdc import (
     fit_lorentzian,
     simulate_timetags,
 )
+from cavityspdc.config import car_curve_reference
 from cavityspdc.fitting import (
     _fd_jacobian,
-    car_curve_reference,
     damped_least_squares,
     exp_decay,
     lorentzian,

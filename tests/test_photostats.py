@@ -25,6 +25,7 @@ from cavityspdc import (
     write_ttag,
 )
 from cavityspdc import photostats
+from cavityspdc.config import detected_rates
 from cavityspdc.photostats import TTAG_MAGIC
 
 
@@ -104,7 +105,7 @@ class TestCarModel:
 
     def test_detected_rates_at_the_default_power(self, chain):
         # 48,090 pairs/s at efficiency 0.125 and 100 dark counts per second
-        singles_s, singles_i, coincidences, accidentals = photostats.detected_rates(
+        singles_s, singles_i, coincidences, accidentals = detected_rates(
             48_090.0, chain)
         assert (singles_s, singles_i) == (6111.25, 6111.25)
         assert coincidences == 0.125 * 0.125 * 48_090.0
@@ -559,7 +560,7 @@ def test_argument_checks_reject_non_finite_values(source_150mw, bp0, chain, argu
         "window_ns": lambda: count_coincidences(stream, 0.0, value),
         "accidental_offset_ns": lambda: car_from_stream(stream, chain, value),
         "duration_s": lambda: simulate_timetags(source_150mw, bp0, chain, value, seed=0),
-        "rate": lambda: photostats.detected_rates(value, chain),
+        "rate": lambda: detected_rates(value, chain),
     }[argument]
     with pytest.raises(ValueError, match=f"^{argument} must be finite"):
         call()

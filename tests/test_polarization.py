@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cavityspdc import (
     NonInterferingNetworkError,
     TwoPhotonState,
     concurrence,
+    default_config,
     degraded_state,
     displacer_network,
     entangled_ket,
@@ -175,12 +177,17 @@ class TestDisplacerNetwork:
 
     def test_coherence_mixes_the_crystals_into_the_closed_form(self):
         # c |sum psi_k><sum psi_k| + (1 - c) sum |psi_k><psi_k| over the two
-        # crystals' kets is degraded_state's HH/VV family
-        net = displacer_network()
+        # crystals' kets is degraded_state's HH/VV family; the config's state
+        # is the same trace, bit for bit, and Hermitian to the bit
+        net, base = displacer_network(), default_config()
         for theta in (0.0, math.pi, 1.234, -2.0):
             for c in (0.0, 0.5, 0.8709, 1.0):
                 got = propagate_network(net, theta, c).rho
                 assert np.abs(got - degraded_state(theta, c).rho).max() <= 1e-15
+                cfg = replace(base, pump_phase_rad=theta, coherence=c)
+                assert np.array_equal(np.array(cfg.rho), got)
+                assert np.array_equal(got, got.conj().T)
+                assert np.all(np.diag(got).imag == 0.0)
 
     @pytest.mark.parametrize("c", [-0.1, 1.1, math.nan])
     def test_coherence_outside_unit_interval_raises(self, c):
