@@ -27,9 +27,9 @@ _SUBMODULE = {
                      "tomo_simulate_counts"), "measurement"),
     **dict.fromkeys(("BD", "HWP", "QWP", "CrystalSource", "NonInterferingNetworkError",
                      "displacer_network"), "network"),
-    **dict.fromkeys(("Histogram", "TimeTagStream", "car_from_stream", "coincidence_histogram",
-                     "count_coincidences", "read_ttag", "simulate_timetags", "write_ttag"),
-                    "photostats"),
+    **dict.fromkeys(("Histogram", "TimeTagStream", "analyze_record", "car_from_stream",
+                     "coincidence_histogram", "count_coincidences", "read_ttag",
+                     "simulate_timetags", "write_ttag"), "photostats"),
     **dict.fromkeys(("TwoPhotonState", "concurrence", "degraded_state", "entangled_ket",
                      "propagate_network"), "polarization"),
 }

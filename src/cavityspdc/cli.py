@@ -199,18 +199,17 @@ def _cmd_simulate(cfg, args, seed, seed_source):
     stream = photostats.simulate_timetags(
         cfg.source, bp, cfg.chain, args.duration, seed
     )
-    hist = photostats.coincidence_histogram(
-        stream, cfg.histogram_range_ns, cfg.chain.bin_ps
+    hist, peak, accidental = photostats.analyze_record(
+        stream, cfg.chain, cfg.histogram_range_ns, cfg.accidental_offset_ns
     )
-
-    peak, accidental = photostats._car_counts(stream, cfg.chain, cfg.accidental_offset_ns)
+    singles_ch1 = int(np.count_nonzero(stream.channel))
     summary = {
         "duration_s": args.duration,
         "seed": seed,
         "seed_source": seed_source,
         "events": len(stream),
-        "singles_ch0": int((stream.channel == 0).sum()),
-        "singles_ch1": int((stream.channel == 1).sum()),
+        "singles_ch0": len(stream) - singles_ch1,
+        "singles_ch1": singles_ch1,
         "coincidences_window": peak,
         "accidentals_window": accidental,
         "car_monte_carlo": peak / accidental if accidental else "inf",

@@ -379,46 +379,32 @@ class ExperimentConfig:
         object.__setattr__(self, "rho", rho)
 
 
+#: The bundled two-crystal telecom source, field by field.  Every value is
+#: immutable, so each build may share them.
+_DEFAULTS = dict(
+    ppktp0=CavitySpec(fsr_h_ghz=57.91, fsr_v_ghz=54.91, fwhm_h_mhz=454.0, fwhm_v_mhz=462.0,
+                      pm_fwhm_thz=2.04, length_mm=1.47),
+    ppktp1=CavitySpec(fsr_h_ghz=57.41, fsr_v_ghz=54.91, fwhm_h_mhz=422.0, fwhm_v_mhz=384.0,
+                      pm_fwhm_thz=2.04, length_mm=1.47),
+    # the bandwidth is derived from ppktp0 by ExperimentConfig
+    source=SourceRate(brightness_per_s_mw_mhz=0.7, power_mw=150.0, bandwidth_mhz=0.0),
+    chain=DetectionChain(eta_s=0.125, eta_i=0.125, dark_s_per_s=100.0, dark_i_per_s=100.0,
+                         window_ns=3.2, jitter_sigma_ps=60.0, bin_ps=25.0),
+    dwdm=DwdmFilter(center_offset_ghz=0.0, width_ghz=200.0),
+    pump_phase_rad=math.pi,
+    coherence=0.8709,
+    seed=None,
+    tomo_counts_per_setting=10_000,
+    bootstrap_resamples=200,
+    accidental_offset_ns=50.0,
+    histogram_range_ns=20.0,
+    network=displacer_network(),
+)
+
+
 def default_config() -> ExperimentConfig:
     """Bundled two-crystal telecom source description."""
-    return ExperimentConfig(
-        ppktp0=CavitySpec(
-            fsr_h_ghz=57.91,
-            fsr_v_ghz=54.91,
-            fwhm_h_mhz=454.0,
-            fwhm_v_mhz=462.0,
-            pm_fwhm_thz=2.04,
-            length_mm=1.47,
-        ),
-        ppktp1=CavitySpec(
-            fsr_h_ghz=57.41,
-            fsr_v_ghz=54.91,
-            fwhm_h_mhz=422.0,
-            fwhm_v_mhz=384.0,
-            pm_fwhm_thz=2.04,
-            length_mm=1.47,
-        ),
-        # the bandwidth is derived from ppktp0 by ExperimentConfig
-        source=SourceRate(brightness_per_s_mw_mhz=0.7, power_mw=150.0, bandwidth_mhz=0.0),
-        chain=DetectionChain(
-            eta_s=0.125,
-            eta_i=0.125,
-            dark_s_per_s=100.0,
-            dark_i_per_s=100.0,
-            window_ns=3.2,
-            jitter_sigma_ps=60.0,
-            bin_ps=25.0,
-        ),
-        dwdm=DwdmFilter(center_offset_ghz=0.0, width_ghz=200.0),
-        pump_phase_rad=math.pi,
-        coherence=0.8709,
-        seed=None,
-        tomo_counts_per_setting=10_000,
-        bootstrap_resamples=200,
-        accidental_offset_ns=50.0,
-        histogram_range_ns=20.0,
-        network=displacer_network(),
-    )
+    return ExperimentConfig(**_DEFAULTS)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +476,7 @@ def _build(base, payload: dict, path: str):
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
-    """Overlay a JSON payload onto ``default_config()``.
+    """Overlay a JSON payload onto the defaults of ``default_config()``.
 
     Dataclass-valued sections merge key by key onto their defaults,
     ``network`` replaces the built-in displacer network, and any other
@@ -498,13 +484,12 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     """
     if not isinstance(payload, dict):
         raise ConfigError("config: expected a JSON object")
-    base = default_config()
     kwargs = dict(payload)  # keys that name no field are rejected by _build
-    for field in dataclasses.fields(base):
-        key = field.name
+    for key, default in _DEFAULTS.items():
         if key not in payload:
+            kwargs[key] = default
             continue
-        default, value, path = getattr(base, key), payload[key], f"config.{key}"
+        value, path = payload[key], f"config.{key}"
         if key == "source" and isinstance(value, dict) and "bandwidth_mhz" in value:
             raise ConfigError(f"{path}.bandwidth_mhz: derived from ppktp0's linewidths, "
                               "not a config key")
@@ -516,7 +501,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
             kwargs[key] = tuple(
                 _element_from_dict(e, f"{path}[{i}]") for i, e in enumerate(value)
             )
-    return _build(base, kwargs, "config")
+    return _build(ExperimentConfig, kwargs, "config")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -282,22 +282,8 @@ def _cross_deltas(stream: TimeTagStream, limit_ps: float) -> np.ndarray:
     return np.concatenate(deltas)
 
 
-def _window_counts(stream: TimeTagStream, half_ps: float, *centers_ps: float) -> list[int]:
-    """Cross-channel pairs within +-half_ps of each center, from one scan."""
-    deltas = _cross_deltas(stream, max(map(abs, centers_ps)) + half_ps)
-    return [int(np.count_nonzero((deltas >= c - half_ps) & (deltas <= c + half_ps)))
-            for c in centers_ps]
-
-
-def coincidence_histogram(stream: TimeTagStream, range_ns: float, bin_ps: float) -> Histogram:
-    """Histogram of cross-channel delays (t_ch1 - t_ch0) over +-range/2.
-
-    Bin centers sit at integer multiples of bin_ps so a zero-delay pair
-    lands in the central bin; bin_ps must divide the range evenly.
-    """
-    k_max = histogram_k_max(range_ns, bin_ps)
-
-    deltas = _cross_deltas(stream, limit_ps=(k_max + 0.5) * bin_ps)
+def _binned(deltas: np.ndarray, k_max: int, bin_ps: float) -> Histogram:
+    """The delays in bins k = -k_max..k_max centered at k * bin_ps."""
     # half-open bins [k*bin - bin/2, k*bin + bin/2); plain rounding would
     # break ties to even and alias the integer-ps delay lattice
     k = np.floor(deltas / bin_ps + 0.5).astype(np.int64)
@@ -307,33 +293,60 @@ def coincidence_histogram(stream: TimeTagStream, range_ns: float, bin_ps: float)
     return Histogram(bin_centers_ps=centers, counts=counts.astype(np.int64))
 
 
+def _in_window(deltas: np.ndarray, center_ps: float, half_ps: float) -> int:
+    """The delays within +-half_ps of center_ps."""
+    return int(np.count_nonzero((deltas >= center_ps - half_ps) & (deltas <= center_ps + half_ps)))
+
+
+def coincidence_histogram(stream: TimeTagStream, range_ns: float, bin_ps: float) -> Histogram:
+    """Histogram of cross-channel delays (t_ch1 - t_ch0) over +-range/2.
+
+    Bin centers sit at integer multiples of bin_ps so a zero-delay pair
+    lands in the central bin; bin_ps must divide the range evenly.
+    """
+    k_max = histogram_k_max(range_ns, bin_ps)
+    return _binned(_cross_deltas(stream, (k_max + 0.5) * bin_ps), k_max, bin_ps)
+
+
 def count_coincidences(stream: TimeTagStream, center_ns: float, window_ns: float) -> int:
     """Cross-channel pairs with (t_ch1 - t_ch0) within +-window/2 of center."""
     if not math.isfinite(center_ns):
         raise ValueError(f"center_ns must be finite, got {center_ns!r}")
     if not (math.isfinite(window_ns) and window_ns >= 0.0):
         raise ValueError(f"window_ns must be finite and >= 0, got {window_ns!r}")
-    (count,) = _window_counts(stream, window_ns * 1e3 / 2.0, center_ns * 1e3)
-    return count
+    center_ps, half_ps = center_ns * 1e3, window_ns * 1e3 / 2.0
+    return _in_window(_cross_deltas(stream, abs(center_ps) + half_ps), center_ps, half_ps)
 
 
-def _car_counts(
-    stream: TimeTagStream,
-    chain: DetectionChain,
-    accidental_offset_ns: float,
-) -> tuple[int, int]:
-    """Cross-channel pairs in the zero-delay window and in an equal window
-    displaced by accidental_offset_ns, from one scan of the record."""
+def _car_windows(stream: TimeTagStream, chain: DetectionChain,
+                 accidental_offset_ns: float) -> tuple[float, float]:
+    """The CAR windows' half width and the displaced one's center, in ps."""
     if len(stream) == 0:
         raise ValueError("empty stream")
     if not (math.isfinite(accidental_offset_ns)
             and accidental_offset_ns > 2.0 * chain.window_ns):
         raise ValueError("accidental_offset_ns must be finite and far exceed the "
                          f"window, got {accidental_offset_ns!r}")
-    peak, accidental = _window_counts(
-        stream, chain.window_ns * 1e3 / 2.0, 0.0, accidental_offset_ns * 1e3
-    )
-    return peak, accidental
+    return chain.window_ns * 1e3 / 2.0, accidental_offset_ns * 1e3
+
+
+def analyze_record(
+    stream: TimeTagStream,
+    chain: DetectionChain,
+    histogram_range_ns: float,
+    accidental_offset_ns: float,
+) -> tuple[Histogram, int, int]:
+    """The record's delay histogram, as coincidence_histogram(stream,
+    histogram_range_ns, chain.bin_ps) gives it, and its cross-channel pairs
+    in the zero-delay window and in an equal window displaced by
+    accidental_offset_ns, all from one scan to the larger of the two limits.
+    """
+    half_ps, offset_ps = _car_windows(stream, chain, accidental_offset_ns)
+    k_max = histogram_k_max(histogram_range_ns, chain.bin_ps)
+    # each reader filters by value, so the longer scan changes none of them
+    deltas = _cross_deltas(stream, max((k_max + 0.5) * chain.bin_ps, offset_ps + half_ps))
+    return (_binned(deltas, k_max, chain.bin_ps), _in_window(deltas, 0.0, half_ps),
+            _in_window(deltas, offset_ps, half_ps))
 
 
 def car_from_stream(
@@ -347,5 +360,7 @@ def car_from_stream(
     equal window displaced by accidental_offset_ns.  Returns +inf when the
     accidental window is empty.
     """
-    peak, accidental = _car_counts(stream, chain, accidental_offset_ns)
+    half_ps, offset_ps = _car_windows(stream, chain, accidental_offset_ns)
+    deltas = _cross_deltas(stream, offset_ps + half_ps)
+    peak, accidental = _in_window(deltas, 0.0, half_ps), _in_window(deltas, offset_ps, half_ps)
     return peak / accidental if accidental else math.inf

@@ -210,8 +210,15 @@ class TestCli:
 
         for module in (config, polarization):
             monkeypatch.setattr(module, "_network_rho", counted)
-        assert main(["--seed", "5", "--out", str(tmp_path), "report"]) == EXIT_OK
+        assert main(["--seed", "5", "--out", str(tmp_path / "default"), "report"]) == EXIT_OK
         assert calls == [(DEFAULT.network, DEFAULT.pump_phase_rad, DEFAULT.coherence)]
+        # a loaded config is built once, not over a built default
+        calls.clear()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"coherence": 0.9}))
+        assert main(["--config", str(path), "--seed", "5", "--out", str(tmp_path / "loaded"),
+                     "report"]) == EXIT_OK
+        assert calls == [(DEFAULT.network, DEFAULT.pump_phase_rad, 0.9)]
 
     def test_cavity_outputs(self, tmp_path):
         assert main(["--out", str(tmp_path), "cavity"]) == 0
@@ -694,11 +701,29 @@ class TestCli:
         peak, acc = summary["coincidences_window"], summary["accidentals_window"]
         assert isinstance(acc, int) and acc >= 0
         assert summary["car_monte_carlo"] == (peak / acc if acc else "inf")
-        # both windows come from one scan; each matches its own count
+        # the histogram and both windows come from one scan; each window
+        # matches its own count
         stream = cavityspdc.read_ttag(tmp_path / "timetags.ttag")
         window = DEFAULT.chain.window_ns
         assert peak == cavityspdc.count_coincidences(stream, 0.0, window)
         assert acc == cavityspdc.count_coincidences(stream, DEFAULT.accidental_offset_ns, window)
+
+    def test_simulate_scans_the_record_once(self, tmp_path, monkeypatch):
+        from cavityspdc import photostats
+
+        scans = []
+
+        def counted(stream, limit_ps):
+            scans.append(limit_ps)
+            return scan(stream, limit_ps)
+
+        scan = photostats._cross_deltas
+        monkeypatch.setattr(photostats, "_cross_deltas", counted)
+        assert main(["--seed", "5", "--out", str(tmp_path), "simulate",
+                     "--duration", "0.5"]) == EXIT_OK
+        # to the displaced window's far edge, beyond the histogram's
+        assert scans == [pytest.approx((DEFAULT.accidental_offset_ns
+                                        + DEFAULT.chain.window_ns / 2) * 1e3)]
 
     def test_simulate_records_failed_g2_fit(self, tmp_path):
         path = tmp_path / "dark.json"
@@ -1063,7 +1088,7 @@ PUBLIC_NAMES = [
     "ExperimentConfig", "FitResult", "HWP", "Histogram", "ModeComb",
     "NonInterferingNetworkError", "PHI_SETTINGS", "ProjectorSetting", "QWP", "SourceRate",
     "TimeTagStream", "TomographyRecord", "TwoPhotonState", "airy_transmission",
-    "bootstrap_errors", "build_mode_comb", "car_from_stream", "car_model", "car_optimal_rate",
+    "analyze_record", "bootstrap_errors", "build_mode_comb", "car_from_stream", "car_model", "car_optimal_rate",
     "chsh_S", "chsh_max", "cluster_comb", "cluster_spacing", "coincidence_histogram",
     "concurrence", "count_coincidences", "default_config", "degraded_state",
     "displacer_network", "dwdm_cluster_count", "effective_index", "entangled_ket", "fidelity",

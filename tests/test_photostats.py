@@ -14,6 +14,7 @@ from cavityspdc import (
     DetectionChain,
     SourceRate,
     TimeTagStream,
+    analyze_record,
     car_from_stream,
     car_model,
     car_optimal_rate,
@@ -644,6 +645,7 @@ class TestEventBlocks:
         # no int64 difference per event: 9 B per event before the blocks
         assert traced_peak(coincidence_histogram, record, 20.0, 25.0) <= 3.0 * len(record)
         assert traced_peak(car_from_stream, record, chain) <= 3.0 * len(record)
+        assert traced_peak(analyze_record, record, chain, 20.0, 50.0) <= 3.0 * len(record)
 
     def test_read_peak_per_event(self, record, tmp_path):
         # the returned stream's 9 B per event and one reused block of
@@ -709,13 +711,24 @@ def brute_force_count(deltas, center_ns, window_ns):
        k_max=st.integers(1, 12))
 @settings(max_examples=200, deadline=None)
 def test_histogram_matches_brute_force(stream, bin_ps, k_max):
-    hist = coincidence_histogram(stream, 2 * k_max * bin_ps / 1e3, bin_ps)
+    range_ns = 2 * k_max * bin_ps / 1e3
+    hist = coincidence_histogram(stream, range_ns, bin_ps)
     expected = np.zeros(2 * k_max + 1, dtype=np.int64)
-    for d in brute_force_deltas(stream):
+    deltas = brute_force_deltas(stream)
+    for d in deltas:
         k = math.floor(d / bin_ps + 0.5)
         if abs(k) <= k_max:
             expected[k + k_max] += 1
     np.testing.assert_array_equal(hist.counts, expected)
+    if len(stream):
+        # the record's one pass: it scans to the displaced window's far edge
+        # for bin_ps <= 5 or k_max <= 3, else to the histogram's limit
+        chain = quiet_chain(bin_ps=bin_ps, window_ns=bin_ps / 1e3)
+        offset_ns = (2 * bin_ps + 10 * k_max) / 1e3
+        hist, peak, accidental = analyze_record(stream, chain, range_ns, offset_ns)
+        np.testing.assert_array_equal(hist.counts, expected)
+        assert peak == brute_force_count(deltas, 0.0, chain.window_ns)
+        assert accidental == brute_force_count(deltas, offset_ns, chain.window_ns)
 
 
 @given(stream=small_streams(), center_ps=st.integers(-200, 200),
@@ -723,9 +736,13 @@ def test_histogram_matches_brute_force(stream, bin_ps, k_max):
 @settings(max_examples=200, deadline=None)
 def test_count_coincidences_matches_brute_force(stream, center_ps, window_ps):
     center_ns, window_ns = center_ps / 1e3, window_ps / 1e3
-    assert count_coincidences(stream, center_ns, window_ns) == brute_force_count(
-        brute_force_deltas(stream), center_ns, window_ns
-    )
+    expected = brute_force_count(brute_force_deltas(stream), center_ns, window_ns)
+    assert count_coincidences(stream, center_ns, window_ns) == expected
+    if len(stream) and window_ps and center_ps > 2 * window_ps:
+        # the record's one pass, its displaced window at center
+        _, _, accidental = analyze_record(stream, quiet_chain(window_ns=window_ns, bin_ps=1.0),
+                                          0.04, center_ns)
+        assert accidental == expected
 
 
 @given(stream=small_streams(), window_ps=st.integers(1, 40),
